@@ -102,7 +102,6 @@ class AdvectionOperator:
     """
 
     weights: sp.csr_matrix
-    wind_source: np.ndarray  # (N, 2) per-node wind in m/s
 
 
 def _distance_matrix(nodes: NodeSet, distance_fn: DistanceFn | None) -> np.ndarray:
@@ -208,23 +207,6 @@ def _advection_pairs(nodes: NodeSet, threshold_xi: float,
     return rows, cols, geom
 
 
-def _advection_weights(wind: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                       geom: np.ndarray, n: int) -> sp.csr_matrix:
-    wind_mid = 0.5 * (wind[rows] + wind[cols])
-    proj = (wind_mid * geom).sum(axis=1)
-    data = _MS_PER_KM_TO_PER_HOUR * np.maximum(proj, 0.0)
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-
-
-def _check_wind(wind, n: int) -> np.ndarray:
-    wind = np.asarray(wind, dtype=np.float64)
-    if wind.shape != (n, 2):
-        raise GraphBuildError(f"wind must be ({n}, 2), got {wind.shape}")
-    if not np.all(np.isfinite(wind)):
-        raise GraphBuildError("wind contains non-finite values")
-    return wind
-
-
 def build_advection_operator(nodes: NodeSet, wind: np.ndarray,
                              threshold_xi: float = DEFAULT_THRESHOLD_KM,
                              distance_fn: DistanceFn | None = None) -> AdvectionOperator:
@@ -247,10 +229,10 @@ def build_advection_operator(nodes: NodeSet, wind: np.ndarray,
         GraphBuildError: bad wind shape, non-finite wind, or a coincident
             node pair (transport direction undefined).
     """
-    wind = _check_wind(wind, nodes.n)
-    rows, cols, geom = _advection_pairs(nodes, threshold_xi, distance_fn)
-    weights = _advection_weights(wind, rows, cols, geom, nodes.n)
-    return AdvectionOperator(weights=weights, wind_source=wind.copy())
+    wind = np.asarray(wind, dtype=np.float64)
+    if wind.shape != (nodes.n, 2):
+        raise GraphBuildError(f"wind must be ({nodes.n}, 2), got {wind.shape}")
+    return advection_sequence(nodes, wind[None], threshold_xi, distance_fn)[0]
 
 
 def advection_sequence(nodes: NodeSet, wind_series: np.ndarray,
@@ -258,8 +240,11 @@ def advection_sequence(nodes: NodeSet, wind_series: np.ndarray,
                        distance_fn: DistanceFn | None = None) -> list[AdvectionOperator]:
     """One advection operator per timestep of a (T, N, 2) wind series.
 
-    The pair geometry is computed once and reused, so the cost per step
-    is linear in the edge count.
+    The pair geometry is computed once and the (T, E) edge weights in one
+    array pass. Every step's CSR matrix shares one ``indices``/``indptr``
+    pair: ``np.nonzero`` yields the pairs row-major, so they are already
+    in CSR order, and weights the ReLU clips to 0 stay stored, so each
+    step has the same sparsity structure.
     """
     wind_series = np.asarray(wind_series, dtype=np.float64)
     if wind_series.ndim != 3 or wind_series.shape[0] < 1:
@@ -273,8 +258,14 @@ def advection_sequence(nodes: NodeSet, wind_series: np.ndarray,
         raise GraphBuildError("wind_series contains non-finite values")
 
     rows, cols, geom = _advection_pairs(nodes, threshold_xi, distance_fn)
-    out = []
-    for wind in wind_series:
-        weights = _advection_weights(wind, rows, cols, geom, nodes.n)
-        out.append(AdvectionOperator(weights=weights, wind_source=wind.copy()))
-    return out
+    wind_mid = wind_series[:, rows]
+    wind_mid += wind_series[:, cols]
+    wind_mid *= 0.5
+    wind_mid *= geom
+    weights = _MS_PER_KM_TO_PER_HOUR * np.maximum(wind_mid.sum(axis=2), 0.0)  # (T, E)
+    shape = (nodes.n, nodes.n)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nodes.n))])
+    first = sp.csr_matrix((weights[0], cols, indptr), shape=shape)
+    return [AdvectionOperator(weights=first)] + [
+        AdvectionOperator(weights=sp.csr_matrix((w, first.indices, first.indptr), shape=shape))
+        for w in weights[1:]]

@@ -204,6 +204,16 @@ class KrigingModel:
             params[name] = ad.Tensor(data, requires_grad=True)
         return params
 
+    def detached(self) -> "KrigingModel":
+        """The same model on untracked parameters, for forward-only passes.
+
+        Each parameter is ``p.detach()``: it shares the array, so later
+        updates show through, but no op on it records a backward closure
+        or keeps its inputs alive.
+        """
+        return KrigingModel(self.config,
+                            params={name: p.detach() for name, p in self.params.items()})
+
     def _act(self, x: ad.Tensor) -> ad.Tensor:
         return ad.relu(x) if self.config.activation == "relu" else ad.softplus(x)
 

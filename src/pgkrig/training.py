@@ -423,6 +423,7 @@ def _evaluate(model: KrigingModel, normalization: Normalization,
               partitions: list[MaskPartition],
               time_range: tuple[int, int]) -> tuple[float, float, float | None]:
     """Pooled masked-reconstruction metrics over fixed partitions of a range."""
+    model = model.detached()
     lo, hi = time_range
     wind_std, emissions_std, pm25_std = normalization.apply(
         view.wind[lo:hi], view.emissions[lo:hi], view.pm25[lo:hi])
@@ -640,6 +641,7 @@ def infer_stations(model: KrigingModel, normalization: Normalization,
         raise ConfigError(f"unknown node ids {unknown}; dataset has 0..{dataset.n - 1}")
     if len(np.unique(target_ids)) != target_ids.size:
         raise ConfigError("target ids contain duplicates")
+    model = model.detached()
     geo = build_geo_adjacency(dataset.nodes, threshold_km)
     diffusion = build_diffusion_operator(geo)
     advection_ops = advection_sequence(dataset.nodes, dataset.wind, threshold_km)
@@ -696,6 +698,7 @@ def infer_grid(model: KrigingModel, normalization: Normalization,
     if not (np.all(np.isfinite(grid_wind)) and np.all(np.isfinite(grid_emissions))):
         raise ConfigError("grid meteorology or emissions contain non-finite values")
 
+    model = model.detached()
     station_lookup = {pos.tobytes(): k for k, pos in enumerate(dataset.nodes.positions)}
     node_of_cell = np.empty(g_cells, dtype=np.int64)
     new_positions, new_wind, new_emissions = [], [], []
@@ -750,6 +753,7 @@ def infer_grid(model: KrigingModel, normalization: Normalization,
 def _station_forward(model: KrigingModel, normalization: Normalization,
                      dataset: StationDataset, threshold_km: float) -> np.ndarray:
     """Model output at every station with all stations observed, physical units."""
+    model = model.detached()
     geo = build_geo_adjacency(dataset.nodes, threshold_km)
     diffusion = build_diffusion_operator(geo)
     advection_ops = advection_sequence(dataset.nodes, dataset.wind, threshold_km)

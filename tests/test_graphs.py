@@ -256,6 +256,44 @@ class TestAdvectionSequence:
             np.testing.assert_array_equal(
                 ops[step].weights.toarray(), single.weights.toarray())
 
+    def test_spatially_varying_wind_uses_edge_midpoints(self):
+        # every testbed preset blows uniform wind, so only this test gives
+        # the two ends of an edge different winds
+        rng = np.random.default_rng(7)
+        ns = random_nodeset(rng, n=9)
+        t, xi = 6, 70.0
+        wind = rng.normal(0.0, 3.0, size=(t, ns.n, 2))
+        ops = g.advection_sequence(ns, wind, threshold_xi=xi)
+        assert len(ops) == t
+
+        pos = ns.positions
+        offset = pos[:, None, :] - pos[None, :, :]  # p_i - p_j
+        dist = g.planar_distances(pos)
+        near = (dist < xi) & ~np.eye(ns.n, dtype=bool)
+        d_sq = np.where(near, dist * dist, 1.0)
+        rows, cols, geom = g._advection_pairs(ns, xi, None)
+        for step, op in enumerate(ops):
+            w = wind[step]
+            single = g.build_advection_operator(ns, w, threshold_xi=xi).weights
+            # one step at a time through a COO -> CSR conversion
+            loop = sp.csr_matrix((3.6 * np.maximum(
+                (0.5 * (w[rows] + w[cols]) * geom).sum(axis=1), 0.0), (rows, cols)),
+                shape=(ns.n, ns.n))
+            for ref in (single, loop):
+                assert op.weights.data.tobytes() == ref.data.tobytes()
+                np.testing.assert_array_equal(op.weights.indices, ref.indices)
+                np.testing.assert_array_equal(op.weights.indptr, ref.indptr)
+
+            mid = 0.5 * (w[:, None, :] + w[None, :, :])
+            expected = np.where(
+                near, 3.6 * np.maximum((mid * offset).sum(axis=-1) / d_sq, 0.0), 0.0)
+            np.testing.assert_allclose(op.weights.toarray(), expected, rtol=1e-12, atol=0.0)
+            # the midpoint matters: the source node's wind alone gives other rates
+            source_only = np.where(
+                near, 3.6 * np.maximum((w[None, :, :] * offset).sum(axis=-1) / d_sq, 0.0),
+                0.0)
+            assert not np.allclose(expected, source_only)
+
     def test_shape_validation(self):
         ns = g.NodeSet(np.array([[0.0, 0.0], [3.0, 0.0]]))
         with pytest.raises(g.GraphBuildError):

@@ -115,7 +115,7 @@ class TestPropagate:
     def _zero_ops(self, n):
         zero = sp.csr_matrix((n, n))
         return (g.DiffusionOperator(weights=zero),
-                g.AdvectionOperator(weights=zero, wind_source=np.zeros((n, 2))))
+                g.AdvectionOperator(weights=zero))
 
     def test_zero_operators_give_activated_bias(self):
         model = nw.KrigingModel(small_config(), seed=0)
@@ -133,8 +133,7 @@ class TestPropagate:
         n = series.n
         model = nw.KrigingModel(small_config(), seed=0)
         h = ad.Tensor(rng.normal(size=(n, 8)))
-        zero_adv = g.AdvectionOperator(weights=sp.csr_matrix((n, n)),
-                                       wind_source=np.zeros((n, 2)))
+        zero_adv = g.AdvectionOperator(weights=sp.csr_matrix((n, n)))
         out = model.propagate(h, diffusion, zero_adv, layer=0).data
         # hand-computed pure-diffusion message
         w = model.params["prop.0.weight"].data
@@ -264,8 +263,7 @@ class TestFullForward:
         dperm = diffusion.weights.toarray()[np.ix_(perm, perm)]
         perm_diffusion = g.DiffusionOperator(weights=sp.csr_matrix(dperm))
         perm_advection = [
-            g.AdvectionOperator(weights=sp.csr_matrix(op.weights.toarray()[np.ix_(perm, perm)]),
-                                wind_source=op.wind_source[perm])
+            g.AdvectionOperator(weights=sp.csr_matrix(op.weights.toarray()[np.ix_(perm, perm)]))
             for op in advection]
         p_init, p_hat = model.full_forward(perm_series, perm_diffusion, perm_advection)
         np.testing.assert_allclose(p_init.data, x_init.data[perm], rtol=1e-10, atol=1e-12)
@@ -320,3 +318,13 @@ class TestParamStore:
         b = nw.KrigingModel(cfg, seed=5).params
         for name in a:
             np.testing.assert_array_equal(a[name].data, b[name].data)
+
+    def test_detached_shares_arrays_and_tracks_nothing(self):
+        model = nw.KrigingModel(small_config(), seed=0)
+        frozen = model.detached()
+        assert frozen.config == model.config
+        for name, p in model.params.items():
+            assert frozen.params[name].data is p.data
+            assert p.requires_grad and not frozen.params[name].requires_grad
+        model.params["readout.1.bias"].data += 1.0  # an update shows through
+        assert frozen.params["readout.1.bias"].data[0] == 1.0

@@ -501,6 +501,62 @@ def test_infer_grid_shape_errors():
                       threshold_km=10.0)
 
 
+def _record_forwards(monkeypatch):
+    """(model, outputs) of every full_forward call from here on."""
+    calls = []
+    original = KrigingModel.full_forward
+
+    def recording(self, *args):
+        outputs = original(self, *args)
+        calls.append((self, outputs))
+        return outputs
+
+    monkeypatch.setattr(KrigingModel, "full_forward", recording)
+    return calls
+
+
+def _forward_only_passes(dataset, result):
+    """infer_stations, infer_grid (one cell on station 5) and _evaluate."""
+    model, norm = result.model, result.normalization
+    stations = tr.infer_stations(model, norm, dataset, result.heldout_ids, threshold_km=10.0)
+    cells = [5, 0, 3, 8]
+    positions = dataset.nodes.positions[cells] + np.array([[0.0, 0.0]] + [[0.37, 0.41]] * 3)
+    grid = tr.infer_grid(model, norm, dataset, positions, dataset.wind[:, cells],
+                         dataset.emissions[:, cells], threshold_km=10.0)
+    diffusion = build_diffusion_operator(build_geo_adjacency(dataset.nodes, 10.0))
+    advection = advection_sequence(dataset.nodes, dataset.wind, 10.0)
+    parts = [tr.sample_partition(np.arange(dataset.n), 0.5, np.random.default_rng(1))]
+    scores = tr._evaluate(model, norm, dataset, diffusion, advection, parts, (40, 60))
+    return stations, grid, scores
+
+
+def test_forward_only_passes_match_the_tracked_forward_bitwise(monkeypatch):
+    dataset, result = trained_toy()
+    stations, grid, scores = _forward_only_passes(dataset, result)
+
+    monkeypatch.setattr(KrigingModel, "detached", lambda self: self)
+    forwards = _record_forwards(monkeypatch)
+    t_stations, t_grid, t_scores = _forward_only_passes(dataset, result)
+    assert forwards and all(out._parents for _, outputs in forwards for out in outputs)
+    assert stations.tobytes() == t_stations.tobytes()
+    assert grid.tobytes() == t_grid.tobytes()
+    assert scores == t_scores
+
+
+def test_forward_only_passes_record_no_tape(monkeypatch):
+    dataset, result = trained_toy()
+    forwards = _record_forwards(monkeypatch)
+    _forward_only_passes(dataset, result)
+    # infer_stations, the station pass and one cell chunk of infer_grid, _evaluate
+    assert len(forwards) == 4
+    for model, outputs in forwards:
+        assert not any(p.requires_grad for p in model.params.values())
+        for out in outputs:
+            assert out._parents == () and out._backward is None and not out.requires_grad
+    for p in result.model.params.values():
+        assert p.requires_grad and p.grad is None
+
+
 # ---------------------------------------------------------------------------
 # config plumbing
 
