@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from . import autodiff as ad
-from .graphs import GraphBuildError, NodeSet
+from .graphs import GraphBuildError, NodeSet, grid_centers
 from .network import N_CHANNELS, KrigingModel, ModelConfig
 
 SCHEMA_VERSION = "pgkrig-v1"
@@ -43,49 +44,42 @@ def _err(path, line_no: int | None, message: str) -> SchemaError:
     return SchemaError(f"{where}: {message}")
 
 
-def _read_lines(path) -> list[str]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
-    return text.splitlines()
+# ---------------------------------------------------------------------------
+# the table codec: every CSV kind is a header plus one type code per column
+
+
+_INT64_MAX = np.iinfo(np.int64).max
+
+# Rows converted per step. Splitting a whole file at once would keep every
+# field string alive together (480k for grid_inputs.csv) and raise peak RSS.
+_BLOCK_ROWS = 4096
 
 
 def _split_header(path, lines: list[str], header: str):
-    """Validate comments and the header row; yield (line_no, row) pairs.
+    """Validate comments and the header row.
 
-    Returns (comment_lines, data_rows) where data_rows are
-    (line_no, raw_line) tuples for everything after the header.
+    Returns (comments, body_start): the (line_no, line) comment pairs and
+    the index into ``lines`` of the first data row.
     """
     comments: list[tuple[int, str]] = []
-    body_start = None
-    header_no = None
     for i, line in enumerate(lines, start=1):
         if line.startswith("#"):
             comments.append((i, line))
             continue
         if not line.strip():
             raise _err(path, i, "blank line before header")
-        header_no = i
-        body_start = i + 1
         if line != header:
             raise _err(path, i, f"expected header {header!r}, got {line!r}")
         break
-    if header_no is None:
+    else:
         raise _err(path, None, f"missing header {header!r}")
+    body_start = i
     for i, line in comments:
         if line.startswith("# format: "):
             token = line[len("# format: "):].split()
             if not token or token[0] != SCHEMA_VERSION:
                 raise _err(path, i, f"unsupported format version in {line!r}")
-    rows = []
-    for i, line in enumerate(lines[body_start - 1:], start=body_start):
-        if not line.strip():
-            if i < len(lines):
-                raise _err(path, i, "blank line inside data")
-            continue
-        rows.append((i, line))
-    return comments, rows
+    return comments, body_start
 
 
 def _parse_int(path, line_no: int, text: str, column: str) -> int:
@@ -95,6 +89,8 @@ def _parse_int(path, line_no: int, text: str, column: str) -> int:
         raise _err(path, line_no, f"column {column}: {text!r} is not an integer") from None
     if value < 0:
         raise _err(path, line_no, f"column {column}: {value} is negative")
+    if value > _INT64_MAX:
+        raise _err(path, line_no, f"column {column}: {value} is too large")
     return value
 
 
@@ -108,11 +104,97 @@ def _parse_float(path, line_no: int, text: str, column: str) -> float:
     return value
 
 
-def _fields(path, line_no: int, line: str, arity: int) -> list[str]:
-    parts = line.split(",")
-    if len(parts) != arity:
-        raise _err(path, line_no, f"expected {arity} fields, got {len(parts)}")
-    return parts
+def _parse_row(path, line_no: int, line: str, names: list[str], kinds: str) -> list:
+    """One row's values, checked field by field; raises on its first fault."""
+    if not line.strip():
+        raise _err(path, line_no, "blank line inside data")
+    fields = line.split(",")
+    if len(fields) != len(kinds):
+        raise _err(path, line_no, f"expected {len(kinds)} fields, got {len(fields)}")
+    values: list = [None] * len(kinds)
+    # Bit columns first: the AOD reader has always reported `valid` before
+    # the other columns of the same row.
+    for c in sorted(range(len(kinds)), key=lambda c: kinds[c] != "b"):
+        if kinds[c] == "f":
+            values[c] = _parse_float(path, line_no, fields[c], names[c])
+            continue
+        values[c] = _parse_int(path, line_no, fields[c], names[c])
+        if kinds[c] == "b" and values[c] > 1:
+            raise _err(path, line_no, f"column {names[c]}: {values[c]} is not 0 or 1")
+    return values
+
+
+def _parse_block(block: list[str], kinds: str) -> list[np.ndarray] | None:
+    """Columns of a block of rows, or None if any row fails `_parse_row`."""
+    arity = len(kinds)
+    commas = np.fromiter(map(str.count, block, repeat(",")), np.int64, len(block))
+    if (commas != arity - 1).any():
+        return None
+    fields = ",".join(block).split(",")
+    columns = []
+    for c, kind in enumerate(kinds):
+        try:
+            col = np.fromiter(map(float if kind == "f" else int, fields[c::arity]),
+                              np.float64 if kind == "f" else np.int64, len(block))
+        except (ValueError, OverflowError):
+            return None
+        ok = (np.isfinite(col).all() if kind == "f"
+              else col.min() >= 0 and (kind == "i" or col.max() <= 1))
+        if not ok:
+            return None
+        columns.append(col)
+    return columns
+
+
+def _read_table(path, header: str, kinds: str):
+    """Parse every data row under ``header`` into one array per column.
+
+    ``kinds`` holds one code per header field: ``i`` a non-negative
+    integer and ``b`` a 0/1 bit (both int64), ``f`` a finite float. Blocks
+    convert with the same ``int``/``float`` rules as ``_parse_row``; a
+    block that fails is parsed again row by row, so the error names the
+    first bad line in file order. Returns (comments, first_line, columns),
+    where data row r sits on line ``first_line + r``.
+    """
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+    comments, body_start = _split_header(path, lines, header)
+    rows = lines[body_start:]
+    if rows and not rows[-1].strip():
+        rows.pop()  # a blank last line just ends the file
+    names = header.split(",")
+    columns = [np.empty(len(rows), np.float64 if kind == "f" else np.int64)
+               for kind in kinds]
+    for lo in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[lo:lo + _BLOCK_ROWS]
+        parsed = _parse_block(block, kinds)
+        if parsed is None:
+            first = body_start + lo + 1
+            parsed = list(zip(*(_parse_row(path, first + r, line, names, kinds)
+                                for r, line in enumerate(block))))
+        for column, values in zip(columns, parsed):
+            column[lo:lo + len(block)] = values
+    return comments, body_start + 1, columns
+
+
+def _first_repeat(keys: np.ndarray) -> int:
+    """Index of the first entry equal to an earlier one, or -1."""
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    return int(repeats.min()) if repeats.size else -1
+
+
+def _write_table(path, head: list[str], columns) -> None:
+    """Write ``head`` lines, then one row per index of the 1-D ``columns``.
+
+    Cells are ``repr`` of the Python value: integers as digits, floats as
+    the shortest decimal that round-trips (``_fmt``).
+    """
+    cells = [map(repr, np.asarray(column).tolist()) for column in columns]
+    Path(path).write_text("\n".join([*head, *map(",".join, zip(*cells))]) + "\n",
+                          encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -122,32 +204,23 @@ def _fields(path, line_no: int, line: str, arity: int) -> list[str]:
 def write_nodes(path, positions: np.ndarray, kind: str = "nodes") -> None:
     """Write a node table `node_id,x_km,y_km`; row k is node k."""
     positions = np.asarray(positions, dtype=np.float64)
-    lines = [version_line(kind), "node_id,x_km,y_km"]
-    for k, (x, y) in enumerate(positions):
-        lines.append(f"{k},{_fmt(x)},{_fmt(y)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_table(path, [version_line(kind), "node_id,x_km,y_km"],
+                 [np.arange(len(positions)), positions[:, 0], positions[:, 1]])
 
 
 def read_nodes(path) -> NodeSet:
     """Read a node table; ids must be dense 0..N-1 (any row order)."""
-    lines = _read_lines(path)
-    _, rows = _split_header(path, lines, "node_id,x_km,y_km")
-    if not rows:
+    _, first_line, (ids, x, y) = _read_table(path, "node_id,x_km,y_km", "iff")
+    if not ids.size:
         raise _err(path, None, "no node rows")
-    entries = {}
-    for line_no, line in rows:
-        f = _fields(path, line_no, line, 3)
-        node = _parse_int(path, line_no, f[0], "node_id")
-        if node in entries:
-            raise _err(path, line_no, f"duplicate node_id {node}")
-        entries[node] = (_parse_float(path, line_no, f[1], "x_km"),
-                         _parse_float(path, line_no, f[2], "y_km"))
-    n = len(entries)
-    if sorted(entries) != list(range(n)):
+    r = _first_repeat(ids)
+    if r >= 0:
+        raise _err(path, first_line + r, f"duplicate node_id {ids[r]}")
+    n = ids.size
+    if ids.max() != n - 1:
         raise _err(path, None, f"node_ids must be dense 0..{n - 1}")
-    positions = np.array([entries[k] for k in range(n)], dtype=np.float64)
     try:
-        return NodeSet(positions)
+        return NodeSet(np.column_stack([x, y])[np.argsort(ids)])
     except GraphBuildError as exc:
         raise _err(path, None, str(exc)) from exc
 
@@ -156,116 +229,79 @@ def read_nodes(path) -> NodeSet:
 # long-format time series tables
 
 
-def _assemble(path, triples, n_value_cols: int):
-    """Dense (T, K, V) assembly from (time, node, values...) rows.
+def _assemble(path, times: np.ndarray, nodes: np.ndarray, *value_columns):
+    """Dense (T, K, V) assembly from (time, node, values...) columns.
 
     Node ids may be any subset; every present node must cover every
     timestep 0..T-1 exactly once.
     """
-    times = sorted({t for t, _, _ in triples})
-    ids = sorted({node for _, node, _ in triples})
-    t_count, k_count = len(times), len(ids)
-    if times != list(range(t_count)):
+    if not times.size:
+        raise _err(path, None, "no data rows")
+    t_count = np.unique(times).size
+    if times.max() != t_count - 1:
         raise _err(path, None, f"times must be contiguous 0..{t_count - 1}")
-    id_pos = {node: k for k, node in enumerate(ids)}
-    values = np.full((t_count, k_count, n_value_cols), np.nan)
-    for t, node, vals in triples:
-        if not np.all(np.isnan(values[t, id_pos[node]])):
-            raise _err(path, None, f"duplicate row for time {t}, node {node}")
-        values[t, id_pos[node]] = vals
-    if np.isnan(values).any():
-        t, k = np.argwhere(np.isnan(values[:, :, 0]))[0]
+    ids, k = np.unique(nodes, return_inverse=True)
+    key = times * ids.size + k
+    r = _first_repeat(key)
+    if r >= 0:
+        raise _err(path, None, f"duplicate row for time {times[r]}, node {nodes[r]}")
+    present = np.bincount(key, minlength=t_count * ids.size)
+    if not present.all():
+        t, k = divmod(int(np.argmin(present)), ids.size)
         raise _err(path, None, f"missing row for time {t}, node {ids[k]}")
-    return np.asarray(ids, dtype=np.int64), values
+    values = np.empty((t_count * ids.size, len(value_columns)))
+    values[key] = np.column_stack(value_columns)
+    return ids, values.reshape(t_count, ids.size, -1)
+
+
+def _write_series(path, kind: str, header: str, node_ids, *planes) -> None:
+    """Write long-table rows, time outer and node inner, from (T, K) planes."""
+    t_count, k_count = planes[0].shape
+    ids = np.arange(k_count) if node_ids is None else np.asarray(node_ids)
+    _write_table(path, [version_line(kind), header],
+                 [np.repeat(np.arange(t_count), k_count), np.tile(ids, t_count),
+                  *(plane.ravel() for plane in planes)])
 
 
 def write_values(path, values: np.ndarray, column: str,
                  node_ids: np.ndarray | None = None, kind: str | None = None) -> None:
     """Write `time,node_id,<column>` rows from a (T, K) array."""
     values = np.asarray(values, dtype=np.float64)
-    t_count, k_count = values.shape
-    ids = np.arange(k_count) if node_ids is None else np.asarray(node_ids)
-    lines = [version_line(kind or column), f"time,node_id,{column}"]
-    for t in range(t_count):
-        for k in range(k_count):
-            lines.append(f"{t},{ids[k]},{_fmt(values[t, k])}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_series(path, kind or column, f"time,node_id,{column}", node_ids, values)
 
 
 def read_values(path, column: str) -> tuple[np.ndarray, np.ndarray]:
     """Read `time,node_id,<column>`; returns (sorted ids, (T, K) values)."""
-    lines = _read_lines(path)
-    _, rows = _split_header(path, lines, f"time,node_id,{column}")
-    if not rows:
-        raise _err(path, None, "no data rows")
-    triples = []
-    for line_no, line in rows:
-        f = _fields(path, line_no, line, 3)
-        triples.append((_parse_int(path, line_no, f[0], "time"),
-                        _parse_int(path, line_no, f[1], "node_id"),
-                        (_parse_float(path, line_no, f[2], column),)))
-    ids, values = _assemble(path, triples, 1)
+    _, _, columns = _read_table(path, f"time,node_id,{column}", "iif")
+    ids, values = _assemble(path, *columns)
     return ids, values[:, :, 0]
 
 
 def write_wind(path, wind: np.ndarray, node_ids: np.ndarray | None = None) -> None:
     """Write `time,node_id,u_ms,v_ms` rows from a (T, K, 2) array."""
     wind = np.asarray(wind, dtype=np.float64)
-    t_count, k_count = wind.shape[0], wind.shape[1]
-    ids = np.arange(k_count) if node_ids is None else np.asarray(node_ids)
-    lines = [version_line("wind"), "time,node_id,u_ms,v_ms"]
-    for t in range(t_count):
-        for k in range(k_count):
-            lines.append(f"{t},{ids[k]},{_fmt(wind[t, k, 0])},{_fmt(wind[t, k, 1])}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_series(path, "wind", "time,node_id,u_ms,v_ms", node_ids,
+                  wind[:, :, 0], wind[:, :, 1])
 
 
 def read_wind(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a wind table; returns (sorted ids, (T, K, 2) array)."""
-    lines = _read_lines(path)
-    _, rows = _split_header(path, lines, "time,node_id,u_ms,v_ms")
-    if not rows:
-        raise _err(path, None, "no data rows")
-    triples = []
-    for line_no, line in rows:
-        f = _fields(path, line_no, line, 4)
-        triples.append((_parse_int(path, line_no, f[0], "time"),
-                        _parse_int(path, line_no, f[1], "node_id"),
-                        (_parse_float(path, line_no, f[2], "u_ms"),
-                         _parse_float(path, line_no, f[3], "v_ms"))))
-    return _assemble(path, triples, 2)
+    _, _, columns = _read_table(path, "time,node_id,u_ms,v_ms", "iiff")
+    return _assemble(path, *columns)
 
 
 def write_aod(path, values: np.ndarray, valid: np.ndarray,
               node_ids: np.ndarray | None = None) -> None:
     """Write `time,node_id,aod,valid` rows; valid bits are 0/1."""
     values = np.asarray(values, dtype=np.float64)
-    valid = np.asarray(valid, dtype=np.float64)
-    t_count, k_count = values.shape
-    ids = np.arange(k_count) if node_ids is None else np.asarray(node_ids)
-    lines = [version_line("aod"), "time,node_id,aod,valid"]
-    for t in range(t_count):
-        for k in range(k_count):
-            lines.append(f"{t},{ids[k]},{_fmt(values[t, k])},{int(valid[t, k])}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    valid = np.asarray(valid, dtype=np.float64).astype(np.int64)
+    _write_series(path, "aod", "time,node_id,aod,valid", node_ids, values, valid)
 
 
 def read_aod(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read an AOD table; returns (ids, (T, K) values, (T, K) 0/1 mask)."""
-    lines = _read_lines(path)
-    _, rows = _split_header(path, lines, "time,node_id,aod,valid")
-    if not rows:
-        raise _err(path, None, "no data rows")
-    triples = []
-    for line_no, line in rows:
-        f = _fields(path, line_no, line, 4)
-        bit = _parse_int(path, line_no, f[3], "valid")
-        if bit not in (0, 1):
-            raise _err(path, line_no, f"column valid: {bit} is not 0 or 1")
-        triples.append((_parse_int(path, line_no, f[0], "time"),
-                        _parse_int(path, line_no, f[1], "node_id"),
-                        (_parse_float(path, line_no, f[2], "aod"), float(bit))))
-    ids, values = _assemble(path, triples, 2)
+    _, _, columns = _read_table(path, "time,node_id,aod,valid", "iifb")
+    ids, values = _assemble(path, *columns)
     return ids, values[:, :, 0], values[:, :, 1]
 
 
@@ -286,32 +322,27 @@ class GridGeometry:
         return self.nx * self.ny
 
     def positions(self) -> np.ndarray:
-        ix = np.arange(self.nx)
-        iy = np.arange(self.ny)
-        gx, gy = np.meshgrid(ix, iy)
-        return np.stack([(gx.ravel() + 0.5) * self.cell_km,
-                         (gy.ravel() + 0.5) * self.cell_km], axis=1)
+        return grid_centers(self.nx, self.ny, self.cell_km)
 
 
 def write_grid_nodes(path, geometry: GridGeometry) -> None:
     """Write `cell_id,x_km,y_km` for every cell plus a geometry comment."""
-    lines = [version_line("grid"),
-             f"# grid: nx={geometry.nx} ny={geometry.ny} cell_km={_fmt(geometry.cell_km)}",
-             "cell_id,x_km,y_km"]
-    for k, (x, y) in enumerate(geometry.positions()):
-        lines.append(f"{k},{_fmt(x)},{_fmt(y)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    positions = geometry.positions()
+    _write_table(path, [version_line("grid"),
+                        f"# grid: nx={geometry.nx} ny={geometry.ny} "
+                        f"cell_km={_fmt(geometry.cell_km)}",
+                        "cell_id,x_km,y_km"],
+                 [np.arange(geometry.n_cells), positions[:, 0], positions[:, 1]])
 
 
 def read_grid_nodes(path) -> GridGeometry:
     """Read a grid table; the geometry comment is required and verified."""
-    lines = _read_lines(path)
-    comments, rows = _split_header(path, lines, "cell_id,x_km,y_km")
+    comments, first_line, (cells, x, y) = _read_table(path, "cell_id,x_km,y_km", "iff")
     geometry = None
     for line_no, line in comments:
         if line.startswith("# grid: "):
-            parts = dict(token.split("=", 1) for token in line[len("# grid: "):].split())
             try:
+                parts = dict(token.split("=", 1) for token in line[len("# grid: "):].split())
                 geometry = GridGeometry(nx=int(parts["nx"]), ny=int(parts["ny"]),
                                         cell_km=float(parts["cell_km"]))
             except (KeyError, ValueError):
@@ -320,19 +351,17 @@ def read_grid_nodes(path) -> GridGeometry:
         raise _err(path, None, "missing `# grid: nx=.. ny=.. cell_km=..` comment")
     if geometry.nx < 1 or geometry.ny < 1 or not geometry.cell_km > 0:
         raise _err(path, None, f"degenerate grid {geometry}")
-    if len(rows) != geometry.n_cells:
+    if cells.size != geometry.n_cells:
         raise _err(path, None,
-                   f"grid comment promises {geometry.n_cells} cells, found {len(rows)} rows")
-    expected = geometry.positions()
-    for line_no, line in rows:
-        f = _fields(path, line_no, line, 3)
-        cell = _parse_int(path, line_no, f[0], "cell_id")
-        if cell >= geometry.n_cells:
-            raise _err(path, line_no, f"cell_id {cell} outside grid")
-        x = _parse_float(path, line_no, f[1], "x_km")
-        y = _parse_float(path, line_no, f[2], "y_km")
-        if x != expected[cell, 0] or y != expected[cell, 1]:
-            raise _err(path, line_no, f"cell {cell} position disagrees with grid comment")
+                   f"grid comment promises {geometry.n_cells} cells, found {cells.size} rows")
+    outside = cells >= geometry.n_cells
+    expected = geometry.positions()[np.where(outside, 0, cells)]
+    bad = outside | (x != expected[:, 0]) | (y != expected[:, 1])
+    if bad.any():
+        r = int(np.argmax(bad))
+        message = (f"cell_id {cells[r]} outside grid" if outside[r]
+                   else f"cell {cells[r]} position disagrees with grid comment")
+        raise _err(path, first_line + r, message)
     return geometry
 
 
@@ -340,30 +369,14 @@ def write_grid_inputs(path, wind: np.ndarray, emissions: np.ndarray) -> None:
     """Write `time,cell_id,u_ms,v_ms,emission` for every cell and hour."""
     wind = np.asarray(wind, dtype=np.float64)
     emissions = np.asarray(emissions, dtype=np.float64)
-    t_count, g_count = emissions.shape
-    lines = [version_line("grid-inputs"), "time,cell_id,u_ms,v_ms,emission"]
-    for t in range(t_count):
-        for k in range(g_count):
-            lines.append(f"{t},{k},{_fmt(wind[t, k, 0])},{_fmt(wind[t, k, 1])},"
-                         f"{_fmt(emissions[t, k])}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_series(path, "grid-inputs", "time,cell_id,u_ms,v_ms,emission", None,
+                  wind[:, :, 0], wind[:, :, 1], emissions)
 
 
 def read_grid_inputs(path) -> tuple[np.ndarray, np.ndarray]:
     """Read grid dynamics; cell ids must be dense. Returns (wind, emissions)."""
-    lines = _read_lines(path)
-    _, rows = _split_header(path, lines, "time,cell_id,u_ms,v_ms,emission")
-    if not rows:
-        raise _err(path, None, "no data rows")
-    triples = []
-    for line_no, line in rows:
-        f = _fields(path, line_no, line, 5)
-        triples.append((_parse_int(path, line_no, f[0], "time"),
-                        _parse_int(path, line_no, f[1], "cell_id"),
-                        (_parse_float(path, line_no, f[2], "u_ms"),
-                         _parse_float(path, line_no, f[3], "v_ms"),
-                         _parse_float(path, line_no, f[4], "emission"))))
-    ids, values = _assemble(path, triples, 3)
+    _, _, columns = _read_table(path, "time,cell_id,u_ms,v_ms,emission", "iifff")
+    ids, values = _assemble(path, *columns)
     if not np.array_equal(ids, np.arange(len(ids))):
         raise _err(path, None, f"cell_ids must be dense 0..{len(ids) - 1}")
     return values[:, :, :2].copy(), values[:, :, 2].copy()
@@ -395,16 +408,6 @@ def report_lines(node_scores, pooled) -> list[str]:
 def write_report(path, node_scores, pooled) -> None:
     Path(path).write_text("\n".join(report_lines(node_scores, pooled)) + "\n",
                           encoding="utf-8")
-
-
-def write_triplets(path, matrix) -> None:
-    """Export a sparse operator as `i j value` lines for inspection."""
-    coo = matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    lines = [version_line("triplets")]
-    for k in order:
-        lines.append(f"{coo.row[k]} {coo.col[k]} {_fmt(coo.data[k])}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +513,7 @@ def load_config(path) -> dict:
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
     try:
         data = yaml.safe_load(text)

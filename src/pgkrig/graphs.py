@@ -40,6 +40,12 @@ def planar_distances(positions: np.ndarray) -> np.ndarray:
     return np.sqrt((diff * diff).sum(axis=-1))
 
 
+def grid_centers(nx: int, ny: int, cell_km: float) -> np.ndarray:
+    """(nx*ny, 2) raster cell centers: cell k at ((k % nx) + 0.5, (k // nx) + 0.5) * cell_km."""
+    iy, ix = np.divmod(np.arange(nx * ny), nx)
+    return np.stack([(ix + 0.5) * cell_km, (iy + 0.5) * cell_km], axis=1)
+
+
 @dataclass(frozen=True)
 class NodeSet:
     """Sensor locations on a planar km grid.

@@ -20,9 +20,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
-from .graphs import NodeSet
+from .graphs import NodeSet, grid_centers
 
 
 class ScenarioError(ValueError):
@@ -151,14 +150,6 @@ class ScenarioSpec:
     def n_cells(self) -> int:
         return self.nx * self.ny
 
-    def cell_positions(self) -> np.ndarray:
-        ix = np.arange(self.nx)
-        iy = np.arange(self.ny)
-        gx, gy = np.meshgrid(ix, iy)  # row-major: iy outer
-        centers = np.stack([(gx.ravel() + 0.5) * self.cell_km,
-                            (gy.ravel() + 0.5) * self.cell_km], axis=1)
-        return centers
-
     def wind_series(self) -> np.ndarray:
         """Spatially uniform (T, 2) wind in m/s for the recorded hours."""
         hours = np.arange(self.t_hours)
@@ -203,11 +194,7 @@ class TruthField:
         return self.nx * self.ny
 
     def cell_positions(self) -> np.ndarray:
-        ix = np.arange(self.nx)
-        iy = np.arange(self.ny)
-        gx, gy = np.meshgrid(ix, iy)
-        return np.stack([(gx.ravel() + 0.5) * self.cell_km,
-                         (gy.ravel() + 0.5) * self.cell_km], axis=1)
+        return grid_centers(self.nx, self.ny, self.cell_km)
 
     def grid_nodes(self) -> NodeSet:
         return NodeSet(self.cell_positions())
@@ -387,6 +374,9 @@ def make_aod(truth: TruthField, corruption: AodSpec,
     if cf >= 1.0:
         valid[:] = 0.0
     elif cf > 0.0:
+        # Imported here: it costs ~0.09 s and only simulate draws clouds.
+        from scipy.ndimage import gaussian_filter
+
         for step in range(t):
             noise = rng.standard_normal((truth.ny, truth.nx))
             smooth = gaussian_filter(noise, sigma=_CLOUD_SMOOTH_CELLS, mode="reflect")

@@ -254,17 +254,6 @@ def test_report_pooled_row_uses_minus_one(tmp_path):
     assert lines[3] == "-1,1.0,1.5,"
 
 
-def test_triplet_export_sorted(tmp_path):
-    from scipy import sparse
-
-    matrix = sparse.csr_matrix(np.array([[0.0, 2.0], [1.5, 0.0]]))
-    path = tmp_path / "op.txt"
-    dataio.write_triplets(path, matrix)
-    lines = path.read_text().splitlines()
-    assert lines[1] == "0 1 2.0"
-    assert lines[2] == "1 0 1.5"
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -415,3 +404,259 @@ def test_load_config_non_mapping_root(tmp_path):
     path.write_text("- 1\n- 2\n")
     with pytest.raises(SchemaError, match="root must be a mapping"):
         dataio.load_config(path)
+
+
+# ---------------------------------------------------------------------------
+# table codec
+
+
+def _awkward(rng, shape):
+    """Floats across the whole exponent range, with -0.0 and subnormals mixed in."""
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    flat = values.reshape(-1)
+    flat[::7] = -0.0
+    flat[3::7] = 5e-324
+    return values
+
+
+_SHAPE = (45, 100)  # 4,500 rows: more than one parse block
+
+_TABLES = {
+    "values": (lambda path, rng: dataio.write_values(
+                   path, _awkward(rng, _SHAPE), "pm25", node_ids=np.arange(_SHAPE[1]) * 3),
+               lambda path: dataio.read_values(path, "pm25")),
+    "wind": (lambda path, rng: dataio.write_wind(path, _awkward(rng, _SHAPE + (2,))),
+             dataio.read_wind),
+    "aod": (lambda path, rng: dataio.write_aod(path, _awkward(rng, _SHAPE),
+                                               rng.uniform(size=_SHAPE) < 0.5),
+            dataio.read_aod),
+    "grid_inputs": (lambda path, rng: dataio.write_grid_inputs(
+                        path, _awkward(rng, _SHAPE + (2,)), _awkward(rng, _SHAPE)),
+                    dataio.read_grid_inputs),
+    "nodes": (lambda path, rng: dataio.write_nodes(path, _awkward(rng, (_SHAPE[1], 2))),
+              lambda path: (dataio.read_nodes(path).positions,)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_TABLES))
+def test_row_order_is_free(tmp_path, kind):
+    write, read = _TABLES[kind]
+    path = tmp_path / "table.csv"
+    write(path, np.random.default_rng(5))
+    ordered = read(path)
+    lines = path.read_text().splitlines()
+    body = lines[2:]
+    np.random.default_rng(6).shuffle(body)
+    path.write_text("\n".join(lines[:2] + body) + "\n")
+    shuffled = read(path)
+    for a, b in zip(ordered, shuffled, strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_extreme_floats_round_trip_bitwise(tmp_path):
+    values = np.array([[-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308],
+                       [0.1 + 0.2, -5e-324, np.nextafter(1e308, np.inf), -0.0, 0.0]])
+    path = tmp_path / "vals.csv"
+    dataio.write_values(path, values, "pm25")
+    _, back = dataio.read_values(path, "pm25")
+    assert back.tobytes() == values.tobytes()
+    wind = np.stack([values, values[::-1]], axis=-1)
+    dataio.write_grid_inputs(path, wind, values)
+    back_wind, back_emissions = dataio.read_grid_inputs(path)
+    assert back_wind.tobytes() == wind.tobytes()
+    assert back_emissions.tobytes() == values.tobytes()
+
+
+def test_writers_match_per_row_reference(tmp_path):
+    rng = np.random.default_rng(8)
+    ids = np.array([4, 0, 9])
+    vals = _awkward(rng, (3, 3))
+    wind = _awkward(rng, (3, 3, 2))
+    valid = rng.uniform(size=(3, 3)) < 0.5
+    geometry = dataio.GridGeometry(nx=3, ny=2, cell_km=0.7)
+
+    def fmt(value):
+        return repr(float(value))
+
+    def rows(cells):
+        return [f"{t},{ids[k]}," + cells(t, k) for t in range(3) for k in range(3)]
+
+    head = dataio.version_line
+    cases = [
+        (lambda p: dataio.write_values(p, vals, "pm25", node_ids=ids, kind="truth"),
+         [head("truth"), "time,node_id,pm25"] + rows(lambda t, k: fmt(vals[t, k]))),
+        (lambda p: dataio.write_wind(p, wind, node_ids=ids),
+         [head("wind"), "time,node_id,u_ms,v_ms"]
+         + rows(lambda t, k: f"{fmt(wind[t, k, 0])},{fmt(wind[t, k, 1])}")),
+        (lambda p: dataio.write_aod(p, vals, valid, node_ids=ids),
+         [head("aod"), "time,node_id,aod,valid"]
+         + rows(lambda t, k: f"{fmt(vals[t, k])},{int(valid[t, k])}")),
+        (lambda p: dataio.write_grid_inputs(p, wind, vals),
+         [head("grid-inputs"), "time,cell_id,u_ms,v_ms,emission"]
+         + [f"{t},{k},{fmt(wind[t, k, 0])},{fmt(wind[t, k, 1])},{fmt(vals[t, k])}"
+            for t in range(3) for k in range(3)]),
+        (lambda p: dataio.write_nodes(p, wind[0]),
+         [head("nodes"), "node_id,x_km,y_km"]
+         + [f"{k},{fmt(x)},{fmt(y)}" for k, (x, y) in enumerate(wind[0])]),
+        (lambda p: dataio.write_grid_nodes(p, geometry),
+         [head("grid"), "# grid: nx=3 ny=2 cell_km=0.7", "cell_id,x_km,y_km"]
+         + [f"{k},{fmt((k % 3 + 0.5) * 0.7)},{fmt((k // 3 + 0.5) * 0.7)}" for k in range(6)]),
+    ]
+    for i, (write, lines) in enumerate(cases):
+        path = tmp_path / f"{i}.csv"
+        write(path)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8"), i
+
+
+@pytest.mark.parametrize("row", [dataio._BLOCK_ROWS - 1, dataio._BLOCK_ROWS,
+                                 dataio._BLOCK_ROWS + 1])
+def test_error_near_block_boundary_names_its_line(tmp_path, row):
+    path = tmp_path / "vals.csv"
+    dataio.write_values(path, np.ones((dataio._BLOCK_ROWS + 10, 1)), "pm25")
+    lines = path.read_text().splitlines()
+    lines[2 + row] = f"{row},0,oops"  # data row r sits on line 3 + r
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError, match=rf"vals.csv:{3 + row}: column pm25: 'oops' is not"):
+        dataio.read_values(path, "pm25")
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({5: "5,0,x", 9: "-1,0,1.0"}, "vals.csv:8: column pm25: 'x' is not a number"),
+    ({5: "-1,0,1.0", 9: "9,0,inf"}, "vals.csv:8: column time: -1 is negative"),
+    ({5: "5,0", 9: "9,0,x"}, "vals.csv:8: expected 3 fields, got 2"),
+    ({5: "5,0", 6: "6,0,1,1"}, "vals.csv:8: expected 3 fields, got 2"),  # field counts cancel
+    ({5: "5,0,1.0", 4500: "4500,q,1.0"}, "vals.csv:4503: column node_id: 'q' is not an integer"),
+    ({7: "", 4500: "4500,0,x"}, "vals.csv:10: blank line inside data"),
+])
+def test_first_of_two_bad_rows_is_reported(tmp_path, bad, message):
+    path = tmp_path / "vals.csv"
+    dataio.write_values(path, np.ones((5000, 1)), "pm25")
+    lines = path.read_text().splitlines()
+    for row, text in bad.items():
+        lines[2 + row] = text
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError) as info:
+        dataio.read_values(path, "pm25")
+    assert str(info.value).endswith(message)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("node_id,x_km,y_km\n0,0.0,0.0\n1,1.0,0.0\n1,2.0,0.0\n0,3.0,0.0\n",
+     "t.csv:4: duplicate node_id 1"),
+    ("time,node_id,pm25\n0,0,1.0\n0,1,1.0\n0,1,2.0\n0,0,2.0\n",
+     "t.csv: duplicate row for time 0, node 1"),
+    ("time,node_id,pm25\n0,0,1.0\n0,1,1.0\n1,1,1.0\n2,0,1.0\n",
+     "t.csv: missing row for time 1, node 0"),
+])
+def test_first_of_several_table_faults_is_reported(tmp_path, text, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    read = dataio.read_nodes if text.startswith("node_id") else (
+        lambda p: dataio.read_values(p, "pm25"))
+    with pytest.raises(SchemaError) as info:
+        read(path)
+    assert str(info.value).endswith(message)
+
+
+def test_aod_row_reports_valid_bit_before_other_columns(tmp_path):
+    path = tmp_path / "aod.csv"
+    path.write_text("time,node_id,aod,valid\n0,0,1.0,1\nx,0,1.0,2\n")
+    with pytest.raises(SchemaError, match="aod.csv:3: column valid: 2 is not 0 or 1"):
+        dataio.read_aod(path)
+
+
+def test_non_utf8_file_is_schema_error(tmp_path):
+    path = tmp_path / "vals.csv"
+    path.write_bytes(b"time,node_id,pm25\n0,0,1.\xff\n")
+    with pytest.raises(SchemaError, match="vals.csv: 'utf-8' codec"):
+        dataio.read_values(path, "pm25")
+
+
+def test_grid_comment_token_without_equals_is_malformed(tmp_path):
+    path = tmp_path / "grid.csv"
+    path.write_text("# grid: nx=1 ny=1 cell_km\ncell_id,x_km,y_km\n0,0.5,0.5\n")
+    with pytest.raises(SchemaError, match="grid.csv:1: malformed grid comment"):
+        dataio.read_grid_nodes(path)
+
+
+def test_huge_id_is_schema_error(tmp_path):
+    path = tmp_path / "vals.csv"
+    path.write_text(f"time,node_id,pm25\n0,{2 ** 64},1.0\n")
+    with pytest.raises(SchemaError, match=f"vals.csv:2: column node_id: {2 ** 64} is too large"):
+        dataio.read_values(path, "pm25")
+
+
+# ---------------------------------------------------------------------------
+# malformed inputs: seeded truncations and byte flips
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A simulated data directory and a matching small checkpoint."""
+    root = tmp_path_factory.mktemp("tiny")
+    scenario = root / "scen.yaml"
+    scenario.write_text(_TINY_SCENARIO, encoding="utf-8")
+    assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(root / "data")]) == 0
+    dataio.save_checkpoint(root / "model.ckpt", _small_model(), np.zeros(5), np.ones(5),
+                           {"threshold_km": 12.0})
+    return root
+
+
+_FUZZ_READERS = {
+    "nodes.csv": dataio.read_nodes,
+    "stations.csv": lambda path: dataio.read_values(path, "pm25"),
+    "emissions.csv": lambda path: dataio.read_values(path, "emission"),
+    "truth.csv": lambda path: dataio.read_values(path, "pm25"),
+    "wind.csv": dataio.read_wind,
+    "aod.csv": dataio.read_aod,
+    "grid.csv": dataio.read_grid_nodes,
+    "grid_inputs.csv": dataio.read_grid_inputs,
+    "model.ckpt": dataio.load_checkpoint,
+}
+
+
+def _mutants(raw: bytes, rng, count: int):
+    """Truncate at a random offset or overwrite 1-3 random bytes."""
+    for _ in range(count):
+        if rng.random() < 0.4:
+            yield raw[:rng.integers(len(raw))]
+            continue
+        out = bytearray(raw)
+        for i in rng.integers(len(raw), size=rng.integers(1, 4)):
+            out[i] = rng.integers(256)
+        yield bytes(out)
+
+
+@pytest.mark.parametrize("name", sorted(_FUZZ_READERS))
+def test_mutated_file_raises_only_schema_error(tiny_run, tmp_path, capsys, name):
+    """A damaged file gives SchemaError and exit 2, never another exception.
+
+    Some mutants stay well-formed (a flipped digit, a cut at a row that
+    ends a whole hour); those must simply load.
+    """
+    source = tiny_run / name if name.endswith(".ckpt") else tiny_run / "data" / name
+    data = tmp_path / "data"
+    data.mkdir()
+    for path in (tiny_run / "data").iterdir():
+        (data / path.name).write_bytes(path.read_bytes())
+    target = tmp_path / name if name.endswith(".ckpt") else data / name
+    rng = np.random.default_rng(sorted(_FUZZ_READERS).index(name))
+    rejected = []
+    for mutant in _mutants(source.read_bytes(), rng, 40):
+        target.write_bytes(mutant)
+        try:
+            _FUZZ_READERS[name](target)
+        except SchemaError:
+            rejected.append(mutant)
+    assert len(rejected) >= 20
+    ckpt = target if name.endswith(".ckpt") else tiny_run / "model.ckpt"
+    argv = (["eval", "--pred", str(target), "--truth", str(target)] if name == "truth.csv"
+            else ["train", "--data", str(data), "--out", str(tmp_path / "x.ckpt")]
+            if name == "aod.csv"
+            else ["infer", "--data", str(data), "--ckpt", str(ckpt), "--grid",
+                  "--out", str(tmp_path / "field.csv")])
+    for mutant in rejected[:3]:
+        target.write_bytes(mutant)
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
