@@ -354,6 +354,9 @@ def read_grid_nodes(path) -> GridGeometry:
     if cells.size != geometry.n_cells:
         raise _err(path, None,
                    f"grid comment promises {geometry.n_cells} cells, found {cells.size} rows")
+    r = _first_repeat(cells)
+    if r >= 0:
+        raise _err(path, first_line + r, f"duplicate cell_id {cells[r]}")
     outside = cells >= geometry.n_cells
     expected = geometry.positions()[np.where(outside, 0, cells)]
     bad = outside | (x != expected[:, 0]) | (y != expected[:, 1])
@@ -495,6 +498,13 @@ def load_checkpoint(path) -> Checkpoint:
         if data.shape != (N_CHANNELS,):
             raise _err(path, None, f"invalid checkpoint contents: {name} has shape "
                                    f"{data.shape}, expected ({N_CHANNELS},)")
+    for name, data in buffers.items():
+        if not np.all(np.isfinite(data)):
+            raise _err(path, None, f"invalid checkpoint contents: {name} has non-finite values")
+    if not np.all(norm_std > 0):
+        k = int(np.argmin(norm_std > 0))
+        raise _err(path, None, f"invalid checkpoint contents: norm:std[{k}] = "
+                               f"{_fmt(norm_std[k])} is not positive")
     return Checkpoint(model=model, norm_mean=norm_mean, norm_std=norm_std, meta=meta)
 
 

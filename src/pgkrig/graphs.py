@@ -15,15 +15,11 @@ structures are never mutated, so they are safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 DEFAULT_THRESHOLD_KM = 200.0
-
-# Maps (N, 2) positions in km to a symmetric (N, N) distance matrix.
-DistanceFn = Callable[[np.ndarray], np.ndarray]
 
 
 class GraphBuildError(ValueError):
@@ -110,15 +106,6 @@ class AdvectionOperator:
     weights: sp.csr_matrix
 
 
-def _distance_matrix(nodes: NodeSet, distance_fn: DistanceFn | None) -> np.ndarray:
-    fn = distance_fn if distance_fn is not None else planar_distances
-    dist = np.asarray(fn(nodes.positions), dtype=np.float64)
-    if dist.shape != (nodes.n, nodes.n):
-        raise GraphBuildError(
-            f"distance function returned shape {dist.shape}, expected {(nodes.n, nodes.n)}")
-    return dist
-
-
 def _under_threshold(dist: np.ndarray, threshold_xi: float) -> np.ndarray:
     """Boolean mask of off-diagonal pairs strictly closer than the threshold."""
     mask = dist < threshold_xi
@@ -126,8 +113,8 @@ def _under_threshold(dist: np.ndarray, threshold_xi: float) -> np.ndarray:
     return mask
 
 
-def build_geo_adjacency(nodes: NodeSet, threshold_xi: float = DEFAULT_THRESHOLD_KM,
-                        distance_fn: DistanceFn | None = None) -> GeoAdjacency:
+def build_geo_adjacency(nodes: NodeSet,
+                        threshold_xi: float = DEFAULT_THRESHOLD_KM) -> GeoAdjacency:
     """Gaussian-kernel adjacency exp(-dist^2 / sigma^2), cut at threshold_xi.
 
     sigma^2 is the variance of the pairwise distances restricted to pairs
@@ -139,8 +126,6 @@ def build_geo_adjacency(nodes: NodeSet, threshold_xi: float = DEFAULT_THRESHOLD_
         nodes: sensor locations.
         threshold_xi: cutoff distance in km; pairs at or beyond it get
             weight 0.
-        distance_fn: optional replacement metric mapping (N, 2) positions
-            to an (N, N) symmetric matrix; defaults to planar Euclidean.
 
     Returns:
         GeoAdjacency with symmetric weights and zero diagonal.
@@ -150,7 +135,7 @@ def build_geo_adjacency(nodes: NodeSet, threshold_xi: float = DEFAULT_THRESHOLD_
     """
     if not threshold_xi > 0:
         raise GraphBuildError(f"threshold_xi must be positive, got {threshold_xi}")
-    dist = _distance_matrix(nodes, distance_fn)
+    dist = planar_distances(nodes.positions)
     mask = _under_threshold(dist, threshold_xi)
     if not mask.any():
         raise GraphBuildError(
@@ -191,8 +176,8 @@ def build_diffusion_operator(geo: GeoAdjacency) -> DiffusionOperator:
 _MS_PER_KM_TO_PER_HOUR = 3.6
 
 
-def _advection_pairs(nodes: NodeSet, threshold_xi: float,
-                     distance_fn: DistanceFn | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _advection_pairs(nodes: NodeSet,
+                     threshold_xi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Directed pairs under the threshold and their geometry factor.
 
     Returns (rows, cols, geom) where geom[k] = (pos[rows[k]] - pos[cols[k]])
@@ -201,7 +186,7 @@ def _advection_pairs(nodes: NodeSet, threshold_xi: float,
     """
     if not threshold_xi > 0:
         raise GraphBuildError(f"threshold_xi must be positive, got {threshold_xi}")
-    dist = _distance_matrix(nodes, distance_fn)
+    dist = planar_distances(nodes.positions)
     mask = _under_threshold(dist, threshold_xi)
     rows, cols = np.nonzero(mask)
     d = dist[rows, cols]
@@ -214,8 +199,7 @@ def _advection_pairs(nodes: NodeSet, threshold_xi: float,
 
 
 def build_advection_operator(nodes: NodeSet, wind: np.ndarray,
-                             threshold_xi: float = DEFAULT_THRESHOLD_KM,
-                             distance_fn: DistanceFn | None = None) -> AdvectionOperator:
+                             threshold_xi: float = DEFAULT_THRESHOLD_KM) -> AdvectionOperator:
     """Upwind transport operator for one timestep.
 
     For each directed pair j -> i under the threshold, the weight is
@@ -229,7 +213,6 @@ def build_advection_operator(nodes: NodeSet, wind: np.ndarray,
         nodes: sensor locations.
         wind: (N, 2) per-node (u, v) wind components in m/s.
         threshold_xi: distance cutoff in km.
-        distance_fn: optional replacement metric (see build_geo_adjacency).
 
     Raises:
         GraphBuildError: bad wind shape, non-finite wind, or a coincident
@@ -238,12 +221,11 @@ def build_advection_operator(nodes: NodeSet, wind: np.ndarray,
     wind = np.asarray(wind, dtype=np.float64)
     if wind.shape != (nodes.n, 2):
         raise GraphBuildError(f"wind must be ({nodes.n}, 2), got {wind.shape}")
-    return advection_sequence(nodes, wind[None], threshold_xi, distance_fn)[0]
+    return advection_sequence(nodes, wind[None], threshold_xi)[0]
 
 
 def advection_sequence(nodes: NodeSet, wind_series: np.ndarray,
-                       threshold_xi: float = DEFAULT_THRESHOLD_KM,
-                       distance_fn: DistanceFn | None = None) -> list[AdvectionOperator]:
+                       threshold_xi: float = DEFAULT_THRESHOLD_KM) -> list[AdvectionOperator]:
     """One advection operator per timestep of a (T, N, 2) wind series.
 
     The pair geometry is computed once and the (T, E) edge weights in one
@@ -263,7 +245,7 @@ def advection_sequence(nodes: NodeSet, wind_series: np.ndarray,
     if not np.all(np.isfinite(wind_series)):
         raise GraphBuildError("wind_series contains non-finite values")
 
-    rows, cols, geom = _advection_pairs(nodes, threshold_xi, distance_fn)
+    rows, cols, geom = _advection_pairs(nodes, threshold_xi)
     wind_mid = wind_series[:, rows]
     wind_mid += wind_series[:, cols]
     wind_mid *= 0.5

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .graphs import (DEFAULT_THRESHOLD_KM, DiffusionOperator, GeoAdjacency, NodeSet,
+from .graphs import (DEFAULT_THRESHOLD_KM, AdvectionOperator, DiffusionOperator, NodeSet,
                      advection_sequence, build_diffusion_operator, build_geo_adjacency)
 from .losses import (LossWeights, aod_gradient_loss, composite_loss,
                      count_valid_edge_terms, edges_from_adjacency, infer_loss, init_loss)
@@ -409,29 +409,54 @@ def _window_flags(t_len: int, n: int, target: np.ndarray) -> np.ndarray:
     return flags
 
 
-def _forward_physical(model: KrigingModel, normalization: Normalization,
-                      wind_std, emissions_std, pm25_std, flags,
-                      diffusion, advection) -> tuple[ad.Tensor, ad.Tensor]:
-    """Assemble the series, run the model, and destandardize both heads."""
-    series = make_node_series(wind_std, emissions_std, pm25_std, flags)
-    x_init, x_hat = model.full_forward(series, diffusion, advection)
+@dataclass(frozen=True)
+class Graph:
+    """The operators of one node set: what every kriging forward runs on."""
+
+    diffusion: DiffusionOperator
+    advection: tuple[AdvectionOperator, ...]  # one per hour
+    edges: np.ndarray  # (E, 2) undirected adjacency pairs, i < j
+
+    def window(self, lo: int, hi: int) -> "Graph":
+        """The same graph over hours [lo, hi); only advection depends on time."""
+        return Graph(self.diffusion, self.advection[lo:hi], self.edges)
+
+
+def prepare_graph(nodes: NodeSet, wind: np.ndarray, threshold_km: float) -> Graph:
+    """Build the operators for `nodes` under a (T, N, 2) wind series."""
+    geo = build_geo_adjacency(nodes, threshold_km)
+    return Graph(diffusion=build_diffusion_operator(geo),
+                 advection=tuple(advection_sequence(nodes, wind, threshold_km)),
+                 edges=edges_from_adjacency(geo))
+
+
+def predict(model: KrigingModel, normalization: Normalization, graph: Graph,
+            wind: np.ndarray, emissions: np.ndarray, pm25: np.ndarray,
+            flags: np.ndarray) -> tuple[ad.Tensor, ad.Tensor]:
+    """One kriging forward on raw time-major inputs over `graph`'s nodes.
+
+    Standardizes the inputs, hides pollution wherever `flags` is 0, and
+    returns (initial, refined) estimates, each (N, T) in physical units.
+    Pass `model.detached()` for a forward-only pass.
+    """
+    series = make_node_series(*normalization.apply(wind, emissions, pm25), flags)
+    x_init, x_hat = model.full_forward(series, graph.diffusion, graph.advection)
     return normalization.to_physical(x_init), normalization.to_physical(x_hat)
 
 
 def _evaluate(model: KrigingModel, normalization: Normalization,
-              view: StationDataset, diffusion, advection_ops,
+              view: StationDataset, graph: Graph,
               partitions: list[MaskPartition],
               time_range: tuple[int, int]) -> tuple[float, float, float | None]:
     """Pooled masked-reconstruction metrics over fixed partitions of a range."""
     model = model.detached()
     lo, hi = time_range
-    wind_std, emissions_std, pm25_std = normalization.apply(
-        view.wind[lo:hi], view.emissions[lo:hi], view.pm25[lo:hi])
+    graph = graph.window(lo, hi)
     preds, truths = [], []
     for part in partitions:
         flags = _window_flags(hi - lo, view.n, part.target)
-        _, x_hat = _forward_physical(model, normalization, wind_std, emissions_std,
-                                     pm25_std, flags, diffusion, advection_ops[lo:hi])
+        _, x_hat = predict(model, normalization, graph, view.wind[lo:hi],
+                           view.emissions[lo:hi], view.pm25[lo:hi], flags)
         preds.append(x_hat.data[part.target, :].ravel())
         truths.append(view.pm25[lo:hi].T[part.target, :].ravel())
     pred = np.concatenate(preds)
@@ -482,13 +507,8 @@ def train(dataset: StationDataset, model_config: ModelConfig, config: TrainConfi
 
     train_ids, heldout_ids = holdout_split(dataset.n, split.holdout_fraction, split.seed)
     view = dataset.subset(train_ids)
-    geo = build_geo_adjacency(view.nodes, threshold_km)
-    diffusion = build_diffusion_operator(geo)
-    edges = edges_from_adjacency(geo)
-    advection_ops = advection_sequence(view.nodes, view.wind, threshold_km)
+    graph = prepare_graph(view.nodes, view.wind, threshold_km)
     normalization = Normalization.fit(view, split.train_range)
-    wind_std, emissions_std, pm25_std = normalization.apply(
-        view.wind, view.emissions, view.pm25)
 
     model = KrigingModel(model_config, seed=config.seed)
     aod_active = view.aod_values is not None
@@ -550,25 +570,17 @@ def train(dataset: StationDataset, model_config: ModelConfig, config: TrainConfi
             if config.station_dropout > 0.0:
                 keep = np.sort(rng.permutation(view.n)[:n_kept])
                 part = sample_partition(np.arange(n_kept), ratio, rng)
-                sub_nodes = NodeSet(view.nodes.positions[keep])
-                sub_geo = build_geo_adjacency(sub_nodes, threshold_km)
-                b_diffusion = build_diffusion_operator(sub_geo)
-                b_edges = edges_from_adjacency(sub_geo)
-                b_advection = advection_sequence(sub_nodes,
-                                                 view.wind[t0:t1][:, keep],
-                                                 threshold_km)
+                b_graph = prepare_graph(NodeSet(view.nodes.positions[keep]),
+                                        view.wind[t0:t1][:, keep], threshold_km)
             else:
                 keep = station_ids
                 part = sample_partition(station_ids, ratio, rng)
-                b_diffusion = diffusion
-                b_edges = edges
-                b_advection = advection_ops[t0:t1]
+                b_graph = graph.window(t0, t1)
             try:
                 flags = _window_flags(config.window, keep.size, part.target)
-                x_init, x_hat = _forward_physical(
-                    model, normalization, wind_std[t0:t1][:, keep],
-                    emissions_std[t0:t1][:, keep], pm25_std[t0:t1][:, keep],
-                    flags, b_diffusion, b_advection)
+                x_init, x_hat = predict(
+                    model, normalization, b_graph, view.wind[t0:t1][:, keep],
+                    view.emissions[t0:t1][:, keep], view.pm25[t0:t1][:, keep], flags)
                 truth_window = view.pm25[t0:t1].T[keep]  # (K, window) physical
                 scale = 1.0 / (part.target.size * config.window)
                 term_infer = infer_loss(x_hat, truth_window, part.target) * scale
@@ -577,8 +589,8 @@ def train(dataset: StationDataset, model_config: ModelConfig, config: TrainConfi
                 if aod_active:
                     valid_window = view.aod_valid[t0:t1].T[keep]
                     raw = aod_gradient_loss(x_hat, view.aod_values[t0:t1].T[keep],
-                                            valid_window, b_edges)
-                    n_terms = count_valid_edge_terms(valid_window, b_edges)
+                                            valid_window, b_graph.edges)
+                    n_terms = count_valid_edge_terms(valid_window, b_graph.edges)
                     term_aod = raw * (1.0 / n_terms) if n_terms else raw
                 loss = composite_loss(term_infer, term_init, term_aod, weights)
                 optimizer.zero_grad()
@@ -588,8 +600,8 @@ def train(dataset: StationDataset, model_config: ModelConfig, config: TrainConfi
                 raise TrainError(
                     f"non-finite value at epoch {epoch}, batch {batch}: {exc}") from exc
             batch_losses.append(float(loss.data))
-        val_mae, val_rmse, val_r2 = _evaluate(model, normalization, view, diffusion,
-                                              advection_ops, val_parts, split.val_range)
+        val_mae, val_rmse, val_r2 = _evaluate(model, normalization, view, graph,
+                                              val_parts, split.val_range)
         log.append(EpochRecord(epoch=epoch, train_loss=float(np.mean(batch_losses)),
                                val_mae=val_mae, val_rmse=val_rmse, val_r2=val_r2))
         if val_mae < best_mae:
@@ -641,15 +653,10 @@ def infer_stations(model: KrigingModel, normalization: Normalization,
         raise ConfigError(f"unknown node ids {unknown}; dataset has 0..{dataset.n - 1}")
     if len(np.unique(target_ids)) != target_ids.size:
         raise ConfigError("target ids contain duplicates")
-    model = model.detached()
-    geo = build_geo_adjacency(dataset.nodes, threshold_km)
-    diffusion = build_diffusion_operator(geo)
-    advection_ops = advection_sequence(dataset.nodes, dataset.wind, threshold_km)
-    wind_std, emissions_std, pm25_std = normalization.apply(
-        dataset.wind, dataset.emissions, dataset.pm25)
     flags = _window_flags(dataset.t_hours, dataset.n, target_ids)
-    _, x_hat = _forward_physical(model, normalization, wind_std, emissions_std,
-                                 pm25_std, flags, diffusion, advection_ops)
+    _, x_hat = predict(model.detached(), normalization,
+                       prepare_graph(dataset.nodes, dataset.wind, threshold_km),
+                       dataset.wind, dataset.emissions, dataset.pm25, flags)
     return x_hat.data[target_ids, :].T.copy()
 
 
@@ -700,66 +707,34 @@ def infer_grid(model: KrigingModel, normalization: Normalization,
 
     model = model.detached()
     station_lookup = {pos.tobytes(): k for k, pos in enumerate(dataset.nodes.positions)}
-    node_of_cell = np.empty(g_cells, dtype=np.int64)
-    new_positions, new_wind, new_emissions = [], [], []
-    for cell in range(g_cells):
-        hit = station_lookup.get(grid_positions[cell].tobytes())
-        if hit is not None:
-            node_of_cell[cell] = hit
-        else:
-            node_of_cell[cell] = n_stations + len(new_positions)
-            new_positions.append(grid_positions[cell])
-            new_wind.append(grid_wind[:, cell])
-            new_emissions.append(grid_emissions[:, cell])
-
+    node_of_cell = np.array([station_lookup.get(pos.tobytes(), -1) for pos in grid_positions],
+                            dtype=np.int64)
+    coincident = node_of_cell >= 0
     out = np.empty((t_hours, g_cells))
-    coincident = node_of_cell < n_stations
     if np.any(coincident):
-        station_out = _station_forward(model, normalization, dataset, threshold_km)
-        out[:, coincident] = station_out[:, node_of_cell[coincident]]
+        _, x_hat = predict(model, normalization,
+                           prepare_graph(dataset.nodes, dataset.wind, threshold_km),
+                           dataset.wind, dataset.emissions, dataset.pm25,
+                           np.ones((t_hours, n_stations)))
+        out[:, coincident] = x_hat.data.T[:, node_of_cell[coincident]]
 
-    n_new = len(new_positions)
+    free = np.nonzero(~coincident)[0]
     chunk = max(1, n_stations)
-    cell_cols = np.nonzero(~coincident)[0]
-    if n_new:
-        all_positions = np.asarray(new_positions)
-        all_wind = np.stack(new_wind, axis=1)
-        all_emissions = np.stack(new_emissions, axis=1)
     # scatter lattice cells across chunks with a fixed shuffle: consecutive
     # cells are 1 cell apart, and a chunk of adjacent cells would carry far
     # stronger short-range transport edges than any station pair seen in
     # training
-    order = np.random.default_rng(0).permutation(n_new)
-    for start in range(0, n_new, chunk):
-        idx = order[start:start + chunk]
-        positions = np.concatenate([dataset.nodes.positions, all_positions[idx]])
-        wind = np.concatenate([dataset.wind, all_wind[:, idx]], axis=1)
-        emissions = np.concatenate([dataset.emissions, all_emissions[:, idx]], axis=1)
-        nodes = NodeSet(positions)
+    order = np.random.default_rng(0).permutation(free.size)
+    for start in range(0, free.size, chunk):
+        cells = free[order[start:start + chunk]]
+        nodes = NodeSet(np.concatenate([dataset.nodes.positions, grid_positions[cells]]))
+        wind = np.concatenate([dataset.wind, grid_wind[:, cells]], axis=1)
+        emissions = np.concatenate([dataset.emissions, grid_emissions[:, cells]], axis=1)
         pm25 = np.zeros((t_hours, nodes.n))
         pm25[:, :n_stations] = dataset.pm25
         flags = np.zeros((t_hours, nodes.n))
         flags[:, :n_stations] = 1.0
-        geo = build_geo_adjacency(nodes, threshold_km)
-        diffusion = build_diffusion_operator(geo)
-        advection_ops = advection_sequence(nodes, wind, threshold_km)
-        wind_std, emissions_std, pm25_std = normalization.apply(wind, emissions, pm25)
-        _, x_hat = _forward_physical(model, normalization, wind_std, emissions_std,
-                                     pm25_std, flags, diffusion, advection_ops)
-        out[:, cell_cols[idx]] = x_hat.data[n_stations:, :].T
+        _, x_hat = predict(model, normalization, prepare_graph(nodes, wind, threshold_km),
+                           wind, emissions, pm25, flags)
+        out[:, cells] = x_hat.data[n_stations:, :].T
     return out
-
-
-def _station_forward(model: KrigingModel, normalization: Normalization,
-                     dataset: StationDataset, threshold_km: float) -> np.ndarray:
-    """Model output at every station with all stations observed, physical units."""
-    model = model.detached()
-    geo = build_geo_adjacency(dataset.nodes, threshold_km)
-    diffusion = build_diffusion_operator(geo)
-    advection_ops = advection_sequence(dataset.nodes, dataset.wind, threshold_km)
-    wind_std, emissions_std, pm25_std = normalization.apply(
-        dataset.wind, dataset.emissions, dataset.pm25)
-    flags = np.ones((dataset.t_hours, dataset.n))
-    _, x_hat = _forward_physical(model, normalization, wind_std, emissions_std,
-                                 pm25_std, flags, diffusion, advection_ops)
-    return x_hat.data.T

@@ -1,8 +1,10 @@
 """End-to-end command tests: pipeline wiring, exit codes, determinism."""
 
 import hashlib
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -470,7 +472,11 @@ def test_help_exits_zero(capsys):
 
 
 def test_module_is_executable():
+    # the child imports the pgkrig under test, whether installed or found
+    # through pytest's `pythonpath` setting, which only this process sees
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "pgkrig.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "pgkrig" in proc.stdout

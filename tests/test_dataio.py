@@ -200,6 +200,21 @@ def test_grid_nodes_position_disagreement(tmp_path):
         dataio.read_grid_nodes(path)
 
 
+@pytest.mark.parametrize("comment, rows, message", [
+    # cell 0 twice, cell 1 missing: the row count and every position agree
+    ("nx=2 ny=1 cell_km=1.0", ["0,0.5,0.5", "0,0.5,0.5"], "grid.csv:4: duplicate cell_id 0"),
+    # the repeat is reported before an earlier row's position fault
+    ("nx=3 ny=1 cell_km=1.0", ["0,0.5,0.5", "2,9.0,0.5", "0,0.5,0.5"],
+     "grid.csv:5: duplicate cell_id 0"),
+])
+def test_grid_nodes_repeated_cell_id(tmp_path, comment, rows, message):
+    path = tmp_path / "grid.csv"
+    path.write_text("\n".join([f"# grid: {comment}", "cell_id,x_km,y_km", *rows]) + "\n")
+    with pytest.raises(SchemaError) as info:
+        dataio.read_grid_nodes(path)
+    assert str(info.value).endswith(message)
+
+
 def test_grid_positions_row_major(tmp_path):
     geometry = dataio.GridGeometry(nx=3, ny=2, cell_km=2.0)
     positions = geometry.positions()
@@ -341,6 +356,27 @@ sources:
 """
 
 
+@pytest.mark.parametrize("name, index, value, message", [
+    ("param:init_readout.0.bias", 2, np.nan,
+     "param:init_readout.0.bias has non-finite values"),
+    ("norm:mean", 3, np.inf, "norm:mean has non-finite values"),
+    ("norm:std", 0, np.nan, "norm:std has non-finite values"),
+    ("norm:std", 3, 0.0, "norm:std[3] = 0.0 is not positive"),
+    ("norm:std", 1, -2.5, "norm:std[1] = -2.5 is not positive"),
+])
+def test_checkpoint_rejects_invalid_values(tmp_path, name, index, value, message):
+    model = _small_model()
+    norm = {"norm:mean": np.zeros(5), "norm:std": np.ones(5)}
+    target = (norm[name] if name in norm
+              else model.params[name[len("param:"):]].data)
+    target[index] = value
+    path = tmp_path / "model.ckpt"
+    dataio.save_checkpoint(path, model, norm["norm:mean"], norm["norm:std"], {})
+    with pytest.raises(SchemaError) as info:
+        dataio.load_checkpoint(path)
+    assert str(info.value) == f"{path}: invalid checkpoint contents: {message}"
+
+
 def test_infer_on_misshapen_norm_checkpoint_is_data_error(tmp_path, capsys):
     scenario = tmp_path / "scen.yaml"
     scenario.write_text(_TINY_SCENARIO, encoding="utf-8")
@@ -356,6 +392,23 @@ def test_infer_on_misshapen_norm_checkpoint_is_data_error(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(argv + ["--ckpt", str(bad)]) == 2
     assert "norm:std has shape (5, 1)" in capsys.readouterr().err
+
+
+def test_infer_on_non_finite_parameter_checkpoint_is_data_error(tmp_path, capsys):
+    # without the load-time check the NaN bias reaches the forward pass,
+    # which fails with a numeric error (exit 3) instead of a schema error
+    scenario = tmp_path / "scen.yaml"
+    scenario.write_text(_TINY_SCENARIO, encoding="utf-8")
+    data = tmp_path / "data"
+    assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(data)]) == 0
+    model = _small_model()
+    model.params["init_readout.0.bias"].data[0] = np.nan
+    bad = tmp_path / "bad.ckpt"
+    dataio.save_checkpoint(bad, model, np.zeros(5), np.ones(5), {})
+    capsys.readouterr()
+    assert cli.main(["infer", "--data", str(data), "--targets", "0", "--ckpt", str(bad),
+                     "--out", str(tmp_path / "p.csv")]) == 2
+    assert "init_readout.0.bias has non-finite values" in capsys.readouterr().err
 
 
 def test_checkpoint_rejects_unserializable_meta(tmp_path):

@@ -99,15 +99,6 @@ class TestGeoAdjacency:
             p2 = geo2.weights.toarray() > 0
             np.testing.assert_array_equal(p1, p2)
 
-    def test_injectable_distance_fn(self):
-        # a metric that doubles distances shrinks the neighborhood
-        ns = g.NodeSet(np.array([[0.0, 0.0], [30.0, 0.0], [80.0, 0.0]]))
-        geo_plain = g.build_geo_adjacency(ns, threshold_xi=100.0)
-        doubled = lambda pos: 2.0 * g.planar_distances(pos)
-        geo_far = g.build_geo_adjacency(ns, threshold_xi=100.0, distance_fn=doubled)
-        assert geo_plain.weights.nnz == 6  # all three pairs, both directions
-        assert geo_far.weights.nnz == 2  # only pair (0,1) survives at doubled 60 km
-
     def test_rejects_nonpositive_threshold(self):
         ns = g.NodeSet(np.array([[0.0, 0.0], [1.0, 0.0]]))
         with pytest.raises(g.GraphBuildError):
@@ -271,7 +262,7 @@ class TestAdvectionSequence:
         dist = g.planar_distances(pos)
         near = (dist < xi) & ~np.eye(ns.n, dtype=bool)
         d_sq = np.where(near, dist * dist, 1.0)
-        rows, cols, geom = g._advection_pairs(ns, xi, None)
+        rows, cols, geom = g._advection_pairs(ns, xi)
         for step, op in enumerate(ops):
             w = wind[step]
             single = g.build_advection_operator(ns, w, threshold_xi=xi).weights

@@ -427,6 +427,29 @@ def test_infer_stations_depends_on_observed_values():
     assert not np.array_equal(moved, base)
 
 
+def _csr_bytes(matrix):
+    return tuple(getattr(matrix, a).tobytes() for a in ("data", "indices", "indptr"))
+
+
+def test_graph_window_equals_graph_of_the_window_bitwise():
+    # training slices one graph per window, and _evaluate the validation
+    # hours, instead of building the operators for those hours
+    rng = np.random.default_rng(11)
+    nodes = NodeSet(rng.uniform(0.0, 40.0, size=(12, 2)))
+    wind = rng.normal(0.0, 3.0, size=(30, nodes.n, 2))  # varies by node and hour
+    full = tr.prepare_graph(nodes, wind, 15.0)
+    assert len(full.advection) == 30 and full.edges.shape[0] > 0
+    for lo, hi in ((0, 30), (4, 17), (29, 30)):
+        window = full.window(lo, hi)
+        direct = tr.prepare_graph(nodes, wind[lo:hi], 15.0)
+        assert len(window.advection) == len(direct.advection) == hi - lo
+        for a, b in zip(window.advection, direct.advection):
+            assert _csr_bytes(a.weights) == _csr_bytes(b.weights)
+        assert _csr_bytes(window.diffusion.weights) == _csr_bytes(direct.diffusion.weights)
+        assert window.edges.dtype == direct.edges.dtype
+        assert window.edges.tobytes() == direct.edges.tobytes()
+
+
 def test_infer_grid_coincident_cell_reuses_station_node():
     dataset, result = trained_toy()
     station = 5
@@ -523,10 +546,9 @@ def _forward_only_passes(dataset, result):
     positions = dataset.nodes.positions[cells] + np.array([[0.0, 0.0]] + [[0.37, 0.41]] * 3)
     grid = tr.infer_grid(model, norm, dataset, positions, dataset.wind[:, cells],
                          dataset.emissions[:, cells], threshold_km=10.0)
-    diffusion = build_diffusion_operator(build_geo_adjacency(dataset.nodes, 10.0))
-    advection = advection_sequence(dataset.nodes, dataset.wind, 10.0)
+    graph = tr.prepare_graph(dataset.nodes, dataset.wind, 10.0)
     parts = [tr.sample_partition(np.arange(dataset.n), 0.5, np.random.default_rng(1))]
-    scores = tr._evaluate(model, norm, dataset, diffusion, advection, parts, (40, 60))
+    scores = tr._evaluate(model, norm, dataset, graph, parts, (40, 60))
     return stations, grid, scores
 
 
