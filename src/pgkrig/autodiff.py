@@ -33,7 +33,7 @@ def _as_array(value) -> np.ndarray:
 
 
 def _check_finite(data: np.ndarray, op: str) -> np.ndarray:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NumericError(f"non-finite values produced by '{op}'")
     return data
 
@@ -95,8 +95,11 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # A fresh array, so it never aliases a sibling's adjoint; `+ 0.0`
+            # maps -0.0 to +0.0 exactly as zeros-then-add would.
+            self.grad = grad + 0.0
+        else:
+            self.grad += grad
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -411,7 +414,7 @@ def sparse_matmul(matrix: sp.spmatrix, x) -> Tensor:
     """Multiply a constant sparse N x N operator into dense node features.
 
     The sparse operator is data, not a parameter: gradients flow only to
-    the dense side (transpose product).
+    the dense side (transpose product).  Tests use it as propagate's reference.
     """
     x = as_tensor(x)
     if x.ndim != 2 or matrix.shape[1] != x.shape[0]:
@@ -425,6 +428,63 @@ def sparse_matmul(matrix: sp.spmatrix, x) -> Tensor:
             x._accumulate(csr.T @ g)
 
     return _make(data, "sparse_matmul", (x,), backward)
+
+
+def propagate(x, diffusion, advection, weights: tuple, bias, activation: str) -> Tensor:
+    """One message-passing layer on (N, F) node features, as one tape node.
+
+    ``weights`` is (W,) for act((D x + A x) W + b) or (W_d, W_a) for
+    act(D x W_d + A x W_a + b).  D and A are constant operators with CSR
+    ``weights`` and ``transpose``; only backward reads the transpose.
+
+    Values and gradients are bitwise those of the composition sparse_matmul,
+    add, matmul, add, relu/softplus: the same numpy calls run in the same
+    order, each intermediate is checked under its op's name, and backward
+    accumulates in the composition's order.  (A finite input has a finite
+    activation, so this node's own check stands in for the activation's.)
+    """
+    x, bias = as_tensor(x), as_tensor(bias)
+    diff_msg = _check_finite(diffusion.weights @ x.data, "sparse_matmul")
+    adv_msg = _check_finite(advection.weights @ x.data, "sparse_matmul")
+    w_diff, w_adv = weights if len(weights) == 2 else (weights[0], None)
+    if w_adv is not None:
+        mixed = _check_finite(_check_finite(diff_msg @ w_diff.data, "matmul")
+                              + _check_finite(adv_msg @ w_adv.data, "matmul"), "add")
+    else:
+        summed = _check_finite(diff_msg + adv_msg, "add")
+        mixed = _check_finite(summed @ w_diff.data, "matmul")
+    pre = _check_finite(mixed + bias.data, "add")
+    data = np.maximum(pre, 0.0) if activation == "relu" else np.logaddexp(0.0, pre)
+
+    def backward(g: np.ndarray) -> None:
+        # Each intermediate adjoint is seeded `+ 0.0` as Tensor._accumulate
+        # would; a second `+ 0.0` is a no-op, so it is written once per chain.
+        if activation == "relu":
+            g_pre = g * (pre > 0.0) + 0.0
+        else:
+            g_pre = g / (1.0 + np.exp(-pre)) + 0.0
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(g_pre, bias.shape))
+        if w_adv is not None:
+            # the composition ran matmul(D x, W_d) and its sparse product
+            # before matmul(A x, W_a) and its sparse product
+            if w_diff.requires_grad:
+                w_diff._accumulate(diff_msg.T @ g_pre)
+            if x.requires_grad:
+                x._accumulate(diffusion.transpose @ (g_pre @ w_diff.data.T + 0.0))
+            if w_adv.requires_grad:
+                w_adv._accumulate(adv_msg.T @ g_pre)
+            if x.requires_grad:
+                x._accumulate(advection.transpose @ (g_pre @ w_adv.data.T + 0.0))
+            return
+        if w_diff.requires_grad:
+            w_diff._accumulate(summed.T @ g_pre)
+        if x.requires_grad:
+            g_summed = g_pre @ w_diff.data.T + 0.0
+            x._accumulate(diffusion.transpose @ g_summed)
+            x._accumulate(advection.transpose @ g_summed)
+
+    return _make(data, "propagate", (x, *weights, bias), backward)
 
 
 def linear(x, weight, bias=None) -> Tensor:
@@ -559,5 +619,5 @@ class Adam:
             v += (1.0 - self.beta2) * (p.grad * p.grad)
             update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
             p.data -= self.lr * update
-            if not np.all(np.isfinite(p.data)):
+            if not np.isfinite(p.data).all():
                 raise NumericError(f"non-finite parameter '{name}' after Adam step {t}")

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import GeoAdjacency
-
 
 class BaselineError(ValueError):
     """Baseline inputs are unusable (e.g. nothing observed)."""
@@ -66,57 +64,4 @@ def idw(observed_values: np.ndarray, observed_positions: np.ndarray,
             out[:, m] = vals[:, hits[0]]
         else:
             out[:, m] = vals @ w[m] / w[m].sum()
-    return out[0] if squeeze else out
-
-
-def nearest(observed_values: np.ndarray, observed_positions: np.ndarray,
-            target_positions: np.ndarray) -> np.ndarray:
-    """Copy each target from its nearest observed node (lowest index on ties)."""
-    vals, obs_pos, tgt_pos = _check_inputs(observed_values, observed_positions,
-                                           target_positions)
-    squeeze = np.asarray(observed_values).ndim == 1
-    diff = tgt_pos[:, None, :] - obs_pos[None, :, :]
-    dist2 = (diff * diff).sum(axis=-1)
-    picks = np.argmin(dist2, axis=1)
-    out = vals[:, picks]
-    return out[0] if squeeze else out
-
-
-def graph_mean(observed_values: np.ndarray, geo: GeoAdjacency,
-               observed_ids: np.ndarray, target_ids: np.ndarray) -> np.ndarray:
-    """Adjacency-weighted mean of observed neighbors.
-
-    Targets with no observed neighbor in the adjacency fall back to the
-    global mean of the observed values at that timestep.
-
-    Args:
-        observed_values: (T, K) or (K,) values at `observed_ids`.
-        geo: adjacency over the full node set.
-        observed_ids: (K,) node indices of the observed series.
-        target_ids: (M,) node indices to estimate.
-
-    Returns:
-        (T, M) estimates ((M,) when input was 1-D).
-    """
-    vals = np.asarray(observed_values, dtype=np.float64)
-    squeeze = vals.ndim == 1
-    if squeeze:
-        vals = vals[None, :]
-    observed_ids = np.asarray(observed_ids, dtype=int)
-    target_ids = np.asarray(target_ids, dtype=int)
-    if vals.shape[1] != observed_ids.size:
-        raise BaselineError(
-            f"{vals.shape[1]} observed series vs {observed_ids.size} observed ids")
-    if observed_ids.size == 0:
-        raise BaselineError("no observed nodes")
-
-    w = geo.weights.toarray()[np.ix_(target_ids, observed_ids)]  # (M, K)
-    totals = w.sum(axis=1)
-    global_mean = vals.mean(axis=1)  # (T,)
-    out = np.empty((vals.shape[0], target_ids.size))
-    for m in range(target_ids.size):
-        if totals[m] > 0.0:
-            out[:, m] = vals @ w[m] / totals[m]
-        else:
-            out[:, m] = global_mean
     return out[0] if squeeze else out

@@ -10,11 +10,14 @@ Three operators drive the propagation model:
 
 All builders are pure functions of their inputs and the returned
 structures are never mutated, so they are safe to share across threads.
+(An advection operator caches its transpose on first use; every thread
+builds the same one.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -90,9 +93,16 @@ class GeoAdjacency:
 
 @dataclass(frozen=True)
 class DiffusionOperator:
-    """Symmetrically normalized adjacency D^(-1/2) A D^(-1/2)."""
+    """Symmetrically normalized adjacency D^(-1/2) A D^(-1/2).
+
+    Bitwise symmetric with sorted indices, so it is its own transpose.
+    """
 
     weights: sp.csr_matrix
+
+    @property
+    def transpose(self) -> sp.csr_matrix:
+        return self.weights
 
 
 @dataclass(frozen=True)
@@ -101,9 +111,21 @@ class AdvectionOperator:
 
     Entry (i, j) is the rate at which node j's air mass is blown toward
     node i; it is positive only when j sits upwind of i.
+
+    ``transpose`` is built on its first use, in backward, from
+    ``transpose_order``: the positions in ``weights.data`` of the
+    transpose's entries in its CSR order (valid for a symmetric pattern).
     """
 
     weights: sp.csr_matrix
+    transpose_order: np.ndarray | None = None
+
+    @cached_property
+    def transpose(self) -> sp.csr_matrix:
+        w = self.weights
+        if self.transpose_order is None:
+            return w.T.tocsr()
+        return sp.csr_matrix((w.data[self.transpose_order], w.indices, w.indptr), shape=w.shape)
 
 
 def _under_threshold(dist: np.ndarray, threshold_xi: float) -> np.ndarray:
@@ -232,7 +254,9 @@ def advection_sequence(nodes: NodeSet, wind_series: np.ndarray,
     array pass. Every step's CSR matrix shares one ``indices``/``indptr``
     pair: ``np.nonzero`` yields the pairs row-major, so they are already
     in CSR order, and weights the ReLU clips to 0 stay stored, so each
-    step has the same sparsity structure.
+    step has the same sparsity structure. That structure is symmetric, so
+    each step's transpose shares it too, and one permutation of the pairs,
+    by column then row, orders every step's transpose data.
     """
     wind_series = np.asarray(wind_series, dtype=np.float64)
     if wind_series.ndim != 3 or wind_series.shape[0] < 1:
@@ -253,7 +277,9 @@ def advection_sequence(nodes: NodeSet, wind_series: np.ndarray,
     weights = _MS_PER_KM_TO_PER_HOUR * np.maximum(wind_mid.sum(axis=2), 0.0)  # (T, E)
     shape = (nodes.n, nodes.n)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nodes.n))])
+    order = np.argsort(cols, kind="stable")  # rows are already ascending
     first = sp.csr_matrix((weights[0], cols, indptr), shape=shape)
-    return [AdvectionOperator(weights=first)] + [
-        AdvectionOperator(weights=sp.csr_matrix((w, first.indices, first.indptr), shape=shape))
+    return [AdvectionOperator(weights=first, transpose_order=order)] + [
+        AdvectionOperator(weights=sp.csr_matrix((w, first.indices, first.indptr), shape=shape),
+                          transpose_order=order)
         for w in weights[1:]]

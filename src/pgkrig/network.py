@@ -243,14 +243,13 @@ class KrigingModel:
             raise ModelError(
                 f"operator shapes {diffusion.weights.shape}/{advection.weights.shape} "
                 f"do not match {n} nodes")
-        diff_msg = ad.sparse_matmul(diffusion.weights, h)
-        adv_msg = ad.sparse_matmul(advection.weights, h)
         if self.config.two_weight_propagation:
-            mixed = ad.add(ad.matmul(diff_msg, self.params[f"prop.{layer}.weight_diff"]),
-                           ad.matmul(adv_msg, self.params[f"prop.{layer}.weight_adv"]))
+            weights = (self.params[f"prop.{layer}.weight_diff"],
+                       self.params[f"prop.{layer}.weight_adv"])
         else:
-            mixed = ad.matmul(ad.add(diff_msg, adv_msg), self.params[f"prop.{layer}.weight"])
-        return self._act(ad.add(mixed, self.params[f"prop.{layer}.bias"]))
+            weights = (self.params[f"prop.{layer}.weight"],)
+        return ad.propagate(h, diffusion, advection, weights, self.params[f"prop.{layer}.bias"],
+                            self.config.activation)
 
     def _mlp(self, h: ad.Tensor, head: str) -> ad.Tensor:
         """Node- and step-shared MLP from (N, T, hidden) to (N, T)."""

@@ -264,9 +264,6 @@ class Normalization:
         return ad.add(ad.mul(x, float(self.std[_PM25_CHANNEL])),
                       float(self.mean[_PM25_CHANNEL]))
 
-    def to_physical_array(self, x: np.ndarray) -> np.ndarray:
-        return x * self.std[_PM25_CHANNEL] + self.mean[_PM25_CHANNEL]
-
 
 # ---------------------------------------------------------------------------
 # training configuration

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from pgkrig import autodiff as ad
+from pgkrig import graphs as g
 
 
 def numeric_grad(fn, arrays, index, eps=1e-6):
@@ -291,3 +292,94 @@ class TestAdam:
         opt.step()
         np.testing.assert_array_equal(q.data, [2.0])
         assert p.data[0] < 1.0
+
+
+def _bits(array) -> bytes:
+    return np.asarray(array, dtype=np.float64).tobytes()
+
+
+def reference_propagate(x, diffusion, advection, weights, bias, activation):
+    """The primitive-op composition that ad.propagate fuses into one node."""
+    diff_msg = ad.sparse_matmul(diffusion.weights, x)
+    adv_msg = ad.sparse_matmul(advection.weights, x)
+    if len(weights) == 2:
+        mixed = ad.add(ad.matmul(diff_msg, weights[0]), ad.matmul(adv_msg, weights[1]))
+    else:
+        mixed = ad.matmul(ad.add(diff_msg, adv_msg), weights[0])
+    pre = ad.add(mixed, bias)
+    return ad.relu(pre) if activation == "relu" else ad.softplus(pre)
+
+
+def propagation_inputs(seed, n_weights, n=9, f=6):
+    rng = np.random.default_rng(seed)
+    nodes = g.NodeSet(rng.uniform(0.0, 20.0, size=(n, 2)))
+    diffusion = g.build_diffusion_operator(g.build_geo_adjacency(nodes, 12.0))
+    advection = g.advection_sequence(nodes, rng.normal(0.0, 3.0, size=(1, n, 2)), 12.0)[0]
+    arrays = {"x": rng.normal(size=(n, f)), "bias": rng.normal(size=(f,)),
+              "q": rng.normal(size=(n, f)), "r": rng.normal(size=(n, f))}
+    for i in range(n_weights):
+        arrays[f"w{i}"] = rng.normal(size=(f, f)) / np.sqrt(f)
+    return diffusion, advection, arrays
+
+
+def run_propagation(layer, diffusion, advection, arrays, activation):
+    """Two stacked layers sharing weights, as the model's steps share them.
+
+    The loss also reads x directly, and that term's backward runs first, so
+    x's adjoint holds three contributions and their order shows in its bits.
+    """
+    leaves = {k: ad.Tensor(v, requires_grad=True) for k, v in arrays.items()
+              if k not in ("q", "r")}
+    weights = tuple(leaves[k] for k in sorted(leaves) if k.startswith("w"))
+    hidden = layer(leaves["x"], diffusion, advection, weights, leaves["bias"], activation)
+    out = layer(hidden, diffusion, advection, weights, leaves["bias"], activation)
+    loss = ad.add(ad.tensor_sum(ad.mul(leaves["x"], arrays["q"])),
+                  ad.tensor_sum(ad.mul(out, arrays["r"])))
+    loss.backward()
+    return out, loss, leaves
+
+
+class TestFusedPropagate:
+    @pytest.mark.parametrize("activation", ["relu", "softplus"])
+    @pytest.mark.parametrize("n_weights", [1, 2])
+    def test_matches_primitive_composition_bitwise(self, activation, n_weights):
+        for seed in range(5):
+            diffusion, advection, arrays = propagation_inputs(seed, n_weights)
+            fused = run_propagation(ad.propagate, diffusion, advection, arrays, activation)
+            ref = run_propagation(reference_propagate, diffusion, advection, arrays,
+                                  activation)
+            assert _bits(fused[0].data) == _bits(ref[0].data)
+            assert _bits(fused[1].data) == _bits(ref[1].data)
+            assert sorted(fused[2]) == sorted(ref[2])
+            for name, leaf in fused[2].items():
+                assert _bits(leaf.grad) == _bits(ref[2][name].grad), name
+
+    @pytest.mark.parametrize("plant, op", [("operator", "sparse_matmul"),
+                                           ("weight", "matmul"), ("bias", "add")])
+    @pytest.mark.parametrize("n_weights", [1, 2])
+    def test_nonfinite_names_the_primitive_op(self, plant, op, n_weights):
+        diffusion, advection, arrays = propagation_inputs(1, n_weights)
+        if plant == "operator":
+            weights = advection.weights.copy()
+            weights.data[0] = np.nan
+            advection = g.AdvectionOperator(weights=weights)
+        else:
+            arrays["w0" if plant == "weight" else "bias"][0] = np.inf
+        for layer in (ad.propagate, reference_propagate):
+            with pytest.raises(ad.NumericError, match=f"'{op}'"):
+                run_propagation(layer, diffusion, advection, arrays, "relu")
+
+
+class TestAdjointSeeding:
+    def test_negative_zero_first_contribution_lands_positive(self):
+        t = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        (t * np.array([-0.0, 3.0])).sum().backward()
+        assert not np.signbit(t.grad[0]) and t.grad[1] == 3.0
+
+    def test_siblings_fed_one_array_get_their_own_adjoints(self):
+        a = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        b = ad.Tensor(np.array([3.0, 4.0]), requires_grad=True)
+        ad.add(a, b).sum().backward()  # add's backward hands both the same g
+        assert not np.shares_memory(a.grad, b.grad)
+        a._accumulate(np.array([10.0, 10.0]))
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0])

@@ -2,10 +2,8 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from pgkrig import baselines as b
-from pgkrig.graphs import GeoAdjacency
 
 
 class TestIdw:
@@ -57,52 +55,6 @@ class TestIdw:
             np.testing.assert_allclose(full[t], step)
 
 
-class TestNearest:
-    def test_single_observed_fills_everything(self):
-        out = b.nearest(np.array([4.2]), np.array([[0.0, 0.0]]),
-                        np.array([[1.0, 1.0], [9.0, 9.0]]))
-        np.testing.assert_array_equal(out, [4.2, 4.2])
-
-    def test_picks_closest(self):
-        obs_pos = np.array([[0.0, 0.0], [10.0, 0.0]])
-        vals = np.array([1.0, 2.0])
-        out = b.nearest(vals, obs_pos, np.array([[2.0, 0.0], [8.0, 0.0]]))
-        np.testing.assert_array_equal(out, [1.0, 2.0])
-
-
-class TestGraphMean:
-    def _geo(self, w):
-        return GeoAdjacency(weights=sp.csr_matrix(w), threshold_xi=10.0, sigma_sq=1.0)
-
-    def test_symmetric_pair_midpoint_mean(self):
-        # node 2 equally tied to observed 0 and 1
-        w = np.zeros((3, 3))
-        w[2, 0] = w[0, 2] = 0.5
-        w[2, 1] = w[1, 2] = 0.5
-        out = b.graph_mean(np.array([10.0, 20.0]), self._geo(w),
-                           observed_ids=np.array([0, 1]), target_ids=np.array([2]))
-        assert out[0] == pytest.approx(15.0)
-
-    def test_weighted_neighbors(self):
-        w = np.zeros((3, 3))
-        w[2, 0] = w[0, 2] = 3.0
-        w[2, 1] = w[1, 2] = 1.0
-        out = b.graph_mean(np.array([0.0, 8.0]), self._geo(w),
-                           observed_ids=np.array([0, 1]), target_ids=np.array([2]))
-        assert out[0] == pytest.approx((3.0 * 0.0 + 1.0 * 8.0) / 4.0)
-
-    def test_isolated_target_global_mean_fallback(self):
-        w = np.zeros((3, 3))
-        out = b.graph_mean(np.array([[2.0, 4.0], [10.0, 30.0]]), self._geo(w),
-                           observed_ids=np.array([0, 1]), target_ids=np.array([2]))
-        np.testing.assert_allclose(out[:, 0], [3.0, 20.0])
-
-    def test_no_observed_errors(self):
-        with pytest.raises(b.BaselineError):
-            b.graph_mean(np.zeros((2, 0)), self._geo(np.zeros((2, 2))),
-                         observed_ids=np.array([], dtype=int), target_ids=np.array([0]))
-
-
 class TestConvexHull:
     def test_all_baselines_stay_in_observed_range(self):
         rng = np.random.default_rng(1)
@@ -112,13 +64,5 @@ class TestConvexHull:
             tgt_pos = rng.uniform(0, 50, size=(mt, 2))
             vals = rng.normal(10.0, 5.0, size=(t, k))
             lo, hi = vals.min(), vals.max()
-            for est in (b.idw(vals, obs_pos, tgt_pos),
-                        b.nearest(vals, obs_pos, tgt_pos)):
-                assert np.all(est >= lo - 1e-12) and np.all(est <= hi + 1e-12)
-            w = rng.random((k + mt, k + mt)) * (rng.random((k + mt, k + mt)) < 0.4)
-            w = np.triu(w, 1)
-            w = w + w.T
-            gm = b.graph_mean(vals, GeoAdjacency(sp.csr_matrix(w), 10.0, 1.0),
-                              observed_ids=np.arange(k),
-                              target_ids=np.arange(k, k + mt))
-            assert np.all(gm >= lo - 1e-12) and np.all(gm <= hi + 1e-12)
+            est = b.idw(vals, obs_pos, tgt_pos)
+            assert np.all(est >= lo - 1e-12) and np.all(est <= hi + 1e-12)

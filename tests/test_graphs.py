@@ -291,3 +291,28 @@ class TestAdvectionSequence:
             g.advection_sequence(ns, np.zeros((4, 3, 2)), threshold_xi=10.0)
         with pytest.raises(g.GraphBuildError):
             g.advection_sequence(ns, np.zeros((0, 2, 2)), threshold_xi=10.0)
+
+
+def _csr_bytes(matrix):
+    return tuple(getattr(matrix, a).tobytes() for a in ("data", "indices", "indptr"))
+
+
+def test_supplied_transposes_are_the_transposes_bitwise():
+    # backward multiplies by `transpose` instead of building `weights.T`
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        ns = random_nodeset(rng, n=int(rng.integers(2, 16)))
+        xi = float(rng.uniform(20.0, 150.0))
+        try:
+            geo = g.build_geo_adjacency(ns, xi)
+        except g.GraphBuildError:
+            continue
+        x = rng.normal(size=(ns.n, 3))
+        diffusion = g.build_diffusion_operator(geo)
+        assert diffusion.weights.has_sorted_indices
+        assert _csr_bytes(diffusion.transpose) == _csr_bytes(diffusion.weights.T.tocsr())
+        assert (diffusion.transpose @ x).tobytes() == (diffusion.weights.T @ x).tobytes()
+        ops = g.advection_sequence(ns, rng.normal(0.0, 3.0, size=(4, ns.n, 2)), xi)
+        for op in ops + [g.AdvectionOperator(weights=ops[0].weights)]:
+            assert _csr_bytes(op.transpose) == _csr_bytes(op.weights.T.tocsr())
+            assert (op.transpose @ x).tobytes() == (op.weights.T @ x).tobytes()

@@ -288,6 +288,21 @@ class TestFullForward:
                 if p.grad is None or not np.any(p.grad != 0.0)]
         assert not dead, f"parameters with no gradient: {dead}"
 
+    def test_one_tape_node_per_step_and_layer(self):
+        rng = np.random.default_rng(17)
+        series, diffusion, advection = toy_inputs(rng)
+        model = nw.KrigingModel(small_config(), seed=0)
+        _, x_hat = model.full_forward(series, diffusion, advection)
+        ops, stack, seen = [], [x_hat], set()
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                ops.append(node._op)
+                stack.extend(node._parents)
+        assert ops.count("propagate") == series.t * model.config.gnn_layers
+        assert "sparse_matmul" not in ops
+
     def test_softplus_output_positive(self):
         rng = np.random.default_rng(16)
         series, diffusion, advection = toy_inputs(rng)

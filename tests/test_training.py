@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pgkrig import autodiff as ad
 from pgkrig import training as tr
 from pgkrig.graphs import NodeSet, build_diffusion_operator, build_geo_adjacency, \
     advection_sequence
@@ -205,7 +206,7 @@ def test_normalization_round_trip():
     dataset = tr.dataset_from_scenario(toy_run())
     norm = tr.Normalization.fit(dataset, (0, 42))
     _, _, pm25_std = norm.apply(dataset.wind, dataset.emissions, dataset.pm25)
-    back = norm.to_physical_array(pm25_std)
+    back = norm.to_physical(ad.Tensor(pm25_std)).data
     assert np.allclose(back, dataset.pm25, atol=1e-12)
 
 
@@ -220,16 +221,6 @@ def test_normalization_constant_channel_guard():
                              emissions=dataset.emissions, pm25=dataset.pm25)
     norm = tr.Normalization.fit(flat, (0, 42))
     assert norm.std[0] == 1.0 and norm.std[1] == 1.0
-
-
-def test_normalization_tensor_matches_array():
-    from pgkrig import autodiff as ad
-
-    dataset = tr.dataset_from_scenario(toy_run())
-    norm = tr.Normalization.fit(dataset, (0, 42))
-    values = np.array([[0.0, 1.5], [-2.0, 0.25]])
-    assert np.array_equal(norm.to_physical(ad.Tensor(values)).data,
-                          norm.to_physical_array(values))
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +436,9 @@ def test_graph_window_equals_graph_of_the_window_bitwise():
         assert len(window.advection) == len(direct.advection) == hi - lo
         for a, b in zip(window.advection, direct.advection):
             assert _csr_bytes(a.weights) == _csr_bytes(b.weights)
+            assert _csr_bytes(a.transpose) == _csr_bytes(b.transpose)
         assert _csr_bytes(window.diffusion.weights) == _csr_bytes(direct.diffusion.weights)
+        assert _csr_bytes(window.diffusion.transpose) == _csr_bytes(direct.diffusion.transpose)
         assert window.edges.dtype == direct.edges.dtype
         assert window.edges.tobytes() == direct.edges.tobytes()
 
