@@ -95,9 +95,10 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            # A fresh array, so it never aliases a sibling's adjoint; `+ 0.0`
-            # maps -0.0 to +0.0 exactly as zeros-then-add would.
-            self.grad = grad + 0.0
+            # A fresh array shaped like the data, so it never aliases a
+            # sibling's adjoint; adding 0.0 maps -0.0 to +0.0 exactly as
+            # zeros-then-add would.
+            self.grad = np.add(grad, 0.0, out=np.empty_like(self.data))
         else:
             self.grad += grad
 
@@ -457,12 +458,10 @@ def propagate(x, diffusion, advection, weights: tuple, bias, activation: str) ->
     data = np.maximum(pre, 0.0) if activation == "relu" else np.logaddexp(0.0, pre)
 
     def backward(g: np.ndarray) -> None:
-        # Each intermediate adjoint is seeded `+ 0.0` as Tensor._accumulate
-        # would; a second `+ 0.0` is a no-op, so it is written once per chain.
         if activation == "relu":
-            g_pre = g * (pre > 0.0) + 0.0
+            g_pre = g * (pre > 0.0)
         else:
-            g_pre = g / (1.0 + np.exp(-pre)) + 0.0
+            g_pre = g / (1.0 + np.exp(-pre))
         if bias.requires_grad:
             bias._accumulate(_unbroadcast(g_pre, bias.shape))
         if w_adv is not None:
@@ -471,16 +470,16 @@ def propagate(x, diffusion, advection, weights: tuple, bias, activation: str) ->
             if w_diff.requires_grad:
                 w_diff._accumulate(diff_msg.T @ g_pre)
             if x.requires_grad:
-                x._accumulate(diffusion.transpose @ (g_pre @ w_diff.data.T + 0.0))
+                x._accumulate(diffusion.transpose @ (g_pre @ w_diff.data.T))
             if w_adv.requires_grad:
                 w_adv._accumulate(adv_msg.T @ g_pre)
             if x.requires_grad:
-                x._accumulate(advection.transpose @ (g_pre @ w_adv.data.T + 0.0))
+                x._accumulate(advection.transpose @ (g_pre @ w_adv.data.T))
             return
         if w_diff.requires_grad:
             w_diff._accumulate(summed.T @ g_pre)
         if x.requires_grad:
-            g_summed = g_pre @ w_diff.data.T + 0.0
+            g_summed = g_pre @ w_diff.data.T
             x._accumulate(diffusion.transpose @ g_summed)
             x._accumulate(advection.transpose @ g_summed)
 

@@ -112,20 +112,15 @@ class AdvectionOperator:
     Entry (i, j) is the rate at which node j's air mass is blown toward
     node i; it is positive only when j sits upwind of i.
 
-    ``transpose`` is built on its first use, in backward, from
-    ``transpose_order``: the positions in ``weights.data`` of the
-    transpose's entries in its CSR order (valid for a symmetric pattern).
+    ``transpose`` is a CSC view of ``weights``, made on its first use,
+    which only backward makes.
     """
 
     weights: sp.csr_matrix
-    transpose_order: np.ndarray | None = None
 
     @cached_property
-    def transpose(self) -> sp.csr_matrix:
-        w = self.weights
-        if self.transpose_order is None:
-            return w.T.tocsr()
-        return sp.csr_matrix((w.data[self.transpose_order], w.indices, w.indptr), shape=w.shape)
+    def transpose(self) -> sp.csc_matrix:
+        return self.weights.T
 
 
 def _under_threshold(dist: np.ndarray, threshold_xi: float) -> np.ndarray:
@@ -254,9 +249,7 @@ def advection_sequence(nodes: NodeSet, wind_series: np.ndarray,
     array pass. Every step's CSR matrix shares one ``indices``/``indptr``
     pair: ``np.nonzero`` yields the pairs row-major, so they are already
     in CSR order, and weights the ReLU clips to 0 stay stored, so each
-    step has the same sparsity structure. That structure is symmetric, so
-    each step's transpose shares it too, and one permutation of the pairs,
-    by column then row, orders every step's transpose data.
+    step has the same sparsity structure.
     """
     wind_series = np.asarray(wind_series, dtype=np.float64)
     if wind_series.ndim != 3 or wind_series.shape[0] < 1:
@@ -277,9 +270,7 @@ def advection_sequence(nodes: NodeSet, wind_series: np.ndarray,
     weights = _MS_PER_KM_TO_PER_HOUR * np.maximum(wind_mid.sum(axis=2), 0.0)  # (T, E)
     shape = (nodes.n, nodes.n)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nodes.n))])
-    order = np.argsort(cols, kind="stable")  # rows are already ascending
     first = sp.csr_matrix((weights[0], cols, indptr), shape=shape)
-    return [AdvectionOperator(weights=first, transpose_order=order)] + [
-        AdvectionOperator(weights=sp.csr_matrix((w, first.indices, first.indptr), shape=shape),
-                          transpose_order=order)
+    return [AdvectionOperator(weights=first)] + [
+        AdvectionOperator(weights=sp.csr_matrix((w, first.indices, first.indptr), shape=shape))
         for w in weights[1:]]

@@ -383,3 +383,16 @@ class TestAdjointSeeding:
         assert not np.shares_memory(a.grad, b.grad)
         a._accumulate(np.array([10.0, 10.0]))
         np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+
+    def test_zero_d_adjoints_stay_arrays(self):
+        t = ad.Tensor(np.array(2.0), requires_grad=True)
+        loss = t * np.array(-0.0)
+        loss.backward()
+        for grad in (loss.grad, t.grad):
+            assert isinstance(grad, np.ndarray) and grad.shape == ()
+        assert not np.signbit(t.grad)
+
+    def test_first_contribution_is_broadcast_to_the_tensor_shape(self):
+        t = ad.Tensor(np.zeros((2, 3)), requires_grad=True)
+        t._accumulate(np.array([1.0, 2.0, 3.0]))
+        np.testing.assert_array_equal(t.grad, [[1.0, 2.0, 3.0]] * 2)
