@@ -71,33 +71,6 @@ def init_loss(x_init: ad.Tensor, x_true: np.ndarray,
 _STD_GUARD = 1e-6
 
 
-def _standardize_constant(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Per-column standardization of a plain array over masked-in rows."""
-    count = mask.sum()
-    mean = (values * mask).sum() / count
-    std = np.sqrt(((values - mean) ** 2 * mask).sum() / count)
-    if std < _STD_GUARD:
-        std = 1.0
-    return (values - mean) / std
-
-
-def _standardize_on_tape(column: ad.Tensor, mask: np.ndarray) -> ad.Tensor:
-    """Standardize a (N,) tensor over masked-in entries, differentiably.
-
-    The std guard switches on the forward value: near-constant columns
-    are only centered, which keeps the op finite and leaves gradients
-    well-behaved.
-    """
-    count = float(mask.sum())
-    mean = ad.tensor_sum(ad.mul(column, mask)) * (1.0 / count)
-    centered = ad.sub(column, mean)
-    var = ad.tensor_sum(ad.mul(ad.mul(centered, centered), mask)) * (1.0 / count)
-    std = ad.sqrt(var)
-    if float(std.data) < _STD_GUARD:
-        return centered
-    return ad.div(centered, std)
-
-
 def aod_gradient_loss(x_hat: ad.Tensor, aod_values: np.ndarray, aod_valid: np.ndarray,
                       edges: np.ndarray) -> ad.Tensor:
     """Masked spatial-gradient alignment between prediction and proxy.
@@ -105,12 +78,20 @@ def aod_gradient_loss(x_hat: ad.Tensor, aod_values: np.ndarray, aod_valid: np.nd
     For each timestep, both fields are standardized over that step's
     valid pixels; then for every edge (i, j) whose endpoints are both
     valid, the term |(pred_j - pred_i) - (proxy_j - proxy_i)| is summed.
-    A fully masked field is legal and yields a constant zero with no
-    gradient.
+    A step whose std is below 1e-6 is only centered.  A fully masked
+    field is legal and yields a constant zero with no gradient.
+
+    All hours with a valid edge are computed at once, time-major, and
+    recorded as one tape node.  Value and gradient are bitwise those of
+    the per-hour composition take, mul, sum, sub, sqrt, div, abs, add:
+    each row reduces along its contiguous last axis (the pairwise sum of
+    a 1-D column), hour sums add up sequentially, and backward
+    accumulates every adjoint in the composition's order.
 
     Args:
         x_hat: (N, T) prediction tensor.
-        aod_values: (N, T) proxy values (finite where valid).
+        aod_values: (N, T) proxy values; read only where valid, so a
+            cloudy pixel may hold any value, NaN included.
         aod_valid: (N, T) binary validity mask, 1 = usable pixel.
         edges: (E, 2) node index pairs, i != j.
 
@@ -129,24 +110,60 @@ def aod_gradient_loss(x_hat: ad.Tensor, aod_values: np.ndarray, aod_valid: np.nd
     if np.any(~np.isfinite(aod_values) & (aod_valid == 1.0)):
         raise LossError("proxy values must be finite where valid")
 
-    n, t = x_hat.shape
     src, dst = edges[:, 0], edges[:, 1]
-    total: ad.Tensor | None = None
-    for step in range(t):
-        mask = aod_valid[:, step]
-        if mask.sum() == 0:
-            continue
-        edge_mask = mask[src] * mask[dst]
-        if edge_mask.sum() == 0:
-            continue
-        pred_std = _standardize_on_tape(x_hat[:, step], mask)
-        proxy_std = _standardize_constant(aod_values[:, step], mask)
-        pred_diff = ad.sub(pred_std[dst], pred_std[src])
-        proxy_diff = proxy_std[dst] - proxy_std[src]
-        terms = ad.mul(ad.absolute(ad.sub(pred_diff, proxy_diff)), edge_mask)
-        step_sum = ad.tensor_sum(terms)
-        total = step_sum if total is None else ad.add(total, step_sum)
-    return total if total is not None else ad.Tensor(0.0)
+    valid = aod_valid.T  # (T, N)
+    edge_mask = np.take(valid, src, axis=1) * np.take(valid, dst, axis=1)  # (T, E)
+    active = edge_mask.any(axis=1)
+    if not active.any():
+        return ad.Tensor(0.0)
+    edge_mask = edge_mask[active]  # (T_active, E)
+    mask = np.ascontiguousarray(valid[active])  # (T_active, N)
+    count = mask.sum(axis=1)
+    inv = 1.0 / count
+
+    proxy = np.where(mask == 1.0, aod_values.T[active], 0.0)
+    proxy_dev = proxy - ((proxy * mask).sum(axis=1) / count)[:, None]
+    proxy_std = np.sqrt((proxy_dev ** 2 * mask).sum(axis=1) / count)
+    proxy_std[proxy_std < _STD_GUARD] = 1.0
+    proxy_z = proxy_dev / proxy_std[:, None]
+    proxy_diff = np.take(proxy_z, dst, axis=1) - np.take(proxy_z, src, axis=1)
+
+    check = ad._check_finite
+    x = check(np.ascontiguousarray(x_hat.data.T[active]), "take")
+    mean = check((x * mask).sum(axis=1), "sum") * inv
+    centered = check(x - mean[:, None], "sub")
+    var = check((check(centered * centered, "mul") * mask).sum(axis=1), "sum") * inv
+    std = np.sqrt(var)
+    live = std >= _STD_GUARD  # rows divided by their std; the rest are only centered
+    denom = np.where(live, std, 1.0)  # x / 1.0 is x, bitwise
+    pred_z = check(centered / denom[:, None], "div")
+    gap = check(check(np.take(pred_z, dst, axis=1) - np.take(pred_z, src, axis=1), "sub")
+                - proxy_diff, "sub")
+    hour_sums = check((np.abs(gap) * edge_mask).sum(axis=1), "sum")
+    total = check(np.cumsum(hour_sums), "add")[-1]
+
+    def backward(g: np.ndarray) -> None:
+        g_gap = g * edge_mask * np.sign(gap)
+        # scatter each endpoint side on its own, in edge order, over flat
+        # (hour, node) indices, then add the two sides as the two takes did
+        offsets = np.arange(gap.shape[0])[:, None] * x.shape[1]
+        g_z = np.zeros(x.size)
+        np.add.at(g_z, (offsets + dst).ravel(), g_gap.ravel())
+        g_src = np.zeros(x.size)
+        np.add.at(g_src, (offsets + src).ravel(), -g_gap.ravel())
+        g_z = (g_z + g_src).reshape(x.shape)
+        g_centered = g_z / denom[:, None]
+        # the variance path: std's adjoint, zero in rows that were only centered
+        g_std = np.where(live, (-g_z * centered / (denom * denom)[:, None]).sum(axis=1), 0.0)
+        g_sq = (g_std * 0.5 / denom * inv)[:, None] * mask
+        g_centered += g_sq * centered
+        g_centered += g_sq * centered
+        g_x = g_centered + ((-g_centered).sum(axis=1) * inv)[:, None] * mask
+        full = np.zeros_like(x_hat.data)
+        full[:, active] = g_x.T
+        x_hat._accumulate(full)
+
+    return ad._make(total, "aod_gradient", (x_hat,), backward)
 
 
 def composite_loss(infer: ad.Tensor | float, init: ad.Tensor | float,

@@ -178,6 +178,8 @@ class StationDataset:
             bits = np.unique(self.aod_valid)
             if not np.all(np.isin(bits, (0.0, 1.0))):
                 raise ConfigError("aod_valid must be binary")
+            if not np.all(np.isfinite(self.aod_values[self.aod_valid == 1.0])):
+                raise ConfigError("aod_values contains non-finite values where aod_valid is 1")
         for name in ("wind", "emissions", "pm25"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ConfigError(f"{name} contains non-finite values")

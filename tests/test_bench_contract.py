@@ -45,3 +45,13 @@ def test_advection_step_count_is_window_length():
     ops = advection_sequence(nodes, wind, threshold_xi=10.0)
     assert len(ops) == 7
     assert counter(ops, (nodes, wind)) == {"graphs.advection_steps": 7}
+
+
+def test_trainer_binds_the_timed_proxy_loss():
+    # `losses.proxy_s` times pgkrig.losses.aod_gradient_loss and every module
+    # binding that very object; a trainer calling anything else would read 0 s
+    import pgkrig.losses
+    import pgkrig.training
+
+    assert pgkrig.training.aod_gradient_loss is pgkrig.losses.aod_gradient_loss
+    assert pgkrig.training.count_valid_edge_terms is pgkrig.losses.count_valid_edge_terms

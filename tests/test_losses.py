@@ -165,6 +165,145 @@ class TestAodGradientLoss:
                                  np.array([[0, 0]]))
 
 
+def _standardize_on_tape(column, mask):
+    count = float(mask.sum())
+    mean = ad.tensor_sum(ad.mul(column, mask)) * (1.0 / count)
+    centered = ad.sub(column, mean)
+    var = ad.tensor_sum(ad.mul(ad.mul(centered, centered), mask)) * (1.0 / count)
+    std = ad.sqrt(var)
+    if float(std.data) < 1e-6:
+        return centered
+    return ad.div(centered, std)
+
+
+def _standardize_constant(values, mask):
+    count = mask.sum()
+    mean = (values * mask).sum() / count
+    std = np.sqrt(((values - mean) ** 2 * mask).sum() / count)
+    if std < 1e-6:
+        std = 1.0
+    return (values - mean) / std
+
+
+def reference_aod_loss(x_hat, aod_values, aod_valid, edges):
+    """The per-hour primitive composition the fused loss reproduces bitwise."""
+    src, dst = edges[:, 0], edges[:, 1]
+    total = None
+    for step in range(x_hat.shape[1]):
+        mask = aod_valid[:, step]
+        if mask.sum() == 0:
+            continue
+        edge_mask = mask[src] * mask[dst]
+        if edge_mask.sum() == 0:
+            continue
+        pred_std = _standardize_on_tape(x_hat[:, step], mask)
+        proxy_std = _standardize_constant(aod_values[:, step], mask)
+        pred_diff = ad.sub(pred_std[dst], pred_std[src])
+        proxy_diff = proxy_std[dst] - proxy_std[src]
+        terms = ad.mul(ad.absolute(ad.sub(pred_diff, proxy_diff)), edge_mask)
+        step_sum = ad.tensor_sum(terms)
+        total = step_sum if total is None else ad.add(total, step_sum)
+    return total if total is not None else ad.Tensor(0.0)
+
+
+def _random_edges(rng, n, count):
+    i, j = rng.integers(0, n, count), rng.integers(0, n, count)
+    return np.stack([i, j], axis=1)[i != j].reshape(-1, 2)
+
+
+def _case(name):
+    """(x, aod, valid, edges) for one named situation."""
+    rng = np.random.default_rng(CASES.index(name))
+    n, t = 20, 24
+    x = rng.normal(10.0, 4.0, size=(n, t))
+    aod = rng.normal(0.5, 0.2, size=(n, t))
+    valid = (rng.random((n, t)) < 0.8).astype(float)
+    edges = _random_edges(rng, n, 70)
+    if name == "guard hours":
+        x[:, [3, 10, 11]] = 7.25  # constant prediction columns: only centered
+        aod[:, 5] = 0.4  # and a constant proxy column
+    elif name == "fully clouded hours":
+        valid[:, [0, 6, 7, 23]] = 0.0
+    elif name == "valid nodes but no valid edge":
+        linked = {frozenset(pair) for pair in edges.tolist()}
+        a, b = next((a, b) for a in range(n) for b in range(a + 1, n)
+                    if frozenset((a, b)) not in linked)
+        valid[:, [4, 9]] = 0.0
+        valid[a, 4] = 1.0  # one clear node
+        valid[[a, b], 9] = 1.0  # two clear nodes, no edge between them
+    elif name == "empty edge set":
+        edges = np.zeros((0, 2), dtype=int)
+    elif name == "one hour":
+        x, aod, valid = x[:, :1], aod[:, :1], np.ones((n, 1))
+    elif name == "wide":  # rows longer than the pairwise-sum block
+        n = 150
+        x = rng.normal(size=(n, 3))
+        aod = rng.normal(size=(n, 3))
+        valid = (rng.random((n, 3)) < 0.9).astype(float)
+        edges = _random_edges(rng, n, 600)
+    return x, aod, valid, edges
+
+
+CASES = ("random", "guard hours", "fully clouded hours", "valid nodes but no valid edge",
+         "empty edge set", "one hour", "wide")
+
+
+def _loss_and_grads(loss_fn, x, aod, valid, edges):
+    """Bytes of the loss and of the gradients of x_hat and its source, when
+    x_hat also feeds a reconstruction term."""
+    leaf = ad.Tensor(x, requires_grad=True)
+    x_hat = ad.add(ad.mul(leaf, 1.7), 0.25)
+    proxy = loss_fn(x_hat, aod, valid, edges)
+    recon = ad.l1_loss(x_hat[np.array([0, 2, 5])], ad.Tensor(x[[0, 2, 5]] + 0.5))
+    total = ad.add(ad.mul(recon, 1.0 / 3.0), ad.mul(proxy, 0.1 / 61.0))
+    total.backward()
+    return (proxy.data.tobytes(), total.data.tobytes(), x_hat.grad.tobytes(),
+            leaf.grad.tobytes())
+
+
+class TestFusedAodGradient:
+    @pytest.mark.parametrize("name", CASES)
+    def test_loss_and_gradients_match_composition_bitwise(self, name):
+        x, aod, valid, edges = _case(name)
+        assert _loss_and_grads(ls.aod_gradient_loss, x, aod, valid, edges) == \
+            _loss_and_grads(reference_aod_loss, x, aod, valid, edges)
+
+    def test_random_cases_match_composition_bitwise(self):
+        rng = np.random.default_rng(40)
+        for _ in range(60):
+            n, t = int(rng.integers(6, 30)), int(rng.integers(1, 12))
+            x = rng.normal(size=(n, t)) * rng.choice([1e-9, 1.0, 1e3])
+            aod = rng.normal(size=(n, t))
+            valid = (rng.random((n, t)) < rng.uniform(0.2, 1.0)).astype(float)
+            edges = _random_edges(rng, n, int(rng.integers(0, 3 * n)))
+            assert _loss_and_grads(ls.aod_gradient_loss, x, aod, valid, edges) == \
+                _loss_and_grads(reference_aod_loss, x, aod, valid, edges)
+
+    @pytest.mark.parametrize("t", [1, 5, 24])
+    def test_one_tape_node_whatever_t(self, t):
+        x, aod, valid, edges = _case("random")
+        x_hat = ad.Tensor(x[:, :t], requires_grad=True)
+        loss = ls.aod_gradient_loss(x_hat, aod[:, :t], valid[:, :t], edges)
+        assert loss._op == "aod_gradient"
+        assert loss._parents == (x_hat,)
+
+    def test_huge_predictions_raise_like_composition(self):
+        x, aod, valid, edges = _case("random")
+        x = x * 1e200
+        with np.errstate(over="ignore"):
+            with pytest.raises(ad.NumericError, match="'mul'"):
+                reference_aod_loss(ad.Tensor(x, requires_grad=True), aod, valid, edges)
+            with pytest.raises(ad.NumericError, match="'mul'"):
+                ls.aod_gradient_loss(ad.Tensor(x, requires_grad=True), aod, valid, edges)
+
+    @pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf, 1e300])
+    def test_cloudy_pixels_are_never_read(self, fill):
+        x, aod, valid, edges = _case("fully clouded hours")
+        filled = np.where(valid == 1.0, aod, fill)
+        assert _loss_and_grads(ls.aod_gradient_loss, x, filled, valid, edges) == \
+            _loss_and_grads(ls.aod_gradient_loss, x, aod, valid, edges)
+
+
 class TestComposite:
     def test_zero_weights_equal_infer_alone(self):
         infer = ad.Tensor(3.3)

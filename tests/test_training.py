@@ -190,6 +190,24 @@ def test_dataset_rejects_mismatched_aod():
                           aod_values=dataset.aod_values, aod_valid=None)
 
 
+def test_dataset_checks_aod_values_only_where_clear():
+    dataset = tr.dataset_from_scenario(toy_run())
+    cloudy = np.argwhere(dataset.aod_valid == 0.0)[0]
+    clear = np.argwhere(dataset.aod_valid == 1.0)[0]
+
+    def with_aod_at(pixel, value):
+        values = dataset.aod_values.copy()
+        values[tuple(pixel)] = value
+        return tr.StationDataset(nodes=dataset.nodes, wind=dataset.wind,
+                                 emissions=dataset.emissions, pm25=dataset.pm25,
+                                 aod_values=values, aod_valid=dataset.aod_valid)
+
+    for fill in (np.nan, np.inf, -np.inf):
+        with_aod_at(cloudy, fill)  # a cloudy pixel is never read
+        with pytest.raises(tr.ConfigError, match="aod_values contains non-finite"):
+            with_aod_at(clear, fill)
+
+
 def test_normalization_uses_only_the_given_range():
     dataset = tr.dataset_from_scenario(toy_run())
     norm = tr.Normalization.fit(dataset, (0, 40))
@@ -416,6 +434,35 @@ def test_infer_stations_depends_on_observed_values():
     moved = tr.infer_stations(result.model, result.normalization, tampered,
                               targets, threshold_km=10.0)
     assert not np.array_equal(moved, base)
+
+
+def test_predictions_invariant_under_rigid_translation():
+    # positions enter only through differences: an offset that keeps every
+    # coordinate exact changes no bit, and any other offset only rounds
+    rng = np.random.default_rng(21)
+    n, t = 15, 30
+    cells = rng.choice(30 * 30, size=n, replace=False)
+    positions = np.stack([cells % 30, cells // 30], axis=1) + 0.5  # half-integer km
+    wind = rng.normal(0.0, 3.0, size=(t, n, 2))
+    emissions = rng.uniform(0.0, 3.0, size=(t, n))
+    pm25 = rng.uniform(5.0, 40.0, size=(t, n))
+    model = KrigingModel(small_model_config(), seed=0)
+    targets = np.array([2, 7, 11])
+
+    def predict_at(layout):
+        dataset = tr.StationDataset(nodes=NodeSet(layout), wind=wind,
+                                    emissions=emissions, pm25=pm25)
+        normalization = tr.Normalization.fit(dataset, (0, t))
+        # sqrt(110.25) is no distance between half-integer points, so no
+        # pair sits on the cut where rounding could add or drop an edge
+        return tr.infer_stations(model, normalization, dataset, targets, threshold_km=10.5)
+
+    base = predict_at(positions)
+    for offset in ((7.0, -3.0), (1000.0, 2048.0)):
+        assert np.array_equal(predict_at(positions + offset), base)
+    for offset in ((0.1234567, -9.87654321), (1e3 * np.pi, -517.0 * np.e)):
+        np.testing.assert_allclose(predict_at(positions + offset), base, rtol=1e-12, atol=0.0)
+    assert not np.allclose(predict_at(positions * 0.8), base, rtol=1e-6)
 
 
 def _csr_bytes(matrix):
