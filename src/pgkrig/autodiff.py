@@ -486,15 +486,12 @@ def propagate(x, diffusion, advection, weights: tuple, bias, activation: str) ->
     return _make(data, "propagate", (x, *weights, bias), backward)
 
 
-def linear(x, weight, bias=None) -> Tensor:
+def linear(x, weight, bias) -> Tensor:
     """x @ weight + bias for 2-D x."""
-    out = matmul(x, weight)
-    if bias is not None:
-        out = add(out, bias)
-    return out
+    return add(matmul(x, weight), bias)
 
 
-def conv1d_causal_dilated(x, weight, bias=None, dilation: int = 1) -> Tensor:
+def conv1d_causal_dilated(x, weight, bias, dilation: int = 1) -> Tensor:
     """Dilated causal convolution along the time axis.
 
     Args:
@@ -503,13 +500,13 @@ def conv1d_causal_dilated(x, weight, bias=None, dilation: int = 1) -> Tensor:
             tap k reads the step (K-1-k)*dilation back.  The input is
             implicitly left-padded with zeros, so output t never sees
             inputs later than t.
-        bias: optional (C_out,).
+        bias: (C_out,).
         dilation: gap between taps, >= 1.
 
     Returns:
         (N, T, C_out) tensor.
     """
-    x, weight = as_tensor(x), as_tensor(weight)
+    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     if x.ndim != 3 or weight.ndim != 3:
         raise ShapeError(
             f"conv1d: expected (N,T,C) input and (K,C,F) kernel, got {x.shape} and {weight.shape}")
@@ -519,10 +516,8 @@ def conv1d_causal_dilated(x, weight, bias=None, dilation: int = 1) -> Tensor:
         raise ShapeError(f"conv1d: input channels {x.shape} vs kernel {weight.shape}")
     if dilation < 1:
         raise ShapeError(f"conv1d: dilation must be >= 1, got {dilation}")
-
-    bias_t = as_tensor(bias) if bias is not None else None
-    if bias_t is not None and bias_t.shape != (c_out,):
-        raise ShapeError(f"conv1d: bias shape {bias_t.shape} vs kernel {weight.shape}")
+    if bias.shape != (c_out,):
+        raise ShapeError(f"conv1d: bias shape {bias.shape} vs kernel {weight.shape}")
 
     shifts = [(k - 1 - tap) * dilation for tap in range(k)]
     data = np.zeros((n, t, c_out))
@@ -531,10 +526,7 @@ def conv1d_causal_dilated(x, weight, bias=None, dilation: int = 1) -> Tensor:
             continue
         # x at time t - shift contributes through kernel tap `tap`
         data[:, shift:, :] += x.data[:, : t - shift, :] @ weight.data[tap]
-    if bias_t is not None:
-        data = data + bias_t.data
-
-    parents = (x, weight) if bias_t is None else (x, weight, bias_t)
+    data = data + bias.data
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
@@ -551,14 +543,14 @@ def conv1d_causal_dilated(x, weight, bias=None, dilation: int = 1) -> Tensor:
                     continue
                 gw[tap] = np.einsum("ntc,ntf->cf", x.data[:, : t - shift, :], g[:, shift:, :])
             weight._accumulate(gw)
-        if bias_t is not None and bias_t.requires_grad:
-            bias_t._accumulate(g.sum(axis=(0, 1)))
+        if bias.requires_grad:
+            bias._accumulate(g.sum(axis=(0, 1)))
 
-    return _make(data, "conv1d_causal_dilated", parents, backward)
+    return _make(data, "conv1d_causal_dilated", (x, weight, bias), backward)
 
 
-def l1_loss(pred, target, mask=None) -> Tensor:
-    """Sum of |pred - target|, optionally weighted by a constant mask.
+def l1_loss(pred, target) -> Tensor:
+    """Sum of |pred - target|.
 
     Returns the raw sum; callers apply whatever normalisation the
     surrounding objective needs.
@@ -566,14 +558,7 @@ def l1_loss(pred, target, mask=None) -> Tensor:
     pred, target = as_tensor(pred), as_tensor(target)
     if pred.shape != target.shape:
         raise ShapeError(f"l1_loss: pred shape {pred.shape} vs target {target.shape}")
-    diff = sub(pred, target)
-    terms = absolute(diff)
-    if mask is not None:
-        mask = as_tensor(mask)
-        if mask.shape != pred.shape:
-            raise ShapeError(f"l1_loss: mask shape {mask.shape} vs pred {pred.shape}")
-        terms = mul(terms, mask)
-    return tensor_sum(terms)
+    return tensor_sum(absolute(sub(pred, target)))
 
 
 # -- optimiser ---------------------------------------------------------
@@ -586,13 +571,13 @@ class Adam:
     survives independently of tensor identity.
     """
 
-    def __init__(self, params: Mapping[str, Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params: Mapping[str, Tensor], lr: float = 1e-3):
         self.params = dict(params)
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step_count = 0
         self._m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         self._v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
@@ -605,18 +590,18 @@ class Adam:
         """Apply one update from the gradients currently on the parameters."""
         self.step_count += 1
         t = self.step_count
-        bias1 = 1.0 - self.beta1 ** t
-        bias2 = 1.0 - self.beta2 ** t
+        bias1 = 1.0 - self.BETA1 ** t
+        bias2 = 1.0 - self.BETA2 ** t
         for name, p in self.params.items():
             if p.grad is None:
                 continue
             m = self._m[name]
             v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (p.grad * p.grad)
-            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * p.grad
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * (p.grad * p.grad)
+            update = (m / bias1) / (np.sqrt(v / bias2) + self.EPS)
             p.data -= self.lr * update
             if not np.isfinite(p.data).all():
                 raise NumericError(f"non-finite parameter '{name}' after Adam step {t}")

@@ -201,10 +201,10 @@ def _write_table(path, head: list[str], columns) -> None:
 # node tables
 
 
-def write_nodes(path, positions: np.ndarray, kind: str = "nodes") -> None:
+def write_nodes(path, positions: np.ndarray) -> None:
     """Write a node table `node_id,x_km,y_km`; row k is node k."""
     positions = np.asarray(positions, dtype=np.float64)
-    _write_table(path, [version_line(kind), "node_id,x_km,y_km"],
+    _write_table(path, [version_line("nodes"), "node_id,x_km,y_km"],
                  [np.arange(len(positions)), positions[:, 0], positions[:, 1]])
 
 
@@ -264,10 +264,10 @@ def _write_series(path, kind: str, header: str, node_ids, *planes) -> None:
 
 
 def write_values(path, values: np.ndarray, column: str,
-                 node_ids: np.ndarray | None = None, kind: str | None = None) -> None:
-    """Write `time,node_id,<column>` rows from a (T, K) array."""
+                 node_ids: np.ndarray | None = None) -> None:
+    """Write `time,node_id,<column>` rows from a (T, K) array, of kind <column>."""
     values = np.asarray(values, dtype=np.float64)
-    _write_series(path, kind or column, f"time,node_id,{column}", node_ids, values)
+    _write_series(path, column, f"time,node_id,{column}", node_ids, values)
 
 
 def read_values(path, column: str) -> tuple[np.ndarray, np.ndarray]:
@@ -277,10 +277,10 @@ def read_values(path, column: str) -> tuple[np.ndarray, np.ndarray]:
     return ids, values[:, :, 0]
 
 
-def write_wind(path, wind: np.ndarray, node_ids: np.ndarray | None = None) -> None:
+def write_wind(path, wind: np.ndarray) -> None:
     """Write `time,node_id,u_ms,v_ms` rows from a (T, K, 2) array."""
     wind = np.asarray(wind, dtype=np.float64)
-    _write_series(path, "wind", "time,node_id,u_ms,v_ms", node_ids,
+    _write_series(path, "wind", "time,node_id,u_ms,v_ms", None,
                   wind[:, :, 0], wind[:, :, 1])
 
 
@@ -290,12 +290,11 @@ def read_wind(path) -> tuple[np.ndarray, np.ndarray]:
     return _assemble(path, *columns)
 
 
-def write_aod(path, values: np.ndarray, valid: np.ndarray,
-              node_ids: np.ndarray | None = None) -> None:
+def write_aod(path, values: np.ndarray, valid: np.ndarray) -> None:
     """Write `time,node_id,aod,valid` rows; valid bits are 0/1."""
     values = np.asarray(values, dtype=np.float64)
     valid = np.asarray(valid, dtype=np.float64).astype(np.int64)
-    _write_series(path, "aod", "time,node_id,aod,valid", node_ids, values, valid)
+    _write_series(path, "aod", "time,node_id,aod,valid", None, values, valid)
 
 
 def read_aod(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ builds the same one.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -49,12 +49,10 @@ def grid_centers(nx: int, ny: int, cell_km: float) -> np.ndarray:
 class NodeSet:
     """Sensor locations on a planar km grid.
 
-    Node identity is positional: row k of ``positions`` is node k, and
-    ``node_ids`` must be exactly 0..N-1.
+    Node identity is positional: row k of ``positions`` is node k.
     """
 
     positions: np.ndarray
-    node_ids: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=np.float64)
@@ -65,13 +63,6 @@ class NodeSet:
         if not np.all(np.isfinite(pos)):
             raise GraphBuildError("positions contain non-finite values")
         object.__setattr__(self, "positions", pos)
-        ids = self.node_ids
-        if ids is None:
-            ids = np.arange(pos.shape[0])
-        ids = np.asarray(ids)
-        if not np.array_equal(ids, np.arange(pos.shape[0])):
-            raise GraphBuildError("node_ids must be dense 0..N-1 in order")
-        object.__setattr__(self, "node_ids", ids)
 
     @property
     def n(self) -> int:
@@ -83,11 +74,11 @@ class GeoAdjacency:
     """Thresholded Gaussian-kernel adjacency.
 
     weights is symmetric with zero diagonal; every stored value lies in
-    (0, 1] and connects a pair strictly closer than threshold_xi.
+    (0, 1] and connects a pair strictly closer than the threshold it
+    was built with.
     """
 
     weights: sp.csr_matrix
-    threshold_xi: float
     sigma_sq: float
 
 
@@ -167,8 +158,7 @@ def build_geo_adjacency(nodes: NodeSet,
         sigma_sq = 1.0
 
     weights = np.where(mask, np.exp(-(dist * dist) / sigma_sq), 0.0)
-    return GeoAdjacency(weights=sp.csr_matrix(weights), threshold_xi=float(threshold_xi),
-                        sigma_sq=sigma_sq)
+    return GeoAdjacency(weights=sp.csr_matrix(weights), sigma_sq=sigma_sq)
 
 
 def build_diffusion_operator(geo: GeoAdjacency) -> DiffusionOperator:

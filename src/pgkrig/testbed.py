@@ -196,9 +196,6 @@ class TruthField:
     def cell_positions(self) -> np.ndarray:
         return grid_centers(self.nx, self.ny, self.cell_km)
 
-    def grid_nodes(self) -> NodeSet:
-        return NodeSet(self.cell_positions())
-
 
 @dataclass(frozen=True)
 class StationSample:

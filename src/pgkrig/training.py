@@ -79,6 +79,19 @@ def sample_partition(node_ids: np.ndarray, mask_ratio: float,
     return MaskPartition(observed=perm[k:], target=perm[:k])
 
 
+def jittered_ratio(mask_ratio: float, jitter: float, n: int,
+                   rng: np.random.Generator) -> float:
+    """Per-batch mask ratio: a uniform draw from mask_ratio +- jitter.
+
+    The draw is clipped so that a partition of `n` nodes keeps at least one
+    node on each side. The lower clip sits one ulp above 1/n: at 1/n itself,
+    n * (1/n) rounds below 1 for some n (49, 98, 103, ...), and floor then
+    gives no target.
+    """
+    return float(np.clip(rng.uniform(mask_ratio - jitter, mask_ratio + jitter),
+                         np.nextafter(1.0 / n, 1.0), 1.0 - 1e-9))
+
+
 # ---------------------------------------------------------------------------
 # splits
 
@@ -146,7 +159,7 @@ def holdout_split(n_nodes: int, fraction: float,
 
 @dataclass(frozen=True)
 class StationDataset:
-    """Aligned per-station series; column k belongs to nodes.node_ids[k]."""
+    """Aligned per-station series; column k belongs to node k."""
 
     nodes: NodeSet
     wind: np.ndarray  # (T, N, 2) m/s
@@ -292,9 +305,6 @@ class TrainConfig:
     window: int = 24
     learning_rate: float = 1e-3
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batches_per_epoch: int = 8
     patience: int = 10
     val_partitions: int = 3
@@ -541,14 +551,13 @@ def train(dataset: StationDataset, model_config: ModelConfig, config: TrainConfi
     rng = np.random.default_rng(config.seed)
     station_ids = np.arange(view.n)
     n_kept = view.n - int(np.floor(view.n * config.station_dropout))
-    if config.station_dropout > 0.0 and n_kept < 2:
+    if n_kept < 2:
         raise ConfigError(
             f"station_dropout {config.station_dropout} leaves {n_kept} of "
             f"{view.n} stations; at least 2 are needed")
     val_parts = [sample_partition(station_ids, config.mask_ratio, rng)
                  for _ in range(config.val_partitions)]
-    optimizer = ad.Adam(model.params, lr=config.learning_rate, beta1=config.beta1,
-                        beta2=config.beta2, eps=config.eps)
+    optimizer = ad.Adam(model.params, lr=config.learning_rate)
 
     log: list[EpochRecord] = []
     best_mae = np.inf
@@ -562,19 +571,14 @@ def train(dataset: StationDataset, model_config: ModelConfig, config: TrainConfi
             t1 = t0 + config.window
             ratio = config.mask_ratio
             if config.mask_jitter > 0.0:
-                n_avail = n_kept if config.station_dropout > 0.0 else view.n
-                ratio = float(np.clip(
-                    rng.uniform(ratio - config.mask_jitter, ratio + config.mask_jitter),
-                    1.0 / n_avail, 1.0 - 1e-9))
+                ratio = jittered_ratio(ratio, config.mask_jitter, n_kept, rng)
             if config.station_dropout > 0.0:
                 keep = np.sort(rng.permutation(view.n)[:n_kept])
-                part = sample_partition(np.arange(n_kept), ratio, rng)
                 b_graph = prepare_graph(NodeSet(view.nodes.positions[keep]),
                                         view.wind[t0:t1][:, keep], threshold_km)
             else:
-                keep = station_ids
-                part = sample_partition(station_ids, ratio, rng)
-                b_graph = graph.window(t0, t1)
+                keep, b_graph = station_ids, graph.window(t0, t1)
+            part = sample_partition(np.arange(n_kept), ratio, rng)
             try:
                 flags = _window_flags(config.window, keep.size, part.target)
                 x_init, x_hat = predict(

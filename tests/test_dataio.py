@@ -1,12 +1,18 @@
 """Schema, round-trip, and checkpoint determinism tests for dataio."""
 
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from pgkrig import cli, dataio
 from pgkrig.dataio import SchemaError
+from pgkrig.losses import LossWeights
 from pgkrig.metrics import NodeScore
 from pgkrig.network import KrigingModel, ModelConfig
+from pgkrig.training import (TrainConfig, model_config_from_dict, split_from_dict,
+                             train_config_from_dict, weights_from_dict)
 
 
 # ---------------------------------------------------------------------------
@@ -20,7 +26,7 @@ def test_nodes_round_trip_bitwise(tmp_path):
     dataio.write_nodes(path, positions)
     nodes = dataio.read_nodes(path)
     assert np.array_equal(nodes.positions, positions)
-    assert np.array_equal(nodes.node_ids, np.arange(7))
+    assert nodes.n == 7
 
 
 def test_nodes_file_starts_with_version_line(tmp_path):
@@ -459,6 +465,21 @@ def test_load_config_non_mapping_root(tmp_path):
         dataio.load_config(path)
 
 
+def test_formats_md_config_matches_the_dataclasses(tmp_path):
+    """The documented run configuration loads, and lists every field."""
+    text = (Path(__file__).resolve().parents[1] / "FORMATS.md").read_text(encoding="utf-8")
+    section = text.split("## Run configuration (YAML)", 1)[1]
+    path = tmp_path / "run.yaml"
+    path.write_text(section.split("```yaml\n", 1)[1].split("```", 1)[0], encoding="utf-8")
+    config = dataio.load_config(path)
+    model_config_from_dict(config["model"])
+    train_config_from_dict(config["train"])
+    weights_from_dict(config["loss"])
+    split_from_dict(config["split"], 240)
+    for name, cls in (("model", ModelConfig), ("train", TrainConfig), ("loss", LossWeights)):
+        assert set(config[name]) == {f.name for f in fields(cls)}, name
+
+
 # ---------------------------------------------------------------------------
 # table codec
 
@@ -531,17 +552,19 @@ def test_writers_match_per_row_reference(tmp_path):
     def fmt(value):
         return repr(float(value))
 
-    def rows(cells):
-        return [f"{t},{ids[k]}," + cells(t, k) for t in range(3) for k in range(3)]
+    def rows(cells, node_ids=range(3)):
+        return [f"{t},{node_ids[k]}," + cells(t, k) for t in range(3) for k in range(3)]
 
     head = dataio.version_line
     cases = [
-        (lambda p: dataio.write_values(p, vals, "pm25", node_ids=ids, kind="truth"),
-         [head("truth"), "time,node_id,pm25"] + rows(lambda t, k: fmt(vals[t, k]))),
-        (lambda p: dataio.write_wind(p, wind, node_ids=ids),
+        (lambda p: dataio.write_values(p, vals, "pm25", node_ids=ids),
+         [head("pm25"), "time,node_id,pm25"] + rows(lambda t, k: fmt(vals[t, k]), ids)),
+        (lambda p: dataio.write_values(p, vals, "emission"),
+         [head("emission"), "time,node_id,emission"] + rows(lambda t, k: fmt(vals[t, k]))),
+        (lambda p: dataio.write_wind(p, wind),
          [head("wind"), "time,node_id,u_ms,v_ms"]
          + rows(lambda t, k: f"{fmt(wind[t, k, 0])},{fmt(wind[t, k, 1])}")),
-        (lambda p: dataio.write_aod(p, vals, valid, node_ids=ids),
+        (lambda p: dataio.write_aod(p, vals, valid),
          [head("aod"), "time,node_id,aod,valid"]
          + rows(lambda t, k: f"{fmt(vals[t, k])},{int(valid[t, k])}")),
         (lambda p: dataio.write_grid_inputs(p, wind, vals),

@@ -23,13 +23,10 @@ class TestNodeSet:
         with pytest.raises(g.GraphBuildError):
             g.NodeSet(np.array([[0.0, 0.0], [np.nan, 1.0]]))
 
-    def test_rejects_sparse_ids(self):
-        with pytest.raises(g.GraphBuildError):
-            g.NodeSet(np.zeros((2, 2)), node_ids=np.array([0, 2]))
-
     def test_default_ids_dense(self):
+        # node identity is positional: node k is row k, so ids are 0..N-1
         ns = g.NodeSet(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
-        np.testing.assert_array_equal(ns.node_ids, [0, 1, 2])
+        np.testing.assert_array_equal(ns.positions[:, 0], [0.0, 1.0, 2.0])
         assert ns.n == 3
 
 
@@ -115,7 +112,7 @@ class TestDiffusionOperator:
         assert diff[1, 0] == pytest.approx(1.0)
 
     def test_empty_adjacency_gives_zero_matrix(self):
-        geo = g.GeoAdjacency(weights=sp.csr_matrix((3, 3)), threshold_xi=1.0, sigma_sq=1.0)
+        geo = g.GeoAdjacency(weights=sp.csr_matrix((3, 3)), sigma_sq=1.0)
         diff = g.build_diffusion_operator(geo).weights
         assert diff.nnz == 0 and diff.shape == (3, 3)
 
@@ -124,7 +121,7 @@ class TestDiffusionOperator:
         w = np.zeros((4, 4))
         w[0, 1:] = 1.0
         w[1:, 0] = 1.0
-        geo = g.GeoAdjacency(weights=sp.csr_matrix(w), threshold_xi=10.0, sigma_sq=1.0)
+        geo = g.GeoAdjacency(weights=sp.csr_matrix(w), sigma_sq=1.0)
         diff = g.build_diffusion_operator(geo).weights.toarray()
         expected = 1.0 / math.sqrt(3.0 * 1.0)
         for leaf in (1, 2, 3):
@@ -135,7 +132,7 @@ class TestDiffusionOperator:
         # node 2 isolated inside a connected component's matrix
         w = np.zeros((3, 3))
         w[0, 1] = w[1, 0] = 0.5
-        geo = g.GeoAdjacency(weights=sp.csr_matrix(w), threshold_xi=10.0, sigma_sq=1.0)
+        geo = g.GeoAdjacency(weights=sp.csr_matrix(w), sigma_sq=1.0)
         diff = g.build_diffusion_operator(geo).weights.toarray()
         assert np.all(diff[2, :] == 0.0) and np.all(diff[:, 2] == 0.0)
 

@@ -339,7 +339,7 @@ class TestEdgeSets:
         w = np.zeros((4, 4))
         w[0, 1] = w[1, 0] = 0.5
         w[2, 3] = w[3, 2] = 0.25
-        geo = GeoAdjacency(weights=sp.csr_matrix(w), threshold_xi=1.0, sigma_sq=1.0)
+        geo = GeoAdjacency(weights=sp.csr_matrix(w), sigma_sq=1.0)
         edges = ls.edges_from_adjacency(geo)
         assert sorted(map(tuple, edges)) == [(0, 1), (2, 3)]
 

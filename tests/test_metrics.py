@@ -1,4 +1,4 @@
-"""Metric definitions, masking and degenerate-input errors."""
+"""Metric definitions and degenerate-input errors."""
 
 import numpy as np
 import pytest
@@ -32,15 +32,10 @@ class TestScalars:
         # SS_res = 10, SS_tot = 8
         assert m.r2(pred, truth) == pytest.approx(1.0 - 10.0 / 8.0)
 
-    def test_mask_restricts_elements(self):
-        truth = np.array([1.0, 2.0, 100.0])
-        pred = np.array([2.0, 3.0, 0.0])
-        mask = np.array([True, True, False])
-        assert m.mae(pred, truth, mask) == 1.0
-
-    def test_empty_mask_errors(self):
-        with pytest.raises(m.MetricError):
-            m.mae(np.ones(3), np.ones(3), np.zeros(3, dtype=bool))
+    def test_empty_input_errors(self):
+        for metric in (m.mae, m.rmse, m.r2, m.score_pooled):
+            with pytest.raises(m.MetricError):
+                metric(np.ones(0), np.ones(0))
 
     def test_zero_variance_truth_errors_not_nan(self):
         with pytest.raises(m.MetricError):
@@ -78,12 +73,6 @@ class TestPerNode:
         # node 1 truth is constant: r2 undefined, reported as None
         assert scores[0].r2 is not None and scores[1].r2 is None
 
-    def test_fully_masked_node_skipped(self):
-        truth = np.arange(6.0).reshape(3, 2)
-        mask = np.array([[True, False]] * 3)
-        scores = m.score_per_node(truth, truth, mask)
-        assert [s.node_id for s in scores] == [0]
-
     def test_pooled_matches_flat_metrics(self):
         rng = np.random.default_rng(2)
         pred = rng.normal(size=(4, 3))
@@ -94,6 +83,21 @@ class TestPerNode:
         assert pooled.rmse == pytest.approx(m.rmse(pred, truth))
         assert pooled.r2 == pytest.approx(m.r2(pred.ravel(), truth.ravel()))
 
-    def test_all_masked_errors(self):
+    def test_scores_do_not_depend_on_memory_layout(self):
+        # bitwise: eval scores column-gathered (non-contiguous) truth arrays
+        rng = np.random.default_rng(0)
+        pred = rng.lognormal(size=(40, 12)) * 40.0
+        truth = rng.lognormal(size=(40, 12)) * 40.0
+        gathered = np.concatenate([truth, truth], axis=1)[:, list(range(12))]
+        assert not gathered.flags.c_contiguous
+        assert m.score_pooled(pred, gathered) == m.score_pooled(pred, truth)
+        assert m.score_per_node(pred, gathered) == m.score_per_node(pred, truth)
+
+    def test_per_node_empty_input_errors(self):
+        for shape in ((0, 2), (2, 0)):
+            with pytest.raises(m.MetricError):
+                m.score_per_node(np.ones(shape), np.ones(shape))
+
+    def test_per_node_rejects_non_matrix(self):
         with pytest.raises(m.MetricError):
-            m.score_per_node(np.ones((2, 2)), np.ones((2, 2)), np.zeros((2, 2), dtype=bool))
+            m.score_per_node(np.ones(3), np.ones(3))

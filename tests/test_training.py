@@ -1,5 +1,8 @@
 """Partitioning, splits, standardization, and training-loop contracts."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,8 @@ from pgkrig.graphs import NodeSet, build_diffusion_operator, build_geo_adjacency
     advection_sequence
 from pgkrig.losses import LossWeights
 from pgkrig.network import KrigingModel, ModelConfig, make_node_series
-from pgkrig.testbed import AodSpec, EmissionSource, ScenarioSpec, run_scenario
+from pgkrig.testbed import AodSpec, EmissionSource, ScenarioSpec, run_scenario, \
+    scenario_preset
 
 
 def toy_run(t_hours=60, stations=16, seed=5, cloud_fraction=0.2):
@@ -91,6 +95,29 @@ def test_partition_ratio_empties_a_side():
     rng = np.random.default_rng(0)
     with pytest.raises(tr.ConfigError, match="empties"):
         tr.sample_partition(np.arange(10), 0.05, rng)
+
+
+class _LowestDraw:
+    """Stands in for a Generator whose jitter draw lands on its lower end."""
+
+    def uniform(self, low, high):
+        return low
+
+
+def test_jittered_ratio_lower_clip_keeps_one_target():
+    # a draw below 1/n is clipped; n * (1/n) rounds below 1 for some n
+    rng = np.random.default_rng(0)
+    for n in range(2, 10_001):
+        ratio = tr.jittered_ratio(0.3, 0.49, n, _LowestDraw())
+        assert math.floor(n * ratio) == 1, n  # sample_partition's target count
+        if n <= 500:
+            assert tr.sample_partition(np.arange(n), ratio, rng).target.size == 1, n
+
+
+def test_jittered_ratio_stays_in_band():
+    rng = np.random.default_rng(0)
+    ratios = [tr.jittered_ratio(0.5, 0.2, 20, rng) for _ in range(200)]
+    assert 0.3 <= min(ratios) and max(ratios) <= 0.7
 
 
 def test_partition_needs_two_nodes():
@@ -179,7 +206,6 @@ def test_dataset_subset_realigns_columns():
     assert sub.n == 3
     assert np.array_equal(sub.pm25, dataset.pm25[:, idx])
     assert np.array_equal(sub.nodes.positions, dataset.nodes.positions[idx])
-    assert np.array_equal(sub.nodes.node_ids, np.arange(3))
 
 
 def test_dataset_rejects_mismatched_aod():
@@ -342,6 +368,24 @@ def test_train_aborts_on_numeric_blowup():
         with pytest.raises(tr.TrainError, match=r"epoch 0, batch \d"):
             tr.train(dataset, small_model_config(), config,
                      tr.split_from_fractions(60), threshold_km=10.0)
+
+
+def test_train_survives_clipped_mask_jitter():
+    # 49 training stations: at seed 3, batch 42 draws a ratio below 1/49,
+    # which once clipped to exactly 1/49 and so masked no station at all
+    spec = replace(scenario_preset("aod-ideal"), station_count=70, t_hours=60)
+    dataset = tr.dataset_from_scenario(run_scenario(spec))
+    config = fast_config(epochs=1, batches_per_epoch=44, mask_ratio=0.3,
+                         mask_jitter=0.29, seed=3)
+    result = tr.train(dataset, small_model_config(), config,
+                      tr.split_from_fractions(60), threshold_km=6.0)
+    assert result.train_ids.size == 49 and len(result.log) == 1
+
+
+def test_train_config_rejects_adam_constants():
+    for key in ("beta1", "beta2", "eps"):
+        with pytest.raises(tr.ConfigError, match=key):
+            tr.train_config_from_dict({key: 0.5})
 
 
 def test_train_rejects_window_below_receptive_field():
