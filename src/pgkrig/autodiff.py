@@ -376,23 +376,6 @@ def take(x, key) -> Tensor:
     return _make(data, "take", (x,), backward)
 
 
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    items = [as_tensor(t) for t in tensors]
-    first = items[0].shape
-    for t in items[1:]:
-        if t.shape != first:
-            raise ShapeError(f"stack: shapes {first} and {t.shape} differ")
-    data = np.stack([t.data for t in items], axis=axis)
-
-    def backward(g: np.ndarray) -> None:
-        pieces = np.split(g, len(items), axis=axis)
-        for t, piece in zip(items, pieces):
-            if t.requires_grad:
-                t._accumulate(piece.reshape(t.shape))
-
-    return _make(data, "stack", tuple(items), backward)
-
-
 # -- linear algebra ----------------------------------------------------
 
 
@@ -431,57 +414,77 @@ def sparse_matmul(matrix: sp.spmatrix, x) -> Tensor:
     return _make(data, "sparse_matmul", (x,), backward)
 
 
+def _swap_hours(state: np.ndarray) -> np.ndarray:
+    """View an (N, T, F) node-major array as (T, N, F) time-major, or back."""
+    return state.transpose(1, 0, 2)
+
+
 def propagate(x, diffusion, advection, weights: tuple, bias, activation: str) -> Tensor:
-    """One message-passing layer on (N, F) node features, as one tape node.
+    """One message-passing layer on (N, T, F) node-major features, as one tape node.
 
-    ``weights`` is (W,) for act((D x + A x) W + b) or (W_d, W_a) for
-    act(D x W_d + A x W_a + b).  D and A are constant operators with CSR
-    ``weights`` and ``transpose``; only backward reads the transpose.
+    ``weights`` is (W,) for act((D x_t + A_t x_t) W + b) or (W_d, W_a) for
+    act(D x_t W_d + A_t x_t W_a + b), at every hour t.  D is a constant
+    N x N operator; A is the window's advection operator, whose ``weights``
+    map the node-major (N*T, F) state to time-major (T*N, F) messages.  Both
+    supply ``transpose``, which only backward reads.
 
-    Values and gradients are bitwise those of the composition sparse_matmul,
-    add, matmul, add, relu/softplus: the same numpy calls run in the same
-    order, each intermediate is checked under its op's name, and backward
-    accumulates in the composition's order.  (A finite input has a finite
-    activation, so this node's own check stands in for the activation's.)
+    Values and gradients are bitwise those of the per-hour composition
+    sparse_matmul, add, matmul, add, relu/softplus run hour after hour:
+    - each sparse product sums the same terms in the same order;
+    - every dense product is an ``np.matmul`` over the hour axis, so BLAS
+      sees the per-hour (N, F) shapes (one (N*T, F) product rounds
+      differently for some N);
+    - the input adjoint is accumulated once, as D^T g + A^T g;
+    - the weight and bias adjoints add up the hours in hour order.
+    Each intermediate is checked under its op's name.  (A finite input has
+    a finite activation, so this node's own check stands in for the
+    activation's.)
     """
     x, bias = as_tensor(x), as_tensor(bias)
-    diff_msg = _check_finite(diffusion.weights @ x.data, "sparse_matmul")
-    adv_msg = _check_finite(advection.weights @ x.data, "sparse_matmul")
-    w_diff, w_adv = weights if len(weights) == 2 else (weights[0], None)
-    if w_adv is not None:
-        mixed = _check_finite(_check_finite(diff_msg @ w_diff.data, "matmul")
-                              + _check_finite(adv_msg @ w_adv.data, "matmul"), "add")
+    n, t, f = x.shape
+    diff_msg = _check_finite(diffusion.weights @ x.data.reshape(n, t * f),
+                             "sparse_matmul").reshape(n, t, f)
+    adv_msg = _check_finite(advection.weights @ x.data.reshape(n * t, f),
+                            "sparse_matmul").reshape(t, n, f)
+    if len(weights) == 2:
+        w_diff, w_adv = weights
+        hourly = (_swap_hours(diff_msg), adv_msg)  # (T, N, F) messages
     else:
-        summed = _check_finite(diff_msg + adv_msg, "add")
-        mixed = _check_finite(summed @ w_diff.data, "matmul")
-    pre = _check_finite(mixed + bias.data, "add")
-    data = np.maximum(pre, 0.0) if activation == "relu" else np.logaddexp(0.0, pre)
+        (w_diff,), w_adv = weights, None
+        diff_msg += _swap_hours(adv_msg)
+        del adv_msg
+        hourly = (_swap_hours(_check_finite(diff_msg, "add")),)
+    pre = np.empty((n, t, f))
+    _check_finite(np.matmul(hourly[0], w_diff.data, out=_swap_hours(pre)), "matmul")
+    if w_adv is not None:
+        pre += _swap_hours(_check_finite(np.matmul(hourly[1], w_adv.data), "matmul"))
+        _check_finite(pre, "add")
+    pre += bias.data
+    _check_finite(pre, "add")
+    if activation == "relu":
+        active = pre > 0.0
+        data = np.maximum(pre, 0.0, out=pre)
+    else:
+        data = np.logaddexp(0.0, pre)
 
     def backward(g: np.ndarray) -> None:
         if activation == "relu":
-            g_pre = g * (pre > 0.0)
+            g_pre = g * active
         else:
             g_pre = g / (1.0 + np.exp(-pre))
+        g_hours = _swap_hours(g_pre)
         if bias.requires_grad:
-            bias._accumulate(_unbroadcast(g_pre, bias.shape))
-        if w_adv is not None:
-            # the composition ran matmul(D x, W_d) and its sparse product
-            # before matmul(A x, W_a) and its sparse product
-            if w_diff.requires_grad:
-                w_diff._accumulate(diff_msg.T @ g_pre)
-            if x.requires_grad:
-                x._accumulate(diffusion.transpose @ (g_pre @ w_diff.data.T))
-            if w_adv.requires_grad:
-                w_adv._accumulate(adv_msg.T @ g_pre)
-            if x.requires_grad:
-                x._accumulate(advection.transpose @ (g_pre @ w_adv.data.T))
+            bias._accumulate(g_pre.sum(axis=0).sum(axis=0))
+        for w, msg in zip(weights, hourly):
+            if w.requires_grad:
+                w._accumulate(np.matmul(msg.transpose(0, 2, 1), g_hours).sum(axis=0))
+        if not x.requires_grad:
             return
-        if w_diff.requires_grad:
-            w_diff._accumulate(summed.T @ g_pre)
-        if x.requires_grad:
-            g_summed = g_pre @ w_diff.data.T
-            x._accumulate(diffusion.transpose @ g_summed)
-            x._accumulate(advection.transpose @ g_summed)
+        g_diff = np.matmul(g_hours, w_diff.data.T)  # time-major
+        g_adv = g_diff if w_adv is None else np.matmul(g_hours, w_adv.data.T)
+        g_x = diffusion.transpose @ np.ascontiguousarray(_swap_hours(g_diff)).reshape(n, t * f)
+        g_x += (advection.transpose @ g_adv.reshape(t * n, f)).reshape(n, t * f)
+        x._accumulate(g_x.reshape(n, t, f))
 
     return _make(data, "propagate", (x, *weights, bias), backward)
 

@@ -29,7 +29,7 @@ from .rendering import RenderError, field_frame, render_pgm
 from .testbed import (PRESET_NAMES, ScenarioError, run_scenario,
                       scenario_from_dict, scenario_preset)
 from .training import (ConfigError, Normalization, StationDataset, TrainError,
-                       infer_grid, infer_stations, model_config_from_dict,
+                       config_value, infer_grid, infer_stations, model_config_from_dict,
                        split_from_dict, train, train_config_from_dict,
                        weights_from_dict)
 
@@ -151,7 +151,8 @@ def _train_inputs(args):
     train_cfg = train_config_from_dict(cfg.get("train", {}))
     weights = weights_from_dict(cfg.get("loss", {}))
     graph_cfg = dict(cfg.get("graph", {}))
-    threshold = float(graph_cfg.pop("threshold_km", DEFAULT_THRESHOLD_KM))
+    threshold = float(config_value("graph", "threshold_km",
+                                   graph_cfg.pop("threshold_km", DEFAULT_THRESHOLD_KM), float))
     if graph_cfg:
         raise ConfigError(f"unknown keys in graph section: {sorted(graph_cfg)}")
     split = split_from_dict(cfg.get("split", {}), dataset.t_hours)

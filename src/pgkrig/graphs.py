@@ -6,12 +6,13 @@ Three operators drive the propagation model:
   distance,
 * its symmetrically normalized diffusion form, and
 * a wind-driven advection operator giving each directed edge the upwind
-  transport rate in 1/hour.
+  transport rate in 1/hour at every hour of a window, on one sparsity
+  pattern shared by all hours.
 
 All builders are pure functions of their inputs and the returned
 structures are never mutated, so they are safe to share across threads.
-(An advection operator caches its transpose on first use; every thread
-builds the same one.)
+(An advection operator builds its block matrix and transpose on first
+use; every thread builds the same ones.)
 """
 
 from __future__ import annotations
@@ -98,16 +99,41 @@ class DiffusionOperator:
 
 @dataclass(frozen=True)
 class AdvectionOperator:
-    """Directed upwind-transport rates for one timestep, in 1/hour.
+    """Directed upwind-transport rates over a window of T hours, in 1/hour.
 
-    Entry (i, j) is the rate at which node j's air mass is blown toward
-    node i; it is positive only when j sits upwind of i.
+    ``indices`` and ``indptr`` are one N x N CSR pattern shared by every
+    hour, and ``rates[t, k]`` is stored entry k's rate at hour t.  Entry
+    (i, j) is the rate at which node j's air mass is blown toward node i;
+    it is positive only when j sits upwind of i.
 
-    ``transpose`` is a CSC view of ``weights``, made on its first use,
-    which only backward makes.
+    ``weights`` applies every hour at once: an (N*T x N*T) CSR matrix whose
+    column j*T + t is node j at hour t (the node-major state) and whose row
+    t*N + i is the message to node i at hour t (time-major).  Its data is a
+    view of ``rates``.  At T = 1 it is the plain N x N operator.
+    ``transpose`` is its CSC view; only backward uses it.
     """
 
-    weights: sp.csr_matrix
+    rates: np.ndarray  # (T, E)
+    indices: np.ndarray  # (E,) column of each stored entry
+    indptr: np.ndarray  # (N + 1,)
+
+    def __len__(self) -> int:
+        return self.rates.shape[0]
+
+    def window(self, lo: int, hi: int) -> "AdvectionOperator":
+        """The same operator over hours [lo, hi)."""
+        return AdvectionOperator(self.rates[lo:hi], self.indices, self.indptr)
+
+    @cached_property
+    def weights(self) -> sp.csr_matrix:
+        t, e = self.rates.shape
+        size = (self.indptr.size - 1) * t
+        hours = np.arange(t)[:, None]
+        # int32 column indices where they fit, as scipy would store them
+        cols = self.indices.astype(np.int32 if size <= np.iinfo(np.int32).max else np.int64)
+        indices = (cols * t + hours.astype(cols.dtype)).ravel()
+        indptr = np.concatenate([[0], (self.indptr[1:] + e * hours).ravel()])
+        return sp.csr_matrix((self.rates.reshape(-1), indices, indptr), shape=(size, size))
 
     @cached_property
     def transpose(self) -> sp.csc_matrix:
@@ -228,18 +254,17 @@ def build_advection_operator(nodes: NodeSet, wind: np.ndarray,
     wind = np.asarray(wind, dtype=np.float64)
     if wind.shape != (nodes.n, 2):
         raise GraphBuildError(f"wind must be ({nodes.n}, 2), got {wind.shape}")
-    return advection_sequence(nodes, wind[None], threshold_xi)[0]
+    return advection_sequence(nodes, wind[None], threshold_xi)
 
 
 def advection_sequence(nodes: NodeSet, wind_series: np.ndarray,
-                       threshold_xi: float = DEFAULT_THRESHOLD_KM) -> list[AdvectionOperator]:
-    """One advection operator per timestep of a (T, N, 2) wind series.
+                       threshold_xi: float = DEFAULT_THRESHOLD_KM) -> AdvectionOperator:
+    """The advection operator over every hour of a (T, N, 2) wind series.
 
-    The pair geometry is computed once and the (T, E) edge weights in one
-    array pass. Every step's CSR matrix shares one ``indices``/``indptr``
-    pair: ``np.nonzero`` yields the pairs row-major, so they are already
-    in CSR order, and weights the ReLU clips to 0 stay stored, so each
-    step has the same sparsity structure.
+    The pair geometry is computed once and the (T, E) rates in one array
+    pass.  ``np.nonzero`` yields the pairs row-major, so they are already
+    in CSR order, and rates the ReLU clips to 0 stay stored, so every hour
+    has the same sparsity pattern.
     """
     wind_series = np.asarray(wind_series, dtype=np.float64)
     if wind_series.ndim != 3 or wind_series.shape[0] < 1:
@@ -257,10 +282,7 @@ def advection_sequence(nodes: NodeSet, wind_series: np.ndarray,
     wind_mid += wind_series[:, cols]
     wind_mid *= 0.5
     wind_mid *= geom
-    weights = _MS_PER_KM_TO_PER_HOUR * np.maximum(wind_mid.sum(axis=2), 0.0)  # (T, E)
-    shape = (nodes.n, nodes.n)
+    # C order, so that a window's rows are the data of its ``weights``
+    rates = np.ascontiguousarray(_MS_PER_KM_TO_PER_HOUR * np.maximum(wind_mid.sum(axis=2), 0.0))
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nodes.n))])
-    first = sp.csr_matrix((weights[0], cols, indptr), shape=shape)
-    return [AdvectionOperator(weights=first)] + [
-        AdvectionOperator(weights=sp.csr_matrix((w, first.indices, first.indptr), shape=shape))
-        for w in weights[1:]]
+    return AdvectionOperator(rates=rates, indices=cols, indptr=indptr)

@@ -3,8 +3,9 @@
 Every parameter is shared across nodes, so a trained model runs on any
 node count: the graph structure enters only through the diffusion and
 advection operators supplied at call time.  Temporal mixing happens only
-in the causal encoder; the propagation stack acts timestep by timestep
-with that timestep's advection operator.
+in the causal encoder; each propagation layer is one step over the whole
+node-major (N, T, hidden) state, with hour t's advection rates acting
+only on hour t.
 """
 
 from __future__ import annotations
@@ -237,12 +238,12 @@ class KrigingModel:
 
     def propagate(self, h: ad.Tensor, diffusion: DiffusionOperator,
                   advection: AdvectionOperator, layer: int) -> ad.Tensor:
-        """One message-passing layer on a single timestep's (N, hidden) state."""
-        n = h.shape[0]
-        if diffusion.weights.shape != (n, n) or advection.weights.shape != (n, n):
+        """One message-passing layer on the (N, T, hidden) state, every hour at once."""
+        n, t, _ = h.shape
+        if diffusion.weights.shape != (n, n) or advection.weights.shape != (n * t, n * t):
             raise ModelError(
                 f"operator shapes {diffusion.weights.shape}/{advection.weights.shape} "
-                f"do not match {n} nodes")
+                f"do not match {n} nodes over {t} hours")
         if self.config.two_weight_propagation:
             weights = (self.params[f"prop.{layer}.weight_diff"],
                        self.params[f"prop.{layer}.weight_adv"])
@@ -270,13 +271,13 @@ class KrigingModel:
         return self._mlp(h0, "init_readout")
 
     def full_forward(self, series: NodeSeries, diffusion: DiffusionOperator,
-                     advection: list[AdvectionOperator]) -> tuple[ad.Tensor, ad.Tensor]:
+                     advection: AdvectionOperator) -> tuple[ad.Tensor, ad.Tensor]:
         """Run the whole network: returns (initial estimate, refined estimate).
 
         Args:
             series: (N, T, C) inputs.
             diffusion: static diffusion operator over the N nodes.
-            advection: one operator per timestep, length T.
+            advection: the advection operator over the same T hours.
 
         Returns:
             Two (N, T) tensors: the encoder-only initial estimate and the
@@ -284,15 +285,11 @@ class KrigingModel:
         """
         if len(advection) != series.t:
             raise ModelError(
-                f"{len(advection)} advection operators for {series.t} timesteps")
-        h0 = self.encode(series)
-        x_init = self.init_readout(h0)
-        steps = []
-        for t in range(series.t):
-            h = h0[:, t, :]
-            for layer in range(self.config.gnn_layers):
-                h = self.propagate(h, diffusion, advection[t], layer)
-            steps.append(h)
-        h_final = ad.stack(steps, axis=1)  # (N, T, hidden)
-        x_hat = self.readout(h_final)
-        return x_init, x_hat
+                f"advection operator over {len(advection)} hours for {series.t} timesteps")
+        # no name keeps the encoder output past layer 0, so a forward-only
+        # pass can free it
+        h = self.encode(series)
+        x_init = self.init_readout(h)
+        for layer in range(self.config.gnn_layers):
+            h = self.propagate(h, diffusion, advection, layer)
+        return x_init, self.readout(h)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import get_type_hints
 
 import numpy as np
 
@@ -333,7 +334,23 @@ class TrainConfig:
             raise ConfigError(f"val_partitions {self.val_partitions} must be >= 1")
 
 
+def config_value(section: str, key: str, value, kind: type):
+    """`value` if it has the config type `kind`, else a ConfigError naming `key`.
+
+    An int takes an int but not a bool, a bool takes only a bool, and a
+    float takes an int or a float.
+    """
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigError(f"section {section!r}: {key} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def _from_mapping(cls, data: dict, section: str):
+    kinds = get_type_hints(cls)
+    for key, value in data.items():
+        if key in kinds:
+            config_value(section, key, value, kinds[key])
     try:
         return cls(**data)
     except TypeError as exc:
@@ -359,8 +376,12 @@ def split_from_dict(data: dict, t_hours: int) -> SplitSpec:
     `train_fraction/val_fraction` carve the series chronologically.
     """
     data = dict(data)
-    holdout = float(data.pop("holdout_fraction", 0.3))
-    seed = int(data.pop("seed", 0))
+
+    def pop(key: str, default, kind: type):
+        return config_value("split", key, data.pop(key, default), kind)
+
+    holdout = float(pop("holdout_fraction", 0.3, float))
+    seed = pop("seed", 0, int)
     explicit = {"train_hours", "val_hours", "test_hours"} & set(data)
     if explicit:
         if explicit != {"train_hours", "val_hours", "test_hours"}:
@@ -377,8 +398,8 @@ def split_from_dict(data: dict, t_hours: int) -> SplitSpec:
         return SplitSpec(train_range=ranges["train_hours"], val_range=ranges["val_hours"],
                          test_range=ranges["test_hours"], holdout_fraction=holdout,
                          seed=seed)
-    train_fraction = float(data.pop("train_fraction", 0.7))
-    val_fraction = float(data.pop("val_fraction", 0.15))
+    train_fraction = float(pop("train_fraction", 0.7, float))
+    val_fraction = float(pop("val_fraction", 0.15, float))
     if data:
         raise ConfigError(f"unknown split keys {sorted(data)}")
     return split_from_fractions(t_hours, train_fraction, val_fraction,
@@ -423,19 +444,19 @@ class Graph:
     """The operators of one node set: what every kriging forward runs on."""
 
     diffusion: DiffusionOperator
-    advection: tuple[AdvectionOperator, ...]  # one per hour
+    advection: AdvectionOperator  # over every hour
     edges: np.ndarray  # (E, 2) undirected adjacency pairs, i < j
 
     def window(self, lo: int, hi: int) -> "Graph":
         """The same graph over hours [lo, hi); only advection depends on time."""
-        return Graph(self.diffusion, self.advection[lo:hi], self.edges)
+        return Graph(self.diffusion, self.advection.window(lo, hi), self.edges)
 
 
 def prepare_graph(nodes: NodeSet, wind: np.ndarray, threshold_km: float) -> Graph:
     """Build the operators for `nodes` under a (T, N, 2) wind series."""
     geo = build_geo_adjacency(nodes, threshold_km)
     return Graph(diffusion=build_diffusion_operator(geo),
-                 advection=tuple(advection_sequence(nodes, wind, threshold_km)),
+                 advection=advection_sequence(nodes, wind, threshold_km),
                  edges=edges_from_adjacency(geo))
 
 

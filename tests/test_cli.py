@@ -1,6 +1,7 @@
 """End-to-end command tests: pipeline wiring, exit codes, determinism."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -195,6 +196,27 @@ def test_train_unknown_graph_key_is_data_error(pipeline, tmp_path, capsys):
     assert run_cli("train", "--config", cfg, "--data", data,
                    "--out", tmp_path / "x.ckpt") == 2
     assert "wormholes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("split", "seed", "abc"), ("split", "holdout_fraction", "abc"),
+    ("split", "train_fraction", "abc"), ("graph", "threshold_km", "abc"),
+    ("model", "hidden_dim", 2.5), ("model", "tcn_layers", 2.0),
+    ("train", "epochs", 1.5), ("train", "window", 24.5), ("train", "val_partitions", 1.5),
+    ("train", "seed", 1.5), ("split", "seed", 1.5), ("train", "epochs", True),
+    ("model", "two_weight_propagation", 3),
+])
+def test_train_mistyped_config_value_is_data_error(pipeline, tmp_path, capsys,
+                                                   section, key, value):
+    _, _, _, data, _ = pipeline
+    config = {"train": {"epochs": 1, "window": 12}}
+    config.setdefault(section, {})[key] = value
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(json.dumps(config), encoding="utf-8")  # JSON is YAML
+    assert run_cli("train", "--config", cfg, "--data", data,
+                   "--out", tmp_path / "x.ckpt") == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
 
 
 def test_train_without_data_dir_or_env_is_usage_error(pipeline, monkeypatch):

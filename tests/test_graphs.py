@@ -210,16 +210,16 @@ class TestAdvectionSequence:
     def test_constant_wind_identical_operators(self):
         ns = g.NodeSet(np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]]))
         series = np.tile(np.array([[1.0, 2.0]]), (5, 3, 1))
-        ops = g.advection_sequence(ns, series, threshold_xi=10.0)
-        assert len(ops) == 5
-        first = ops[0].weights.toarray()
-        for op in ops[1:]:
-            np.testing.assert_array_equal(op.weights.toarray(), first)
+        op = g.advection_sequence(ns, series, threshold_xi=10.0)
+        assert len(op) == 5
+        first = op.window(0, 1).weights.toarray()
+        for step in range(1, 5):
+            np.testing.assert_array_equal(op.window(step, step + 1).weights.toarray(), first)
 
     def test_zero_wind_all_zero(self):
         ns = g.NodeSet(np.array([[0.0, 0.0], [3.0, 0.0]]))
-        ops = g.advection_sequence(ns, np.zeros((4, 2, 2)), threshold_xi=10.0)
-        assert all(op.weights.nnz == 0 or np.all(op.weights.data == 0.0) for op in ops)
+        op = g.advection_sequence(ns, np.zeros((4, 2, 2)), threshold_xi=10.0)
+        assert len(op) == 4 and np.all(op.rates == 0.0) and np.all(op.weights.data == 0.0)
 
     def test_reversing_wind_transposes(self):
         rng = np.random.default_rng(5)
@@ -228,21 +228,21 @@ class TestAdvectionSequence:
         base = rng.normal(0.0, 2.0, size=(t // 2, 1, 2))
         series = np.concatenate([base, -base[::-1]], axis=0)
         series = np.broadcast_to(series, (t, ns.n, 2))
-        ops = g.advection_sequence(ns, series, threshold_xi=80.0)
+        op = g.advection_sequence(ns, series, threshold_xi=80.0)
         for step in range(t):
-            a = ops[step].weights.toarray()
-            b = ops[t - 1 - step].weights.toarray()
+            a = op.window(step, step + 1).weights.toarray()
+            b = op.window(t - 1 - step, t - step).weights.toarray()
             np.testing.assert_allclose(a, b.T, atol=1e-12)
 
     def test_matches_single_step_builder(self):
         rng = np.random.default_rng(6)
         ns = random_nodeset(rng, n=5)
         series = rng.normal(0.0, 3.0, size=(3, 5, 2))
-        ops = g.advection_sequence(ns, series, threshold_xi=70.0)
+        op = g.advection_sequence(ns, series, threshold_xi=70.0)
         for step in range(3):
             single = g.build_advection_operator(ns, series[step], threshold_xi=70.0)
             np.testing.assert_array_equal(
-                ops[step].weights.toarray(), single.weights.toarray())
+                op.window(step, step + 1).weights.toarray(), single.weights.toarray())
 
     def test_spatially_varying_wind_uses_edge_midpoints(self):
         # every testbed preset blows uniform wind, so only this test gives
@@ -253,6 +253,7 @@ class TestAdvectionSequence:
         wind = rng.normal(0.0, 3.0, size=(t, ns.n, 2))
         ops = g.advection_sequence(ns, wind, threshold_xi=xi)
         assert len(ops) == t
+        ops = [ops.window(step, step + 1) for step in range(t)]
 
         pos = ns.positions
         offset = pos[:, None, :] - pos[None, :, :]  # p_i - p_j
@@ -309,7 +310,30 @@ def test_supplied_transposes_are_the_transposes_bitwise():
         assert diffusion.weights.has_sorted_indices
         assert _csr_bytes(diffusion.transpose) == _csr_bytes(diffusion.weights.T.tocsr())
         assert (diffusion.transpose @ x).tobytes() == (diffusion.weights.T @ x).tobytes()
-        ops = g.advection_sequence(ns, rng.normal(0.0, 3.0, size=(4, ns.n, 2)), xi)
-        for op in ops:
-            assert _csr_bytes(op.transpose.tocsr()) == _csr_bytes(op.weights.T.tocsr())
-            assert (op.transpose @ x).tobytes() == (op.weights.T @ x).tobytes()
+        op = g.advection_sequence(ns, rng.normal(0.0, 3.0, size=(4, ns.n, 2)), xi)
+        assert _csr_bytes(op.transpose.tocsr()) == _csr_bytes(op.weights.T.tocsr())
+        y = rng.normal(size=(4 * ns.n, 3))
+        assert (op.transpose @ y).tobytes() == (op.weights.T @ y).tobytes()
+
+
+def test_window_operator_places_each_hour_in_its_block():
+    # row t*N + i is the message to node i at hour t; column j*T + t is
+    # node j at hour t; so hour t's N x N operator sits on hour t alone
+    rng = np.random.default_rng(22)
+    ns = random_nodeset(rng, n=7)
+    t = 5
+    op = g.advection_sequence(ns, rng.normal(0.0, 3.0, size=(t, ns.n, 2)), 80.0)
+    assert np.shares_memory(op.weights.data, op.rates)
+    expected = np.zeros((ns.n * t, ns.n * t))
+    for hour in range(t):
+        expected[hour * ns.n:(hour + 1) * ns.n, hour::t] = (
+            op.window(hour, hour + 1).weights.toarray())
+    np.testing.assert_array_equal(op.weights.toarray(), expected)
+
+    x = rng.normal(size=(ns.n, t, 3))
+    messages = (op.weights @ x.reshape(ns.n * t, 3)).reshape(t, ns.n, 3)
+    for hour in range(t):
+        single = op.window(hour, hour + 1).weights @ np.ascontiguousarray(x[:, hour, :])
+        assert messages[hour].tobytes() == single.tobytes()
+    late = op.window(2, 5)
+    assert len(late) == 3 and late.window(1, 2).rates.tobytes() == op.rates[3:4].tobytes()

@@ -1,8 +1,11 @@
 """Network contracts: locality, causality, equivariance, inductivity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from test_autodiff import per_hour_propagation
 
 from pgkrig import autodiff as ad
 from pgkrig import graphs as g
@@ -29,6 +32,20 @@ def toy_inputs(rng, n=4, t=8):
     observed = (rng.random((t, n)) < 0.7).astype(float)
     series = nw.make_node_series(wind, emissions, pm25, observed)
     return series, diffusion, advection
+
+
+def advection_from_dense(dense):
+    """An advection operator storing every entry of (T, N, N) hourly rates."""
+    n = dense.shape[1]
+    rows, cols = np.nonzero(np.ones((n, n), dtype=bool))
+    return g.AdvectionOperator(np.ascontiguousarray(dense[:, rows, cols]), cols,
+                               np.arange(0, n * n + 1, n))
+
+
+def hourly_dense(advection):
+    """(T, N, N): hour t's operator as a dense matrix."""
+    return np.stack([advection.window(hour, hour + 1).weights.toarray()
+                     for hour in range(len(advection))])
 
 
 class TestNodeSeries:
@@ -112,53 +129,56 @@ class TestEncode:
 
 
 class TestPropagate:
-    def _zero_ops(self, n):
-        zero = sp.csr_matrix((n, n))
-        return (g.DiffusionOperator(weights=zero),
-                g.AdvectionOperator(weights=zero))
+    def _zero_ops(self, n, t=1):
+        return (g.DiffusionOperator(weights=sp.csr_matrix((n, n))),
+                advection_from_dense(np.zeros((t, n, n))))
 
     def test_zero_operators_give_activated_bias(self):
         model = nw.KrigingModel(small_config(), seed=0)
         model.params["prop.0.bias"].data[:] = np.linspace(-1.0, 1.0, 8)
-        diffusion, advection = self._zero_ops(3)
-        h = ad.Tensor(np.random.default_rng(4).normal(size=(3, 8)))
+        diffusion, advection = self._zero_ops(3, t=2)
+        h = ad.Tensor(np.random.default_rng(4).normal(size=(3, 2, 8)))
         out = model.propagate(h, diffusion, advection, layer=0).data
         expected = np.maximum(np.linspace(-1.0, 1.0, 8), 0.0)
-        for row in out:
+        for row in out.reshape(-1, 8):
             np.testing.assert_array_equal(row, expected)
 
     def test_zero_wind_equals_pure_diffusion(self):
         rng = np.random.default_rng(5)
         series, diffusion, _ = toy_inputs(rng)
-        n = series.n
+        n, t = series.n, series.t
         model = nw.KrigingModel(small_config(), seed=0)
-        h = ad.Tensor(rng.normal(size=(n, 8)))
-        zero_adv = g.AdvectionOperator(weights=sp.csr_matrix((n, n)))
+        h = ad.Tensor(rng.normal(size=(n, t, 8)))
+        zero_adv = self._zero_ops(n, t)[1]
         out = model.propagate(h, diffusion, zero_adv, layer=0).data
-        # hand-computed pure-diffusion message
+        # hand-computed pure-diffusion message, hour by hour
         w = model.params["prop.0.weight"].data
         b = model.params["prop.0.bias"].data
-        expected = np.maximum(diffusion.weights.toarray() @ h.data @ w + b, 0.0)
-        np.testing.assert_allclose(out, expected, rtol=1e-12)
+        for hour in range(t):
+            expected = np.maximum(diffusion.weights.toarray() @ h.data[:, hour] @ w + b, 0.0)
+            np.testing.assert_allclose(out[:, hour], expected, rtol=1e-12)
 
     def test_dimension_mismatch(self):
         model = nw.KrigingModel(small_config(), seed=0)
         diffusion, advection = self._zero_ops(3)
         with pytest.raises(nw.ModelError):
-            model.propagate(ad.Tensor(np.zeros((4, 8))), diffusion, advection, 0)
+            model.propagate(ad.Tensor(np.zeros((4, 1, 8))), diffusion, advection, 0)
+        with pytest.raises(nw.ModelError):
+            model.propagate(ad.Tensor(np.zeros((3, 2, 8))), diffusion, advection, 0)
 
     def test_two_weight_variant(self):
         rng = np.random.default_rng(6)
         series, diffusion, advection = toy_inputs(rng)
         model = nw.KrigingModel(small_config(two_weight_propagation=True), seed=0)
-        h = ad.Tensor(rng.normal(size=(series.n, 8)))
-        out = model.propagate(h, diffusion, advection[0], layer=0).data
+        h = ad.Tensor(rng.normal(size=(series.n, series.t, 8)))
+        out = model.propagate(h, diffusion, advection, layer=0).data
         wd = model.params["prop.0.weight_diff"].data
         wa = model.params["prop.0.weight_adv"].data
         b = model.params["prop.0.bias"].data
-        expected = np.maximum(diffusion.weights.toarray() @ h.data @ wd
-                              + advection[0].weights.toarray() @ h.data @ wa + b, 0.0)
-        np.testing.assert_allclose(out, expected, rtol=1e-12)
+        for hour, adv in enumerate(hourly_dense(advection)):
+            x = h.data[:, hour]
+            expected = np.maximum(diffusion.weights.toarray() @ x @ wd + adv @ x @ wa + b, 0.0)
+            np.testing.assert_allclose(out[:, hour], expected, rtol=1e-12)
 
 
 class TestReadout:
@@ -262,9 +282,7 @@ class TestFullForward:
         perm_series = nw.NodeSeries(series.values[perm])
         dperm = diffusion.weights.toarray()[np.ix_(perm, perm)]
         perm_diffusion = g.DiffusionOperator(weights=sp.csr_matrix(dperm))
-        perm_advection = [
-            g.AdvectionOperator(weights=sp.csr_matrix(op.weights.toarray()[np.ix_(perm, perm)]))
-            for op in advection]
+        perm_advection = advection_from_dense(hourly_dense(advection)[:, perm][:, :, perm])
         p_init, p_hat = model.full_forward(perm_series, perm_diffusion, perm_advection)
         np.testing.assert_allclose(p_init.data, x_init.data[perm], rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(p_hat.data, x_hat.data[perm], rtol=1e-10, atol=1e-12)
@@ -274,7 +292,7 @@ class TestFullForward:
         series, diffusion, advection = toy_inputs(rng, t=8)
         model = nw.KrigingModel(small_config(), seed=0)
         with pytest.raises(nw.ModelError):
-            model.full_forward(series, diffusion, advection[:-1])
+            model.full_forward(series, diffusion, advection.window(0, 7))
 
     def test_every_parameter_gets_gradient(self):
         rng = np.random.default_rng(15)
@@ -288,7 +306,7 @@ class TestFullForward:
                 if p.grad is None or not np.any(p.grad != 0.0)]
         assert not dead, f"parameters with no gradient: {dead}"
 
-    def test_one_tape_node_per_step_and_layer(self):
+    def test_one_tape_node_per_layer(self):
         rng = np.random.default_rng(17)
         series, diffusion, advection = toy_inputs(rng)
         model = nw.KrigingModel(small_config(), seed=0)
@@ -300,8 +318,9 @@ class TestFullForward:
                 seen.add(id(node))
                 ops.append(node._op)
                 stack.extend(node._parents)
-        assert ops.count("propagate") == series.t * model.config.gnn_layers
-        assert "sparse_matmul" not in ops
+        assert ops.count("propagate") == model.config.gnn_layers
+        for op in ("take", "stack", "sparse_matmul"):
+            assert op not in ops
 
     def test_softplus_output_positive(self):
         rng = np.random.default_rng(16)
@@ -309,6 +328,88 @@ class TestFullForward:
         model = nw.KrigingModel(small_config(final_softplus=True), seed=0)
         _, x_hat = model.full_forward(series, diffusion, advection)
         assert np.all(x_hat.data > 0.0)
+
+
+def per_hour_forward(model, series, diffusion, advection):
+    """full_forward as the per-hour loop ran it: hour t's slice of the encoder
+    output goes through every layer on advection.window(t, t + 1), and the
+    hours are stacked before the readout."""
+    h0 = model.encode(series)
+    x_init = model.init_readout(h0)
+    names = (("weight_diff", "weight_adv") if model.config.two_weight_propagation
+             else ("weight",))
+    layers = [(tuple(model.params[f"prop.{layer}.{name}"] for name in names),
+               model.params[f"prop.{layer}.bias"])
+              for layer in range(model.config.gnn_layers)]
+    h = per_hour_propagation(h0, diffusion, advection, layers, model.config.activation)
+    return x_init, model.readout(h)
+
+
+class TestPerHourReference:
+    @pytest.mark.parametrize("activation", ["relu", "softplus"])
+    @pytest.mark.parametrize("two_weight", [False, True])
+    @pytest.mark.parametrize("init_first", [False, True])
+    def test_full_forward_matches_per_hour_loop_bitwise(self, activation, two_weight,
+                                                        init_first):
+        # with init_first the initial-estimate term leads the loss, so the
+        # init readout's backward reaches the encoder output before the
+        # propagation's does
+        # 20 nodes at hidden width 32: there, one (N*T, 32) BLAS product
+        # rounds differently from the per-hour (N, 32) ones
+        rng = np.random.default_rng(18)
+        series, diffusion, advection = toy_inputs(rng, n=20, t=9)
+        values = series.values.copy()
+        values[:, :, 3] /= 10.0  # pollution near its standardized scale
+        series = nw.NodeSeries(values)
+        target = ad.Tensor(rng.normal(size=(20, 9)))
+        config = small_config(hidden_dim=32, activation=activation,
+                              two_weight_propagation=two_weight)
+        runs = []
+        for forward in (nw.KrigingModel.full_forward, per_hour_forward):
+            model = nw.KrigingModel(config, seed=2)
+            x_init, x_hat = forward(model, series, diffusion, advection)
+            terms = [ad.l1_loss(x_hat, target), ad.l1_loss(x_init, target) * 0.5]
+            if init_first:
+                terms.reverse()
+            ad.add(*terms).backward()
+            runs.append((x_init, x_hat, model))
+        (init, hat, model), (ref_init, ref_hat, ref_model) = runs
+        assert init.data.tobytes() == ref_init.data.tobytes()
+        assert hat.data.tobytes() == ref_hat.data.tobytes()
+        for name, p in model.params.items():
+            assert p.grad.tobytes() == ref_model.params[name].grad.tobytes(), name
+
+
+# tracemalloc peak, in bytes, of a detached full_forward on memory_toy()
+# when propagation ran hour by hour (a propagate node per hour and layer,
+# then a stack), measured once with numpy 2.4 and scipy 1.17
+PER_HOUR_PEAK_BYTES = 19_067_513
+
+
+def memory_toy():
+    """60 nodes over 240 hours, with the default hidden width of 32."""
+    rng = np.random.default_rng(0)
+    n, t = 60, 240
+    nodes = g.NodeSet(rng.uniform(0.0, 100.0, size=(n, 2)))
+    wind = rng.normal(0.0, 3.0, size=(t, n, 2))
+    diffusion = g.build_diffusion_operator(g.build_geo_adjacency(nodes, 50.0))
+    advection = g.advection_sequence(nodes, wind, 50.0)
+    series = nw.make_node_series(wind, rng.uniform(0.0, 3.0, (t, n)),
+                                 rng.uniform(5.0, 30.0, (t, n)),
+                                 (rng.random((t, n)) < 0.7).astype(float))
+    return series, diffusion, advection
+
+
+def test_detached_forward_peak_stays_within_the_per_hour_loop():
+    series, diffusion, advection = memory_toy()
+    model = nw.KrigingModel(nw.ModelConfig(hidden_dim=32), seed=0).detached()
+    tracemalloc.start()
+    try:
+        model.full_forward(series, diffusion, advection)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PER_HOUR_PEAK_BYTES
 
 
 class TestParamStore:

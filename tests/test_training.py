@@ -524,10 +524,14 @@ def test_graph_window_equals_graph_of_the_window_bitwise():
     for lo, hi in ((0, 30), (4, 17), (29, 30)):
         window = full.window(lo, hi)
         direct = tr.prepare_graph(nodes, wind[lo:hi], 15.0)
-        assert len(window.advection) == len(direct.advection) == hi - lo
-        for a, b in zip(window.advection, direct.advection):
-            assert _csr_bytes(a.weights) == _csr_bytes(b.weights)
-            assert _csr_bytes(a.transpose) == _csr_bytes(b.transpose)
+        a, b = window.advection, direct.advection
+        assert len(a) == len(b) == hi - lo
+        assert a.rates.tobytes() == b.rates.tobytes()
+        assert _csr_bytes(a.weights) == _csr_bytes(b.weights)
+        assert _csr_bytes(a.transpose) == _csr_bytes(b.transpose)
+        for hour in range(hi - lo):
+            assert (_csr_bytes(a.window(hour, hour + 1).weights)
+                    == _csr_bytes(b.window(hour, hour + 1).weights))
         assert _csr_bytes(window.diffusion.weights) == _csr_bytes(direct.diffusion.weights)
         assert _csr_bytes(window.diffusion.transpose) == _csr_bytes(direct.diffusion.transpose)
         assert window.edges.dtype == direct.edges.dtype
