@@ -286,7 +286,8 @@ def softplus(x) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(g / (1.0 + np.exp(-x.data)))
+            with np.errstate(over="ignore"):  # exp(-x) = inf below -709 gives g / inf = 0
+                x._accumulate(g / (1.0 + np.exp(-x.data)))
 
     return _make(data, "softplus", (x,), backward)
 
@@ -471,7 +472,8 @@ def propagate(x, diffusion, advection, weights: tuple, bias, activation: str) ->
         if activation == "relu":
             g_pre = g * active
         else:
-            g_pre = g / (1.0 + np.exp(-pre))
+            with np.errstate(over="ignore"):  # as in softplus
+                g_pre = g / (1.0 + np.exp(-pre))
         g_hours = _swap_hours(g_pre)
         if bias.requires_grad:
             bias._accumulate(g_pre.sum(axis=0).sum(axis=0))

@@ -22,16 +22,13 @@ from . import dataio
 from .autodiff import NumericError
 from .baselines import BaselineError
 from .graphs import DEFAULT_THRESHOLD_KM, GraphBuildError
-from .losses import LossError
+from .losses import LossError, LossWeights
 from .metrics import MetricError, score_per_node, score_pooled
-from .network import ModelError
+from .network import ModelConfig, ModelError
 from .rendering import RenderError, field_frame, render_pgm
-from .testbed import (PRESET_NAMES, ScenarioError, run_scenario,
-                      scenario_from_dict, scenario_preset)
-from .training import (ConfigError, Normalization, StationDataset, TrainError,
-                       config_value, infer_grid, infer_stations, model_config_from_dict,
-                       split_from_dict, train, train_config_from_dict,
-                       weights_from_dict)
+from .testbed import PRESET_NAMES, ScenarioError, ScenarioSpec, run_scenario, scenario_preset
+from .training import (ConfigError, Normalization, StationDataset, TrainConfig, TrainError,
+                       infer_grid, infer_stations, split_from_dict, train)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -92,8 +89,11 @@ def _load_scenario(name_or_path: str):
         raise ScenarioError(
             f"'{name_or_path}' is neither a preset ({', '.join(sorted(PRESET_NAMES))}) "
             "nor a scenario file")
-    data = yaml.safe_load(path.read_text(encoding="utf-8"))
-    return scenario_from_dict(data)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
+    return dataio.from_mapping(ScenarioSpec, yaml.safe_load(text), "scenario")
 
 
 def _cmd_simulate(args) -> int:
@@ -147,12 +147,12 @@ def _train_inputs(args):
     data_dir = _resolve_data_dir(args.data)
     cfg = dataio.load_config(args.config) if args.config else {}
     dataset = _load_dataset(data_dir, with_aod=not args.no_aod)
-    model_cfg = model_config_from_dict(cfg.get("model", {}))
-    train_cfg = train_config_from_dict(cfg.get("train", {}))
-    weights = weights_from_dict(cfg.get("loss", {}))
+    model_cfg = dataio.from_mapping(ModelConfig, cfg.get("model", {}), "model")
+    train_cfg = dataio.from_mapping(TrainConfig, cfg.get("train", {}), "train")
+    weights = dataio.from_mapping(LossWeights, cfg.get("loss", {}), "loss")
     graph_cfg = dict(cfg.get("graph", {}))
-    threshold = float(config_value("graph", "threshold_km",
-                                   graph_cfg.pop("threshold_km", DEFAULT_THRESHOLD_KM), float))
+    threshold = float(dataio.config_value(
+        "graph", "threshold_km", graph_cfg.pop("threshold_km", DEFAULT_THRESHOLD_KM), float))
     if graph_cfg:
         raise ConfigError(f"unknown keys in graph section: {sorted(graph_cfg)}")
     split = split_from_dict(cfg.get("split", {}), dataset.t_hours)

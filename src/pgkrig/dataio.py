@@ -9,9 +9,11 @@ inputs) but reject mismatched versions, and report every failure as
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import types
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from itertools import repeat
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -438,7 +440,7 @@ def save_checkpoint(path, model: KrigingModel, norm_mean: np.ndarray,
     arrays.append(("norm:mean", np.asarray(norm_mean, dtype=np.float64)))
     arrays.append(("norm:std", np.asarray(norm_std, dtype=np.float64)))
     header = {
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "arrays": [{"name": name, "shape": list(data.shape)} for name, data in arrays],
         "meta": meta,
     }
@@ -454,6 +456,16 @@ def save_checkpoint(path, model: KrigingModel, norm_mean: np.ndarray,
             fh.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
 
 
+def _check_meta(meta) -> None:
+    """The provenance `infer` reads back: a mapping, with a positive cutoff if any."""
+    if not isinstance(meta, dict):
+        raise SchemaError(f"section 'meta' must be a mapping, got {type(meta).__name__}")
+    if "threshold_km" in meta:
+        threshold = config_value("meta", "threshold_km", meta["threshold_km"], float)
+        if not threshold > 0:
+            raise SchemaError(f"section 'meta': threshold_km must be positive, got {threshold!r}")
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; value-exact inverse of save_checkpoint."""
     try:
@@ -467,10 +479,11 @@ def load_checkpoint(path) -> Checkpoint:
         raise _err(path, None, "truncated checkpoint header")
     try:
         header = json.loads(raw[len(_CKPT_MAGIC):end].decode("utf-8"))
-        config = ModelConfig.from_dict(header["config"])
+        config = from_mapping(ModelConfig, header["config"], "config")
         entries = [(str(e["name"]), tuple(int(s) for s in e["shape"]))
                    for e in header["arrays"]]
         meta = header["meta"]
+        _check_meta(meta)
     except (KeyError, TypeError, ValueError) as exc:
         raise _err(path, None, f"malformed checkpoint header: {exc}") from exc
     offset = end + 1
@@ -512,6 +525,63 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 _CONFIG_SECTIONS = ("model", "train", "split", "loss", "graph")
+
+
+def config_value(section: str, key: str, value, kind: type):
+    """`value` if it has the config type `kind`, else a SchemaError naming `key`.
+
+    An int takes an int but not a bool, a bool takes only a bool, a float
+    takes an int or a float, and a str takes only a str.
+    """
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+        raise SchemaError(f"section {section!r}: {key} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def from_mapping(cls, data, section: str):
+    """Build the config dataclass `cls` from a parsed mapping, checking every value.
+
+    A `data` that is not a mapping, an unknown key, or a missing key that
+    has no default is a SchemaError naming `section`. Each value must have
+    its field's annotated type under the `config_value` rule; `X | None`
+    also takes None, a dataclass field takes a mapping (checked as section
+    `section.key`), and `tuple[D, ...]` takes a list of mappings
+    (`section.key[i]`). Scalars pass through unconverted. Range checks stay
+    in `cls.__post_init__`.
+    """
+    if not isinstance(data, dict):
+        raise SchemaError(f"section {section!r} must be a mapping, got {type(data).__name__}")
+    required = {f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING}
+    for problem, keys in (("unknown", set(data) - {f.name for f in fields(cls)}),
+                          ("missing", required - set(data))):
+        if keys:
+            raise SchemaError(f"section {section!r}: {problem} keys {sorted(keys, key=str)}")
+    kinds = get_type_hints(cls)
+    return cls(**{key: _field_value(section, key, value, kinds[key])
+                  for key, value in data.items()})
+
+
+def _field_value(section: str, key: str, value, kind):
+    """One field's value checked against its annotation `kind`."""
+    args = get_args(kind)
+    if get_origin(kind) is types.UnionType and type(None) in args:
+        if value is None:
+            return None
+        (kind,) = (arg for arg in args if arg is not type(None))
+        args = get_args(kind)
+    if is_dataclass(kind):
+        return from_mapping(kind, value, f"{section}.{key}")
+    if get_origin(kind) is tuple and len(args) == 2 and args[1] is Ellipsis:
+        if not isinstance(value, (list, tuple)):
+            raise SchemaError(f"section {section!r}: {key} must be a list of mappings, "
+                              f"got {value!r}")
+        return tuple(from_mapping(args[0], item, f"{section}.{key}[{i}]")
+                     for i, item in enumerate(value))
+    if kind not in (int, float, bool, str):
+        raise TypeError(f"{section}.{key}: no config rule for the annotation {kind!r}")
+    return config_value(section, key, value, kind)
 
 
 def load_config(path) -> dict:

@@ -120,23 +120,6 @@ class ModelConfig:
     def receptive_field(self) -> int:
         return 1 + (self.tcn_kernel_size - 1) * sum(self.dilations)
 
-    def to_dict(self) -> dict:
-        return {
-            "hidden_dim": self.hidden_dim,
-            "tcn_layers": self.tcn_layers,
-            "tcn_kernel_size": self.tcn_kernel_size,
-            "dilation_base": self.dilation_base,
-            "gnn_layers": self.gnn_layers,
-            "readout_hidden": self.readout_hidden,
-            "activation": self.activation,
-            "two_weight_propagation": self.two_weight_propagation,
-            "final_softplus": self.final_softplus,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelConfig":
-        return cls(**data)
-
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...],
             fan_in: int, fan_out: int) -> np.ndarray:

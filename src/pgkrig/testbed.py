@@ -474,32 +474,3 @@ def scenario_preset(name: str) -> ScenarioSpec:
 
 PRESET_NAMES = ("s1-advection", "aod-ideal", "aod-missing", "aod-conflict", "aod-biased")
 
-
-def scenario_from_dict(data: dict) -> ScenarioSpec:
-    """Builds a ScenarioSpec from plain nested mappings.
-
-    Mirrors the dataclass fields: `sources` is a list of mappings with
-    EmissionSource fields, `aod` a mapping with AodSpec fields.  Unknown
-    keys raise ScenarioError so typos in scenario files fail loudly.
-
-    Args:
-        data: Mapping of ScenarioSpec field names to values.
-
-    Returns:
-        The validated ScenarioSpec.
-    """
-    if not isinstance(data, dict):
-        raise ScenarioError(f"scenario must be a mapping, got {type(data).__name__}")
-    fields = dict(data)
-    raw_sources = fields.pop("sources", [])
-    raw_aod = fields.pop("aod", {})
-    if not isinstance(raw_sources, (list, tuple)):
-        raise ScenarioError("scenario 'sources' must be a list of mappings")
-    if not isinstance(raw_aod, dict):
-        raise ScenarioError("scenario 'aod' must be a mapping")
-    try:
-        sources = tuple(EmissionSource(**src) for src in raw_sources)
-        aod = AodSpec(**raw_aod)
-        return ScenarioSpec(sources=sources, aod=aod, **fields)
-    except TypeError as exc:
-        raise ScenarioError(f"bad scenario field: {exc}") from exc

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import get_type_hints
 
 import numpy as np
 
 from . import autodiff as ad
+from .dataio import config_value
 from .graphs import (DEFAULT_THRESHOLD_KM, AdvectionOperator, DiffusionOperator, NodeSet,
                      advection_sequence, build_diffusion_operator, build_geo_adjacency)
 from .losses import (LossWeights, aod_gradient_loss, composite_loss,
@@ -334,41 +334,6 @@ class TrainConfig:
             raise ConfigError(f"val_partitions {self.val_partitions} must be >= 1")
 
 
-def config_value(section: str, key: str, value, kind: type):
-    """`value` if it has the config type `kind`, else a ConfigError naming `key`.
-
-    An int takes an int but not a bool, a bool takes only a bool, and a
-    float takes an int or a float.
-    """
-    accepted = (int, float) if kind is float else kind
-    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
-        raise ConfigError(f"section {section!r}: {key} must be {kind.__name__}, got {value!r}")
-    return value
-
-
-def _from_mapping(cls, data: dict, section: str):
-    kinds = get_type_hints(cls)
-    for key, value in data.items():
-        if key in kinds:
-            config_value(section, key, value, kinds[key])
-    try:
-        return cls(**data)
-    except TypeError as exc:
-        raise ConfigError(f"section {section!r}: {exc}") from exc
-
-
-def train_config_from_dict(data: dict) -> TrainConfig:
-    return _from_mapping(TrainConfig, data, "train")
-
-
-def weights_from_dict(data: dict) -> LossWeights:
-    return _from_mapping(LossWeights, data, "loss")
-
-
-def model_config_from_dict(data: dict) -> ModelConfig:
-    return _from_mapping(ModelConfig, data, "model")
-
-
 def split_from_dict(data: dict, t_hours: int) -> SplitSpec:
     """Build a SplitSpec from a config section.
 
@@ -389,10 +354,9 @@ def split_from_dict(data: dict, t_hours: int) -> SplitSpec:
         ranges = {}
         for key in ("train_hours", "val_hours", "test_hours"):
             value = data.pop(key)
-            if (not isinstance(value, (list, tuple)) or len(value) != 2
-                    or not all(isinstance(v, int) for v in value)):
+            if not isinstance(value, (list, tuple)) or len(value) != 2:
                 raise ConfigError(f"{key} must be a [start, end] pair of integers")
-            ranges[key] = (value[0], value[1])
+            ranges[key] = tuple(config_value("split", key, v, int) for v in value)
         if data:
             raise ConfigError(f"unknown split keys {sorted(data)}")
         return SplitSpec(train_range=ranges["train_hours"], val_range=ranges["val_hours"],
@@ -701,7 +665,10 @@ def infer_grid(model: KrigingModel, normalization: Normalization,
     operators' row magnitudes in the regime the model was trained on. A
     raster much denser than the network would otherwise multiply every
     node's upwind in-degree and push propagated features far outside the
-    training distribution.
+    training distribution. Batches are drawn from the cells ordered by
+    position (y, then x) and then shuffled with a fixed seed, so a cell's
+    prediction does not depend on the order of the rows of
+    `grid_positions`; it does still depend on which other cells are given.
 
     Args:
         model: trained model.
@@ -743,6 +710,7 @@ def infer_grid(model: KrigingModel, normalization: Normalization,
         out[:, coincident] = x_hat.data.T[:, node_of_cell[coincident]]
 
     free = np.nonzero(~coincident)[0]
+    free = free[np.lexsort((grid_positions[free, 0], grid_positions[free, 1]))]
     chunk = max(1, n_stations)
     # scatter lattice cells across chunks with a fixed shuffle: consecutive
     # cells are 1 cell apart, and a chunk of adjacent cells would carry far

@@ -1,5 +1,7 @@
 """Gradient checks for the autodiff core against central finite differences."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -395,6 +397,30 @@ class TestFusedPropagate:
         for fused in (True, False):
             with pytest.raises(ad.NumericError, match=f"'{op}'"):
                 run_propagation(fused, diffusion, advection, arrays, "relu")
+
+
+class TestSoftplusFarBelowZero:
+    """exp(800) overflows; the slope there is exactly 0 and nothing warns."""
+
+    def test_softplus(self):
+        x = ad.Tensor(np.array([-800.0, 0.0]), requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ad.tensor_sum(ad.softplus(x)).backward()
+        assert x.grad.tolist() == [0.0, 0.5]
+
+    def test_propagate(self):
+        diffusion, advection, arrays = propagation_inputs(0, 1)
+        bias = ad.Tensor(np.zeros(6), requires_grad=True)
+        bias.data[0] = -800.0  # every pre-activation in feature 0 sits near -800
+        weight = ad.Tensor(arrays["w00"] / 100.0, requires_grad=True)
+        x = ad.Tensor(arrays["x"], requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ad.propagate(x, diffusion, advection, (weight,), bias, "softplus")
+            ad.tensor_sum(out).backward()
+        assert bias.grad[0] == 0.0 and np.all(bias.grad[1:] > 0.0)
+        assert np.all(weight.grad[:, 0] == 0.0)
 
 
 class TestAdjointSeeding:

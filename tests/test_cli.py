@@ -12,7 +12,7 @@ import pytest
 
 from pgkrig import cli, dataio
 from pgkrig.rendering import parse_pgm
-from pgkrig.testbed import ScenarioError, scenario_from_dict
+from pgkrig.testbed import ScenarioSpec
 
 SCENARIO_YAML = """\
 nx: 8
@@ -134,24 +134,49 @@ def test_scenario_file_with_unknown_field(tmp_path):
     assert run_cli("simulate", "--scenario", bad, "--out", tmp_path / "x") == 2
 
 
+@pytest.mark.parametrize("line, key", [
+    ("nx: 4.5", "nx"), ("t_hours: 12.5", "t_hours"), ("station_count: 3.5", "station_count"),
+    ("layout_seed: 1.5", "layout_seed"), ("wind_speed_ms: fast", "wind_speed_ms"),
+    ("sources: [{x_km: a, y_km: 1.0, rate_per_h: 2.0}]", "x_km"),
+    ("aod: {invert: 'no'}", "invert"),
+])
+def test_scenario_file_with_mistyped_value(tmp_path, capsys, line, key):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(f"nx: 4\nny: 4\nt_hours: 12\nstation_count: 3\n{line}\n",
+                   encoding="utf-8")
+    assert run_cli("simulate", "--scenario", bad, "--out", tmp_path / "x") == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
+def test_scenario_file_not_utf8_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"nx: 4\xff\n")
+    assert run_cli("simulate", "--scenario", bad, "--out", tmp_path / "x") == 2
+    err = capsys.readouterr().err
+    assert "utf-8" in err and "Traceback" not in err
+
+
 def test_scenario_from_dict_round_trip():
-    spec = scenario_from_dict({
+    spec = dataio.from_mapping(ScenarioSpec, {
         "nx": 4, "ny": 5, "t_hours": 12, "station_count": 10,
         "sources": [{"x_km": 1.0, "y_km": 2.0, "rate_per_h": 3.0}],
         "aod": {"cloud_fraction": 0.5},
-    })
+    }, "scenario")
     assert (spec.nx, spec.ny, spec.t_hours) == (4, 5, 12)
     assert spec.sources[0].rate_per_h == 3.0
     assert spec.aod.cloud_fraction == 0.5
 
 
 def test_scenario_from_dict_rejects_bad_shapes():
-    with pytest.raises(ScenarioError):
-        scenario_from_dict({"sources": {"x_km": 1.0}})
-    with pytest.raises(ScenarioError):
-        scenario_from_dict({"aod": [1, 2]})
-    with pytest.raises(ScenarioError):
-        scenario_from_dict([1, 2])
+    for data, message in (({"sources": {"x_km": 1.0}}, "sources must be a list of mappings"),
+                          ({"sources": [[1.0]]}, "'scenario.sources\\[0\\]' must be a mapping"),
+                          ({"sources": [{"x_km": 1.0}]},
+                           "'scenario.sources\\[0\\]': missing keys \\['rate_per_h', 'y_km'\\]"),
+                          ({"aod": [1, 2]}, "'scenario.aod' must be a mapping"),
+                          ([1, 2], "'scenario' must be a mapping")):
+        with pytest.raises(dataio.SchemaError, match=message):
+            dataio.from_mapping(ScenarioSpec, data, "scenario")
 
 
 # -- train -------------------------------------------------------------
@@ -215,6 +240,23 @@ def test_train_mistyped_config_value_is_data_error(pipeline, tmp_path, capsys,
     cfg.write_text(json.dumps(config), encoding="utf-8")  # JSON is YAML
     assert run_cli("train", "--config", cfg, "--data", data,
                    "--out", tmp_path / "x.ckpt") == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("meta, key", [
+    ({"threshold_km": "abc"}, "threshold_km"), ({"threshold_km": None}, "threshold_km"),
+    ({"threshold_km": True}, "threshold_km"), ({"threshold_km": -8.0}, "threshold_km"),
+    ([8.0], "meta"),
+])
+def test_infer_with_malformed_checkpoint_meta_is_data_error(pipeline, tmp_path, capsys,
+                                                            meta, key):
+    _, _, _, data, ckpt = pipeline
+    loaded = dataio.load_checkpoint(ckpt)
+    bad = tmp_path / "bad.ckpt"
+    dataio.save_checkpoint(bad, loaded.model, loaded.norm_mean, loaded.norm_std, meta)
+    assert run_cli("infer", "--ckpt", bad, "--data", data, "--targets", "0",
+                   "--out", tmp_path / "preds.csv") == 2
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
 

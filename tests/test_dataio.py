@@ -1,18 +1,20 @@
 """Schema, round-trip, and checkpoint determinism tests for dataio."""
 
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from pgkrig import cli, dataio
 from pgkrig.dataio import SchemaError
 from pgkrig.losses import LossWeights
 from pgkrig.metrics import NodeScore
 from pgkrig.network import KrigingModel, ModelConfig
-from pgkrig.training import (TrainConfig, model_config_from_dict, split_from_dict,
-                             train_config_from_dict, weights_from_dict)
+from pgkrig.testbed import (PRESET_NAMES, AodSpec, EmissionSource, ScenarioSpec,
+                            scenario_preset)
+from pgkrig.training import TrainConfig, split_from_dict
 
 
 # ---------------------------------------------------------------------------
@@ -465,19 +467,45 @@ def test_load_config_non_mapping_root(tmp_path):
         dataio.load_config(path)
 
 
+def _field_names(cls) -> set:
+    return {f.name for f in fields(cls)}
+
+
+def _formats_yaml(heading: str) -> str:
+    """The first fenced YAML block under `heading` in FORMATS.md."""
+    text = (Path(__file__).resolve().parents[1] / "FORMATS.md").read_text(encoding="utf-8")
+    return text.split(heading, 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+
+
 def test_formats_md_config_matches_the_dataclasses(tmp_path):
     """The documented run configuration loads, and lists every field."""
-    text = (Path(__file__).resolve().parents[1] / "FORMATS.md").read_text(encoding="utf-8")
-    section = text.split("## Run configuration (YAML)", 1)[1]
     path = tmp_path / "run.yaml"
-    path.write_text(section.split("```yaml\n", 1)[1].split("```", 1)[0], encoding="utf-8")
+    path.write_text(_formats_yaml("## Run configuration (YAML)"), encoding="utf-8")
     config = dataio.load_config(path)
-    model_config_from_dict(config["model"])
-    train_config_from_dict(config["train"])
-    weights_from_dict(config["loss"])
     split_from_dict(config["split"], 240)
     for name, cls in (("model", ModelConfig), ("train", TrainConfig), ("loss", LossWeights)):
-        assert set(config[name]) == {f.name for f in fields(cls)}, name
+        dataio.from_mapping(cls, config[name], name)
+        assert set(config[name]) == _field_names(cls), name
+
+
+def test_formats_md_scenario_matches_the_dataclasses():
+    """The documented scenario file loads, and lists every field."""
+    data = yaml.safe_load(_formats_yaml("## Scenario files (YAML)"))
+    dataio.from_mapping(ScenarioSpec, data, "scenario")
+    assert set(data) == _field_names(ScenarioSpec)
+    assert set(data["aod"]) == _field_names(AodSpec)
+    assert data["sources"]
+    for source in data["sources"]:
+        assert set(source) == _field_names(EmissionSource)
+
+
+@pytest.mark.parametrize("config", [ModelConfig(), TrainConfig(), LossWeights(),
+                                    *map(scenario_preset, PRESET_NAMES)],
+                         ids=["model", "train", "loss", *PRESET_NAMES])
+def test_every_config_field_has_a_checked_type(config):
+    """from_mapping rebuilds each config from its own fields; a field whose
+    annotation it cannot check fails here."""
+    assert dataio.from_mapping(type(config), asdict(config), "config") == config
 
 
 # ---------------------------------------------------------------------------

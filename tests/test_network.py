@@ -1,6 +1,7 @@
 """Network contracts: locality, causality, equivariance, inductivity."""
 
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from test_autodiff import per_hour_propagation
 from pgkrig import autodiff as ad
 from pgkrig import graphs as g
 from pgkrig import network as nw
+from pgkrig.dataio import from_mapping
 
 
 def small_config(**overrides):
@@ -92,7 +94,7 @@ class TestModelConfig:
 
     def test_dict_round_trip(self):
         cfg = small_config(two_weight_propagation=True)
-        assert nw.ModelConfig.from_dict(cfg.to_dict()) == cfg
+        assert from_mapping(nw.ModelConfig, asdict(cfg), "model") == cfg
 
 
 class TestEncode:

@@ -8,6 +8,7 @@ import pytest
 
 from pgkrig import autodiff as ad
 from pgkrig import training as tr
+from pgkrig.dataio import SchemaError, from_mapping
 from pgkrig.graphs import NodeSet, build_diffusion_operator, build_geo_adjacency, \
     advection_sequence
 from pgkrig.losses import LossWeights
@@ -384,8 +385,8 @@ def test_train_survives_clipped_mask_jitter():
 
 def test_train_config_rejects_adam_constants():
     for key in ("beta1", "beta2", "eps"):
-        with pytest.raises(tr.ConfigError, match=key):
-            tr.train_config_from_dict({key: 0.5})
+        with pytest.raises(SchemaError, match=key):
+            from_mapping(tr.TrainConfig, {key: 0.5}, "train")
 
 
 def test_train_rejects_window_below_receptive_field():
@@ -572,6 +573,22 @@ def test_infer_grid_covers_every_cell_finite():
     assert np.all(np.isfinite(field))
 
 
+def test_infer_grid_is_equivariant_to_cell_order():
+    """Permuting the cells permutes the field, bitwise: no cell's value depends
+    on where the other cells sit in the input."""
+    run = toy_run()
+    dataset = tr.dataset_from_scenario(run)
+    _, result = trained_toy()
+    positions, wind, emissions = (run.truth.cell_positions(), run.truth.wind,
+                                  run.truth.emissions)
+    field = tr.infer_grid(result.model, result.normalization, dataset, positions,
+                          wind, emissions, threshold_km=10.0)
+    perm = np.random.default_rng(4).permutation(positions.shape[0])
+    permuted = tr.infer_grid(result.model, result.normalization, dataset, positions[perm],
+                             wind[:, perm], emissions[:, perm], threshold_km=10.0)
+    assert permuted.tobytes() == field[:, perm].tobytes()
+
+
 def test_infer_grid_uniform_scenario_is_flat():
     # uniform truth + zero wind: predicted spatial spread stays below 10%
     spec = ScenarioSpec(nx=8, ny=8, cell_km=2.0, t_hours=40, wind_speed_ms=0.0,
@@ -672,8 +689,8 @@ def test_forward_only_passes_record_no_tape(monkeypatch):
 
 
 def test_train_config_from_dict_rejects_unknown():
-    with pytest.raises(tr.ConfigError, match="train"):
-        tr.train_config_from_dict({"window_len": 24})
+    with pytest.raises(SchemaError, match="'train': unknown keys \\['window_len'\\]"):
+        from_mapping(tr.TrainConfig, {"window_len": 24}, "train")
 
 
 def test_split_from_dict_fractions():
@@ -696,11 +713,18 @@ def test_split_from_dict_partial_explicit_rejected():
         tr.split_from_dict({"train_hours": [0, 40]}, t_hours=60)
 
 
+def test_split_from_dict_explicit_hours_must_be_ints():
+    hours = {"train_hours": [0, 40], "val_hours": [40, 50], "test_hours": [50, 60]}
+    for bad in ([True, 40], [0, 40.0], [0, "40"]):
+        with pytest.raises(SchemaError, match="train_hours must be int"):
+            tr.split_from_dict({**hours, "train_hours": bad}, t_hours=60)
+
+
 def test_split_from_dict_unknown_keys():
     with pytest.raises(tr.ConfigError, match="unknown split keys"):
         tr.split_from_dict({"fraction": 0.5}, t_hours=60)
 
 
 def test_weights_from_dict():
-    weights = tr.weights_from_dict({"lambda1": 0.5, "lambda2": 0.0})
+    weights = from_mapping(LossWeights, {"lambda1": 0.5, "lambda2": 0.0}, "loss")
     assert weights == LossWeights(lambda1=0.5, lambda2=0.0)
