@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class ShapeError(ValueError):
@@ -151,9 +150,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
     def __neg__(self):
         return mul(self, -1.0)
 
@@ -163,20 +159,8 @@ class Tensor:
     def __getitem__(self, key):
         return take(self, key)
 
-    def relu(self) -> "Tensor":
-        return relu(self)
-
-    def abs(self) -> "Tensor":
-        return absolute(self)
-
-    def sqrt(self) -> "Tensor":
-        return sqrt(self)
-
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None) -> "Tensor":
-        return mean(self, axis=axis)
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -252,22 +236,6 @@ def mul(a, b) -> Tensor:
     return _make(data, "mul", (a, b), backward)
 
 
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        data = a.data / b.data
-    except ValueError:
-        raise ShapeError(f"div: shapes {a.shape} and {b.shape} do not broadcast") from None
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _make(data, "div", (a, b), backward)
-
-
 def relu(x) -> Tensor:
     x = as_tensor(x)
     data = np.maximum(x.data, 0.0)
@@ -304,17 +272,6 @@ def absolute(x) -> Tensor:
     return _make(data, "abs", (x,), backward)
 
 
-def sqrt(x) -> Tensor:
-    x = as_tensor(x)
-    data = np.sqrt(x.data)
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(g * 0.5 / np.sqrt(x.data))
-
-    return _make(data, "sqrt", (x,), backward)
-
-
 # -- reductions and shaping --------------------------------------------
 
 
@@ -333,15 +290,6 @@ def tensor_sum(x, axis=None, keepdims: bool = False) -> Tensor:
         x._accumulate(np.broadcast_to(g, x.shape).copy())
 
     return _make(data, "sum", (x,), backward)
-
-
-def mean(x, axis=None) -> Tensor:
-    x = as_tensor(x)
-    if axis is None:
-        count = x.data.size
-    else:
-        count = x.data.shape[axis]
-    return mul(tensor_sum(x, axis=axis), 1.0 / count)
 
 
 def reshape(x, shape: Sequence[int]) -> Tensor:
@@ -395,26 +343,6 @@ def matmul(a, b) -> Tensor:
     return _make(data, "matmul", (a, b), backward)
 
 
-def sparse_matmul(matrix: sp.spmatrix, x) -> Tensor:
-    """Multiply a constant sparse N x N operator into dense node features.
-
-    The sparse operator is data, not a parameter: gradients flow only to
-    the dense side (transpose product).  Tests use it as propagate's reference.
-    """
-    x = as_tensor(x)
-    if x.ndim != 2 or matrix.shape[1] != x.shape[0]:
-        raise ShapeError(
-            f"sparse_matmul: shapes {matrix.shape} and {x.shape} are incompatible")
-    csr = matrix.tocsr()
-    data = csr @ x.data
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(csr.T @ g)
-
-    return _make(data, "sparse_matmul", (x,), backward)
-
-
 def _swap_hours(state: np.ndarray) -> np.ndarray:
     """View an (N, T, F) node-major array as (T, N, F) time-major, or back."""
     return state.transpose(1, 0, 2)
@@ -429,17 +357,18 @@ def propagate(x, diffusion, advection, weights: tuple, bias, activation: str) ->
     map the node-major (N*T, F) state to time-major (T*N, F) messages.  Both
     supply ``transpose``, which only backward reads.
 
-    Values and gradients are bitwise those of the per-hour composition
-    sparse_matmul, add, matmul, add, relu/softplus run hour after hour:
+    Values and gradients are bitwise those of ``per_hour_propagation`` in
+    tests/reference_ops.py, the composition sparse_matmul, add, matmul,
+    add, relu/softplus run hour after hour:
     - each sparse product sums the same terms in the same order;
     - every dense product is an ``np.matmul`` over the hour axis, so BLAS
       sees the per-hour (N, F) shapes (one (N*T, F) product rounds
       differently for some N);
     - the input adjoint is accumulated once, as D^T g + A^T g;
     - the weight and bias adjoints add up the hours in hour order.
-    Each intermediate is checked under its op's name.  (A finite input has
-    a finite activation, so this node's own check stands in for the
-    activation's.)
+    Each intermediate is checked under its reference op's name.  (A finite
+    input has a finite activation, so this node's own check stands in for
+    the activation's.)
     """
     x, bias = as_tensor(x), as_tensor(bias)
     n, t, f = x.shape

@@ -125,14 +125,24 @@ def _cmd_simulate(args) -> int:
 # train / sweep
 
 
-def _load_dataset(data_dir: Path, with_aod: bool) -> StationDataset:
+def _read_station_inputs(data_dir: Path):
+    """Read nodes.csv, then wind.csv and emissions.csv, which need one series
+    per node, then stations.csv, whose node ids each command checks itself.
+
+    Returns (nodes, wind, emissions, station ids, station pm25).
+    """
     nodes = dataio.read_nodes(data_dir / "nodes.csv")
-    ids, pm25 = dataio.read_values(data_dir / "stations.csv", "pm25")
-    _require_dense(ids, nodes.n, data_dir / "stations.csv")
     wind_ids, wind = dataio.read_wind(data_dir / "wind.csv")
     _require_dense(wind_ids, nodes.n, data_dir / "wind.csv")
     em_ids, emissions = dataio.read_values(data_dir / "emissions.csv", "emission")
     _require_dense(em_ids, nodes.n, data_dir / "emissions.csv")
+    ids, pm25 = dataio.read_values(data_dir / "stations.csv", "pm25")
+    return nodes, wind, emissions, ids, pm25
+
+
+def _load_dataset(data_dir: Path, with_aod: bool) -> StationDataset:
+    nodes, wind, emissions, ids, pm25 = _read_station_inputs(data_dir)
+    _require_dense(ids, nodes.n, data_dir / "stations.csv")
     aod_values = aod_valid = None
     aod_path = data_dir / "aod.csv"
     if with_aod and aod_path.exists():
@@ -223,15 +233,8 @@ def _cmd_infer(args) -> int:
     if threshold is None:
         threshold = float(ckpt.meta.get("threshold_km", DEFAULT_THRESHOLD_KM))
     data_dir = _resolve_data_dir(args.data)
-
-    nodes = dataio.read_nodes(data_dir / "nodes.csv")
-    wind_ids, wind = dataio.read_wind(data_dir / "wind.csv")
-    _require_dense(wind_ids, nodes.n, data_dir / "wind.csv")
-    em_ids, emissions = dataio.read_values(data_dir / "emissions.csv", "emission")
-    _require_dense(em_ids, nodes.n, data_dir / "emissions.csv")
-
+    nodes, wind, emissions, sids, svals = _read_station_inputs(data_dir)
     station_path = data_dir / "stations.csv"
-    sids, svals = dataio.read_values(station_path, "pm25")
     if sids.size and (sids.min() < 0 or sids.max() >= nodes.n):
         raise dataio.SchemaError(
             f"{station_path}: node ids outside 0..{nodes.n - 1}")

@@ -83,7 +83,8 @@ def aod_gradient_loss(x_hat: ad.Tensor, aod_values: np.ndarray, aod_valid: np.nd
 
     All hours with a valid edge are computed at once, time-major, and
     recorded as one tape node.  Value and gradient are bitwise those of
-    the per-hour composition take, mul, sum, sub, sqrt, div, abs, add:
+    ``reference_aod_loss`` in tests/reference_ops.py, the per-hour
+    composition take, mul, sum, sub, sqrt, div, abs, add:
     each row reduces along its contiguous last axis (the pairwise sum of
     a 1-D column), hour sums add up sequentially, and backward
     accumulates every adjoint in the composition's order.

@@ -102,7 +102,6 @@ class ModelConfig:
     readout_hidden: int = 32
     activation: str = "relu"
     two_weight_propagation: bool = False
-    final_softplus: bool = False
 
     def __post_init__(self):
         for name in ("hidden_dim", "tcn_layers", "tcn_kernel_size", "dilation_base",
@@ -241,11 +240,8 @@ class KrigingModel:
         flat = h.reshape(n * t, f)
         hidden = self._act(ad.linear(flat, self.params[f"{head}.0.weight"],
                                      self.params[f"{head}.0.bias"]))
-        out = ad.linear(hidden, self.params[f"{head}.1.weight"],
-                        self.params[f"{head}.1.bias"])
-        if self.config.final_softplus:
-            out = ad.softplus(out)
-        return out.reshape(n, t)
+        return ad.linear(hidden, self.params[f"{head}.1.weight"],
+                         self.params[f"{head}.1.bias"]).reshape(n, t)
 
     def readout(self, h_final: ad.Tensor) -> ad.Tensor:
         return self._mlp(h_final, "readout")

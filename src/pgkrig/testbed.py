@@ -17,7 +17,7 @@ CFL bounds before stepping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -45,6 +45,14 @@ _POSITIVITY_BUDGET = 0.9
 _MS_TO_KMH = 3.6
 
 
+def _require_finite(spec) -> None:
+    """Reject a NaN or infinite float in any field of a scenario dataclass."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ScenarioError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class EmissionSource:
     """Point emission rasterized to its nearest cell.
@@ -60,6 +68,7 @@ class EmissionSource:
     schedule: str = "constant"
 
     def __post_init__(self):
+        _require_finite(self)
         if self.schedule not in SOURCE_SCHEDULES:
             raise ScenarioError(
                 f"unknown schedule '{self.schedule}', expected one of {SOURCE_SCHEDULES}")
@@ -90,6 +99,7 @@ class AodSpec:
     invert: bool = False
 
     def __post_init__(self):
+        _require_finite(self)
         if not 0.0 <= self.cloud_fraction <= 1.0:
             raise ScenarioError(
                 f"cloud_fraction must be in [0, 1], got {self.cloud_fraction}")
@@ -125,6 +135,7 @@ class ScenarioSpec:
     boundary: str = "open"
 
     def __post_init__(self):
+        _require_finite(self)
         if self.nx < 2 or self.ny < 2:
             raise ScenarioError(f"grid must be at least 2x2, got {self.nx}x{self.ny}")
         if self.cell_km <= 0:
@@ -166,8 +177,9 @@ class ScenarioSpec:
         """(T, n_cells) emission rates in concentration/h."""
         raster = np.full((self.t_hours, self.n_cells), float(self.background_rate))
         for src in self.sources:
-            ix = min(max(int(src.x_km / self.cell_km), 0), self.nx - 1)
-            iy = min(max(int(src.y_km / self.cell_km), 0), self.ny - 1)
+            # clamped before int(), which cannot take the inf of a far source
+            ix = int(min(max(src.x_km / self.cell_km, 0.0), self.nx - 1))
+            iy = int(min(max(src.y_km / self.cell_km, 0.0), self.ny - 1))
             cell = iy * self.nx + ix
             for hour in range(self.t_hours):
                 raster[hour, cell] += src.rate_per_h * src.factor(hour)

@@ -1,0 +1,162 @@
+"""Per-hour primitive compositions that the fused tape nodes reproduce bitwise.
+
+The program records one ``propagate`` node per layer and one
+``aod_gradient`` node per loss.  The parity tests compare them against
+the compositions here, which run the same arithmetic hour by hour through
+small tape nodes: the primitives ``sparse_matmul``, ``div`` and ``sqrt``
+that only these references use, plus the pgkrig.autodiff ops.
+"""
+
+import numpy as np
+
+from pgkrig import autodiff as ad
+
+
+def sparse_matmul(matrix, x) -> ad.Tensor:
+    """Multiply a constant sparse N x N operator into dense node features.
+
+    The sparse operator is data, not a parameter: gradients flow only to
+    the dense side (transpose product).
+    """
+    x = ad.as_tensor(x)
+    if x.ndim != 2 or matrix.shape[1] != x.shape[0]:
+        raise ad.ShapeError(
+            f"sparse_matmul: shapes {matrix.shape} and {x.shape} are incompatible")
+    csr = matrix.tocsr()
+    data = csr @ x.data
+
+    def backward(g: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accumulate(csr.T @ g)
+
+    return ad._make(data, "sparse_matmul", (x,), backward)
+
+
+def div(a, b) -> ad.Tensor:
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
+    try:
+        data = a.data / b.data
+    except ValueError:
+        raise ad.ShapeError(f"div: shapes {a.shape} and {b.shape} do not broadcast") from None
+
+    def backward(g: np.ndarray) -> None:
+        if a.requires_grad:
+            a._accumulate(ad._unbroadcast(g / b.data, a.shape))
+        if b.requires_grad:
+            b._accumulate(ad._unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+
+    return ad._make(data, "div", (a, b), backward)
+
+
+def sqrt(x) -> ad.Tensor:
+    x = ad.as_tensor(x)
+    data = np.sqrt(x.data)
+
+    def backward(g: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accumulate(g * 0.5 / np.sqrt(x.data))
+
+    return ad._make(data, "sqrt", (x,), backward)
+
+
+# -- propagation ---------------------------------------------------------
+
+
+def stack_hours(steps):
+    """Per-hour (N, F) tensors as one (N, T, F) tensor, the way the per-hour
+    model stacked them: backward hands hour t's slice of the adjoint to step t."""
+    data = np.stack([step.data for step in steps], axis=1)
+
+    def backward(grad):
+        for hour, step in enumerate(steps):
+            if step.requires_grad:
+                step._accumulate(grad[:, hour, :])
+
+    return ad._make(data, "stack", steps, backward)
+
+
+def per_hour_layer(x, diffusion, advection, weights, bias, activation):
+    """One propagation layer at one hour, as primitive ops on (N, F) features."""
+    diff_msg = sparse_matmul(diffusion.weights, x)
+    adv_msg = sparse_matmul(advection.weights, x)
+    if len(weights) == 2:
+        mixed = ad.add(ad.matmul(diff_msg, weights[0]), ad.matmul(adv_msg, weights[1]))
+    else:
+        mixed = ad.matmul(ad.add(diff_msg, adv_msg), weights[0])
+    pre = ad.add(mixed, bias)
+    return ad.relu(pre) if activation == "relu" else ad.softplus(pre)
+
+
+def per_hour_propagation(x, diffusion, advection, layers, activation):
+    """The propagation stack run hour after hour on (N, T, F) x, then stacked.
+
+    ``layers`` holds one (weights, bias) pair per layer.  Hour t takes its
+    slice of x and runs every layer on ``advection.window(t, t + 1)``.
+    """
+    steps = []
+    for hour in range(x.shape[1]):
+        h = ad.take(x, (slice(None), hour, slice(None)))
+        operator = advection.window(hour, hour + 1)
+        for weights, bias in layers:
+            h = per_hour_layer(h, diffusion, operator, weights, bias, activation)
+        steps.append(h)
+    return stack_hours(steps)
+
+
+def per_hour_forward(model, series, diffusion, advection):
+    """full_forward as the per-hour loop ran it: hour t's slice of the encoder
+    output goes through every layer on advection.window(t, t + 1), and the
+    hours are stacked before the readout."""
+    h0 = model.encode(series)
+    x_init = model.init_readout(h0)
+    names = (("weight_diff", "weight_adv") if model.config.two_weight_propagation
+             else ("weight",))
+    layers = [(tuple(model.params[f"prop.{layer}.{name}"] for name in names),
+               model.params[f"prop.{layer}.bias"])
+              for layer in range(model.config.gnn_layers)]
+    h = per_hour_propagation(h0, diffusion, advection, layers, model.config.activation)
+    return x_init, model.readout(h)
+
+
+# -- AOD gradient loss ---------------------------------------------------
+
+
+def _standardize_on_tape(column, mask):
+    count = float(mask.sum())
+    mean = ad.tensor_sum(ad.mul(column, mask)) * (1.0 / count)
+    centered = ad.sub(column, mean)
+    var = ad.tensor_sum(ad.mul(ad.mul(centered, centered), mask)) * (1.0 / count)
+    std = sqrt(var)
+    if float(std.data) < 1e-6:
+        return centered
+    return div(centered, std)
+
+
+def _standardize_constant(values, mask):
+    count = mask.sum()
+    mean = (values * mask).sum() / count
+    std = np.sqrt(((values - mean) ** 2 * mask).sum() / count)
+    if std < 1e-6:
+        std = 1.0
+    return (values - mean) / std
+
+
+def reference_aod_loss(x_hat, aod_values, aod_valid, edges):
+    """The per-hour primitive composition the fused loss reproduces bitwise."""
+    src, dst = edges[:, 0], edges[:, 1]
+    total = None
+    for step in range(x_hat.shape[1]):
+        mask = aod_valid[:, step]
+        if mask.sum() == 0:
+            continue
+        edge_mask = mask[src] * mask[dst]
+        if edge_mask.sum() == 0:
+            continue
+        pred_std = _standardize_on_tape(x_hat[:, step], mask)
+        proxy_std = _standardize_constant(aod_values[:, step], mask)
+        pred_diff = ad.sub(pred_std[dst], pred_std[src])
+        proxy_diff = proxy_std[dst] - proxy_std[src]
+        terms = ad.mul(ad.absolute(ad.sub(pred_diff, proxy_diff)), edge_mask)
+        step_sum = ad.tensor_sum(terms)
+        total = step_sum if total is None else ad.add(total, step_sum)
+    return total if total is not None else ad.Tensor(0.0)

@@ -149,6 +149,35 @@ def test_scenario_file_with_mistyped_value(tmp_path, capsys, line, key):
     assert key in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key", [
+    "cell_km", "wind_speed_ms", "wind_direction_deg", "kappa_km2_h", "decay_per_h",
+    "background_rate", "observation_noise_sigma", "initial_value",
+    "sources.x_km", "sources.y_km", "sources.rate_per_h",
+    "aod.cloud_fraction", "aod.gain_a", "aod.offset_b", "aod.noise_sigma",
+])
+def test_scenario_file_with_nonfinite_value(tmp_path, capsys, monkeypatch, key):
+    def integrate(*args, **kwargs):
+        raise AssertionError("a non-finite scenario reached the simulator")
+
+    monkeypatch.setattr(cli, "run_scenario", integrate)
+    section, _, name = key.rpartition(".")
+    source = {"x_km": 1.0, "y_km": 1.0, "rate_per_h": 2.0}
+    for value in (".nan", ".inf", "-.inf"):
+        if section == "sources":
+            entry = ", ".join(f"{k}: {value if k == name else v}" for k, v in source.items())
+            line = f"sources: [{{{entry}}}]"
+        else:
+            line = f"aod: {{{name}: {value}}}" if section else f"{name}: {value}"
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(f"nx: 4\nny: 4\nt_hours: 4\nstation_count: 3\n{line}\n",
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--scenario", bad, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"{name} must be finite" in err and "Traceback" not in err
+        assert not out.exists()
+
+
 def test_scenario_file_not_utf8_is_data_error(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_bytes(b"nx: 4\xff\n")
@@ -261,6 +290,24 @@ def test_infer_with_malformed_checkpoint_meta_is_data_error(pipeline, tmp_path, 
     assert key in err and "Traceback" not in err
 
 
+def test_infer_with_checkpoint_config_carrying_final_softplus_is_data_error(
+        pipeline, tmp_path, capsys):
+    _, _, _, data, ckpt = pipeline
+    raw = ckpt.read_bytes()
+    start = raw.index(b"\n") + 1
+    end = raw.index(b"\n", start)
+    header = json.loads(raw[start:end])
+    header["config"]["final_softplus"] = False
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(raw[:start] + json.dumps(header, sort_keys=True, separators=(",", ":"))
+                    .encode("utf-8") + raw[end:])
+    assert run_cli("infer", "--ckpt", old, "--data", data, "--targets", "0",
+                   "--out", tmp_path / "preds.csv") == 2
+    err = capsys.readouterr().err
+    assert "final_softplus" in err and "Traceback" not in err
+    assert not (tmp_path / "preds.csv").exists()
+
+
 def test_train_without_data_dir_or_env_is_usage_error(pipeline, monkeypatch):
     _, _, cfg, _, _ = pipeline
     monkeypatch.delenv(cli.DATA_DIR_ENV, raising=False)
@@ -333,6 +380,70 @@ def test_infer_missing_nontarget_series_is_data_error(pipeline, tmp_path, capsys
     assert run_cli("infer", "--ckpt", ckpt, "--data", broken,
                    "--targets", "0", "--out", tmp_path / "x.csv") == 2
     assert "[3]" in capsys.readouterr().err
+
+
+def _break(data, path, fault):
+    """Rewrite one station input of a copy of `data` to hold one fault."""
+    if fault == "short":  # the last node's series is missing
+        if path.name == "nodes.csv":
+            dataio.write_nodes(path, dataio.read_nodes(data / path.name).positions[:-1])
+        elif path.name == "wind.csv":
+            dataio.write_wind(path, dataio.read_wind(data / path.name)[1][:, :-1])
+        else:
+            column = "emission" if path.name == "emissions.csv" else "pm25"
+            dataio.write_values(path, dataio.read_values(data / path.name, column)[1][:, :-1],
+                                column)
+    elif fault == "bad_id":
+        ids, pm25 = dataio.read_values(data / path.name, "pm25")
+        dataio.write_values(path, pm25, "pm25", node_ids=np.where(ids == 29, 99, ids))
+    elif fault == "short_hours":
+        dataio.write_values(path, dataio.read_values(data / path.name, "pm25")[1][:-1], "pm25")
+    else:
+        path.unlink()
+
+
+def _dense(name, n_ids, last=29):
+    return f"{name}: needs one series per node (ids 0..{last}), got {n_ids} ids"
+
+
+# (file, fault, the messages of train, infer --targets and infer --grid)
+STATION_FAULTS = [
+    ("wind.csv", "short", (_dense("wind.csv", 29),) * 3),
+    ("emissions.csv", "short", (_dense("emissions.csv", 29),) * 3),
+    ("stations.csv", "short", (_dense("stations.csv", 29),
+                               "stations.csv: nodes [29] have no series and are not targets",
+                               _dense("stations.csv", 29))),
+    ("stations.csv", "bad_id", (_dense("stations.csv", 30),)
+     + ("stations.csv: node ids outside 0..29",) * 2),
+    ("stations.csv", "short_hours", ("wind must be (59, 30, 2), got (60, 30, 2)",)
+     + ("stations.csv: 59 hours but wind has 60",) * 2),
+    ("nodes.csv", "short", (_dense("wind.csv", 30, last=28),) * 3),
+    ("nodes.csv", "missing", ("nodes.csv: [Errno 2] No such file",) * 3),
+    ("wind.csv", "missing", ("wind.csv: [Errno 2] No such file",) * 3),
+    ("emissions.csv", "missing", ("emissions.csv: [Errno 2] No such file",) * 3),
+    ("stations.csv", "missing", ("stations.csv: [Errno 2] No such file",) * 3),
+]
+
+
+@pytest.mark.parametrize("name, fault, messages", STATION_FAULTS,
+                         ids=[f"{name}-{fault}" for name, fault, _ in STATION_FAULTS])
+def test_one_faulty_station_input_names_it(pipeline, tmp_path, capsys, name, fault,
+                                           messages):
+    """train, infer --targets and infer --grid each exit 2 naming the fault."""
+    _, _, cfg, data, ckpt = pipeline
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    for file in SIM_FILES:
+        (broken / file).write_bytes((data / file).read_bytes())
+    _break(data, broken / name, fault)
+    commands = (["train", "--config", cfg, "--out", tmp_path / "x.ckpt"],
+                ["infer", "--ckpt", ckpt, "--targets", "0", "--out", tmp_path / "x.csv"],
+                ["infer", "--ckpt", ckpt, "--grid", "--out", tmp_path / "x.csv"])
+    for argv, message in zip(commands, messages):
+        assert run_cli(*argv, "--data", broken) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+    assert not (tmp_path / "x.ckpt").exists() and not (tmp_path / "x.csv").exists()
 
 
 def test_infer_grid_mode_shapes(pipeline, tmp_path):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference_ops import reference_aod_loss
 
 from pgkrig import autodiff as ad
 from pgkrig import losses as ls
@@ -163,47 +164,6 @@ class TestAodGradientLoss:
         with pytest.raises(ls.LossError):
             ls.aod_gradient_loss(pred, np.zeros((3, 2)), np.ones((3, 2)),
                                  np.array([[0, 0]]))
-
-
-def _standardize_on_tape(column, mask):
-    count = float(mask.sum())
-    mean = ad.tensor_sum(ad.mul(column, mask)) * (1.0 / count)
-    centered = ad.sub(column, mean)
-    var = ad.tensor_sum(ad.mul(ad.mul(centered, centered), mask)) * (1.0 / count)
-    std = ad.sqrt(var)
-    if float(std.data) < 1e-6:
-        return centered
-    return ad.div(centered, std)
-
-
-def _standardize_constant(values, mask):
-    count = mask.sum()
-    mean = (values * mask).sum() / count
-    std = np.sqrt(((values - mean) ** 2 * mask).sum() / count)
-    if std < 1e-6:
-        std = 1.0
-    return (values - mean) / std
-
-
-def reference_aod_loss(x_hat, aod_values, aod_valid, edges):
-    """The per-hour primitive composition the fused loss reproduces bitwise."""
-    src, dst = edges[:, 0], edges[:, 1]
-    total = None
-    for step in range(x_hat.shape[1]):
-        mask = aod_valid[:, step]
-        if mask.sum() == 0:
-            continue
-        edge_mask = mask[src] * mask[dst]
-        if edge_mask.sum() == 0:
-            continue
-        pred_std = _standardize_on_tape(x_hat[:, step], mask)
-        proxy_std = _standardize_constant(aod_values[:, step], mask)
-        pred_diff = ad.sub(pred_std[dst], pred_std[src])
-        proxy_diff = proxy_std[dst] - proxy_std[src]
-        terms = ad.mul(ad.absolute(ad.sub(pred_diff, proxy_diff)), edge_mask)
-        step_sum = ad.tensor_sum(terms)
-        total = step_sum if total is None else ad.add(total, step_sum)
-    return total if total is not None else ad.Tensor(0.0)
 
 
 def _random_edges(rng, n, count):

@@ -1,17 +1,21 @@
 """Network contracts: locality, causality, equivariance, inductivity."""
 
+import ast
 import tracemalloc
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from test_autodiff import per_hour_propagation
+from reference_ops import per_hour_forward
 
 from pgkrig import autodiff as ad
 from pgkrig import graphs as g
 from pgkrig import network as nw
+from pgkrig import training as tr
 from pgkrig.dataio import from_mapping
+from pgkrig.testbed import EmissionSource, ScenarioSpec, run_scenario
 
 
 def small_config(**overrides):
@@ -321,30 +325,45 @@ class TestFullForward:
                 ops.append(node._op)
                 stack.extend(node._parents)
         assert ops.count("propagate") == model.config.gnn_layers
-        for op in ("take", "stack", "sparse_matmul"):
-            assert op not in ops
-
-    def test_softplus_output_positive(self):
-        rng = np.random.default_rng(16)
-        series, diffusion, advection = toy_inputs(rng)
-        model = nw.KrigingModel(small_config(final_softplus=True), seed=0)
-        _, x_hat = model.full_forward(series, diffusion, advection)
-        assert np.all(x_hat.data > 0.0)
 
 
-def per_hour_forward(model, series, diffusion, advection):
-    """full_forward as the per-hour loop ran it: hour t's slice of the encoder
-    output goes through every layer on advection.window(t, t + 1), and the
-    hours are stacked before the readout."""
-    h0 = model.encode(series)
-    x_init = model.init_readout(h0)
-    names = (("weight_diff", "weight_adv") if model.config.two_weight_propagation
-             else ("weight",))
-    layers = [(tuple(model.params[f"prop.{layer}.{name}"] for name in names),
-               model.params[f"prop.{layer}.bias"])
-              for layer in range(model.config.gnn_layers)]
-    h = per_hour_propagation(h0, diffusion, advection, layers, model.config.activation)
-    return x_init, model.readout(h)
+def recordable_ops() -> set[str]:
+    """Every op name that a ``_make`` call in pgkrig can put on a tape."""
+    ops = set()
+    for path in Path(ad.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and "_make" in (getattr(node.func, "id", None),
+                                                          getattr(node.func, "attr", None)):
+                ops.add(node.args[1].value)
+    return ops
+
+
+def test_the_program_makes_every_recordable_op(monkeypatch):
+    """Training with relu, station dropout and the AOD term, training criterion
+    1's softplus two-weight model, and infer_stations after each, between them
+    make exactly the op kinds pgkrig can record: an op no program path uses
+    has no place in the tape."""
+    made = set()
+    make = ad._make
+
+    def spy(data, op, parents, backward):
+        made.add(op)
+        return make(data, op, parents, backward)
+
+    monkeypatch.setattr(ad, "_make", spy)
+    dataset = tr.dataset_from_scenario(run_scenario(ScenarioSpec(
+        nx=8, ny=6, t_hours=48, station_count=16, sources=(EmissionSource(5.0, 5.0, 8.0),))))
+    assert dataset.aod_values is not None
+    for model_config, dropout in ((small_config(), 0.25),
+                                  (small_config(activation="softplus",
+                                                two_weight_propagation=True), 0.0)):
+        train_config = tr.TrainConfig(epochs=1, window=12, batches_per_epoch=1,
+                                      val_partitions=1, station_dropout=dropout)
+        result = tr.train(dataset, model_config, train_config, tr.split_from_fractions(48),
+                          threshold_km=10.0)
+        tr.infer_stations(result.model, result.normalization, dataset, result.heldout_ids,
+                          threshold_km=10.0)
+    assert made == recordable_ops()
 
 
 class TestPerHourReference:

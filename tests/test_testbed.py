@@ -101,6 +101,14 @@ class TestSimulate:
         with pytest.raises(tb.ScenarioError, match="CFL"):
             tb.simulate(quiet_spec(kappa_km2_h=3.0, substeps_per_hour=1))
 
+    def test_sources_off_the_grid_land_on_its_edge_cells(self):
+        sources = (tb.EmissionSource(1e308, -1e308, 2.0), tb.EmissionSource(-3.0, 7.9, 1.0),
+                   tb.EmissionSource(7.9, 30.0, 4.0))
+        raster = quiet_spec(nx=4, ny=3, cell_km=0.5, sources=sources).emission_raster()
+        expected = np.zeros(12)
+        expected[[3, 8, 11]] = [2.0, 1.0, 4.0]  # cells (ix, iy) = (3, 0), (0, 2), (3, 2)
+        np.testing.assert_array_equal(raster, np.tile(expected, (12, 1)))
+
     def test_reversing_wind_flips_at_halfway(self):
         spec = quiet_spec(t_hours=10, wind_regime="reversing", wind_speed_ms=2.0)
         wind = spec.wind_series()
