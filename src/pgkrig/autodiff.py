@@ -17,12 +17,14 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import NumericFailure
+
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
-class NumericError(ArithmeticError):
+class NumericError(NumericFailure, ArithmeticError):
     """A forward operation produced NaN or Inf."""
 
 

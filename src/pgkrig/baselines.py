@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import DataError
 
-class BaselineError(ValueError):
+
+class BaselineError(DataError, ValueError):
     """Baseline inputs are unusable (e.g. nothing observed)."""
 
 

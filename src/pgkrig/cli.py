@@ -5,6 +5,9 @@ the data layer, never mutates its inputs, and is reproducible under
 `--seed` (commands without randomness are deterministic outright).
 
 Exit codes: 0 ok, 1 usage, 2 data error, 3 numeric failure.
+
+Each command imports the modules it runs when it runs, so `eval` and
+`render` start without scipy, PyYAML or the model.
 """
 
 from __future__ import annotations
@@ -16,19 +19,10 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import yaml
 
-from . import dataio
-from .autodiff import NumericError
-from .baselines import BaselineError
-from .graphs import DEFAULT_THRESHOLD_KM, GraphBuildError
-from .losses import LossError, LossWeights
-from .metrics import MetricError, score_per_node, score_pooled
-from .network import ModelConfig, ModelError
-from .rendering import RenderError, field_frame, render_pgm
-from .testbed import PRESET_NAMES, ScenarioError, ScenarioSpec, run_scenario, scenario_preset
-from .training import (ConfigError, Normalization, StationDataset, TrainConfig, TrainError,
-                       infer_grid, infer_stations, split_from_dict, train)
+from . import DataError, NumericFailure, dataio
+from .graphs import DEFAULT_THRESHOLD_KM
+from .testbed import PRESET_NAMES
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -36,13 +30,6 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 DATA_DIR_ENV = "PGKRIG_DATA_DIR"
-
-# Numeric failures are checked first; everything else actionable by
-# fixing inputs or configuration maps to the data-error exit code.
-_NUMERIC_ERRORS = (TrainError, NumericError)
-_DATA_ERRORS = (dataio.SchemaError, ScenarioError, GraphBuildError, ConfigError,
-                ModelError, LossError, MetricError, BaselineError, RenderError,
-                yaml.YAMLError, OSError)
 
 
 class _UsageError(Exception):
@@ -82,6 +69,8 @@ def _require_dense(ids: np.ndarray, n: int, path) -> None:
 
 
 def _load_scenario(name_or_path: str):
+    from .testbed import ScenarioError, ScenarioSpec, scenario_preset
+
     if name_or_path in PRESET_NAMES:
         return scenario_preset(name_or_path)
     path = Path(name_or_path)
@@ -93,10 +82,13 @@ def _load_scenario(name_or_path: str):
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
-    return dataio.from_mapping(ScenarioSpec, yaml.safe_load(text), "scenario")
+    data = dataio.parse_yaml(text, ScenarioError, f"{path}: invalid scenario syntax")
+    return dataio.from_mapping(ScenarioSpec, data, "scenario")
 
 
 def _cmd_simulate(args) -> int:
+    from .testbed import run_scenario
+
     spec = _load_scenario(args.scenario)
     run = run_scenario(spec, seed=args.seed)
     out = _resolve_data_dir(args.out)
@@ -129,18 +121,29 @@ def _read_station_inputs(data_dir: Path):
     """Read nodes.csv, then wind.csv and emissions.csv, which need one series
     per node, then stations.csv, whose node ids each command checks itself.
 
+    When wind.csv and emissions.csv both hold series for ids 0..K-1 and
+    nodes.csv does not list K nodes, nodes.csv is the file named.
+
     Returns (nodes, wind, emissions, station ids, station pm25).
     """
     nodes = dataio.read_nodes(data_dir / "nodes.csv")
     wind_ids, wind = dataio.read_wind(data_dir / "wind.csv")
-    _require_dense(wind_ids, nodes.n, data_dir / "wind.csv")
     em_ids, emissions = dataio.read_values(data_dir / "emissions.csv", "emission")
+    k = wind_ids.size
+    if (k != nodes.n and np.array_equal(wind_ids, em_ids)
+            and np.array_equal(wind_ids, np.arange(k))):
+        raise dataio.SchemaError(
+            f"{data_dir / 'nodes.csv'}: lists {nodes.n} nodes, but wind.csv and "
+            f"emissions.csv hold series for ids 0..{k - 1}")
+    _require_dense(wind_ids, nodes.n, data_dir / "wind.csv")
     _require_dense(em_ids, nodes.n, data_dir / "emissions.csv")
     ids, pm25 = dataio.read_values(data_dir / "stations.csv", "pm25")
     return nodes, wind, emissions, ids, pm25
 
 
-def _load_dataset(data_dir: Path, with_aod: bool) -> StationDataset:
+def _load_dataset(data_dir: Path, with_aod: bool):
+    from .training import StationDataset
+
     nodes, wind, emissions, ids, pm25 = _read_station_inputs(data_dir)
     _require_dense(ids, nodes.n, data_dir / "stations.csv")
     aod_values = aod_valid = None
@@ -154,6 +157,10 @@ def _load_dataset(data_dir: Path, with_aod: bool) -> StationDataset:
 
 def _train_inputs(args):
     """Shared train/sweep plumbing: dataset plus validated configuration."""
+    from .losses import LossWeights
+    from .network import ModelConfig
+    from .training import ConfigError, TrainConfig, split_from_dict
+
     data_dir = _resolve_data_dir(args.data)
     cfg = dataio.load_config(args.config) if args.config else {}
     dataset = _load_dataset(data_dir, with_aod=not args.no_aod)
@@ -173,6 +180,8 @@ def _train_inputs(args):
 
 
 def _cmd_train(args) -> int:
+    from .training import train
+
     dataset, model_cfg, train_cfg, split, weights, threshold = _train_inputs(args)
     result = train(dataset, model_cfg, train_cfg, split, weights=weights,
                    threshold_km=threshold)
@@ -187,6 +196,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .training import train
+
     dataset, model_cfg, train_cfg, split, weights, threshold = _train_inputs(args)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
@@ -227,6 +238,8 @@ def _parse_targets(text: str) -> np.ndarray:
 def _cmd_infer(args) -> int:
     if args.grid == (args.targets is not None):
         raise _UsageError("exactly one of --targets or --grid is required")
+    from .training import Normalization, StationDataset, infer_grid, infer_stations
+
     ckpt = dataio.load_checkpoint(args.ckpt)
     normalization = Normalization(mean=ckpt.norm_mean, std=ckpt.norm_std)
     threshold = args.threshold_km
@@ -280,6 +293,8 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .metrics import score_per_node, score_pooled
+
     pred_ids, pred = dataio.read_values(args.pred, "pm25")
     truth_ids, truth = dataio.read_values(args.truth, "pm25")
     lookup = {int(k): i for i, k in enumerate(truth_ids)}
@@ -314,6 +329,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .rendering import RenderError, field_frame, render_pgm
+
     geometry = dataio.read_grid_nodes(args.grid)
     ids, values = dataio.read_values(args.field, "pm25")
     if not np.array_equal(ids, np.arange(geometry.n_cells)):
@@ -434,10 +451,10 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _NUMERIC_ERRORS as exc:
+    except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except _DATA_ERRORS as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

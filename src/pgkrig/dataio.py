@@ -9,25 +9,27 @@ inputs) but reject mismatched versions, and report every failure as
 from __future__ import annotations
 
 import json
+import re
 import types
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, get_args, get_origin, get_type_hints
 
 import numpy as np
-import yaml
 
-from . import autodiff as ad
+from . import DataError
 from .graphs import GraphBuildError, NodeSet, grid_centers
-from .network import N_CHANNELS, KrigingModel, ModelConfig
+
+if TYPE_CHECKING:
+    from .network import KrigingModel
 
 SCHEMA_VERSION = "pgkrig-v1"
 
 _CKPT_MAGIC = b"pgkrig-ckpt-v1\n"
 
 
-class SchemaError(ValueError):
+class SchemaError(DataError, ValueError):
     """A file violated its schema; message carries path and line."""
 
 
@@ -468,6 +470,9 @@ def _check_meta(meta) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; value-exact inverse of save_checkpoint."""
+    from . import autodiff as ad
+    from .network import N_CHANNELS, KrigingModel, ModelConfig
+
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -584,6 +589,35 @@ def _field_value(section: str, key: str, value, kind):
     return config_value(section, key, value, kind)
 
 
+# YAML 1.2 core-schema floats: a dot or an exponent, whose sign is optional.
+# PyYAML's safe loader follows YAML 1.1, which reads 1e-3 and 1.0e308 as strings.
+_YAML_FLOAT = re.compile(r"""^(?:[-+]?(?:\.[0-9]+|[0-9]+\.[0-9]*)(?:[eE][-+]?[0-9]+)?
+                             |[-+]?[0-9]+[eE][-+]?[0-9]+
+                             |[-+]?\.(?:inf|Inf|INF)
+                             |\.(?:nan|NaN|NAN))$""", re.X)
+
+
+def parse_yaml(text: str, error: type[Exception], where: str):
+    """YAML `text` read with safe tags and YAML 1.2 floats.
+
+    A syntax error is raised as `error("<where>: <details>")`.
+    """
+    import yaml
+
+    float_tag = "tag:yaml.org,2002:float"
+
+    class Loader(yaml.SafeLoader):
+        yaml_implicit_resolvers = {
+            first: [(tag, rx) for tag, rx in resolvers if tag != float_tag]
+            for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()}
+
+    Loader.add_implicit_resolver(float_tag, _YAML_FLOAT, list("-+0123456789."))
+    try:
+        return yaml.load(text, Loader=Loader)
+    except yaml.YAMLError as exc:
+        raise error(f"{where}: {exc}") from exc
+
+
 def load_config(path) -> dict:
     """Read the nested key/value run configuration file.
 
@@ -594,10 +628,7 @@ def load_config(path) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
-    try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise SchemaError(f"{path}: invalid config syntax: {exc}") from exc
+    data = parse_yaml(text, SchemaError, f"{path}: invalid config syntax")
     if data is None:
         return {}
     if not isinstance(data, dict):

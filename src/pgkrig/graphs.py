@@ -19,14 +19,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+from . import DataError
+
+if TYPE_CHECKING:  # scipy.sparse loads on the first operator build, not on import
+    import scipy.sparse as sp
 
 DEFAULT_THRESHOLD_KM = 200.0
 
 
-class GraphBuildError(ValueError):
+class GraphBuildError(DataError, ValueError):
     """Inputs cannot produce a valid graph operator."""
 
 
@@ -126,6 +131,8 @@ class AdvectionOperator:
 
     @cached_property
     def weights(self) -> sp.csr_matrix:
+        import scipy.sparse as sp
+
         t, e = self.rates.shape
         size = (self.indptr.size - 1) * t
         hours = np.arange(t)[:, None]
@@ -167,6 +174,8 @@ def build_geo_adjacency(nodes: NodeSet,
     Raises:
         GraphBuildError: non-positive threshold, or no pair under it.
     """
+    import scipy.sparse as sp
+
     if not threshold_xi > 0:
         raise GraphBuildError(f"threshold_xi must be positive, got {threshold_xi}")
     dist = planar_distances(nodes.positions)
@@ -194,6 +203,8 @@ def build_diffusion_operator(geo: GeoAdjacency) -> DiffusionOperator:
     by zero.  Scaling each stored entry by the commutative product
     s_i * s_j preserves bitwise symmetry.
     """
+    import scipy.sparse as sp
+
     coo = geo.weights.tocoo()
     n = coo.shape[0]
     deg = np.asarray(geo.weights.sum(axis=1)).reshape(-1)

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import DataError
 from . import autodiff as ad
 from .graphs import GeoAdjacency
 
 
-class LossError(ValueError):
+class LossError(DataError, ValueError):
     """Loss inputs are unusable."""
 
 

@@ -6,8 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import DataError
 
-class MetricError(ValueError):
+
+class MetricError(DataError, ValueError):
     """Metric is undefined for the given inputs."""
 
 

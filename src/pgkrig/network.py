@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import DataError
 from . import autodiff as ad
 from .graphs import AdvectionOperator, DiffusionOperator
 
@@ -23,7 +24,7 @@ CHANNELS = ("wind_u", "wind_v", "emission", "pm25_masked", "observed_flag")
 N_CHANNELS = len(CHANNELS)
 
 
-class ModelError(ValueError):
+class ModelError(DataError, ValueError):
     """Model inputs or configuration are inconsistent."""
 
 

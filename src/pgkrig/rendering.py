@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import DataError
 from .dataio import GridGeometry, version_line
 
 _MAX_GRAY = 255
 _MAX_LINE = 70  # graymap readers may assume lines of at most 70 characters
 
 
-class RenderError(ValueError):
+class RenderError(DataError, ValueError):
     """A field cannot be rendered as requested."""
 
 

@@ -21,10 +21,11 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from . import DataError
 from .graphs import NodeSet, grid_centers
 
 
-class ScenarioError(ValueError):
+class ScenarioError(DataError, ValueError):
     """Scenario configuration is invalid or unstable."""
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import DataError, NumericFailure
 from . import autodiff as ad
 from .dataio import config_value
 from .graphs import (DEFAULT_THRESHOLD_KM, AdvectionOperator, DiffusionOperator, NodeSet,
@@ -25,11 +26,11 @@ from .network import CHANNELS, KrigingModel, ModelConfig, make_node_series
 from .testbed import ScenarioRun
 
 
-class ConfigError(ValueError):
+class ConfigError(DataError, ValueError):
     """A training configuration or split is inconsistent with the data."""
 
 
-class TrainError(RuntimeError):
+class TrainError(NumericFailure, RuntimeError):
     """Training aborted on a numeric failure; message carries epoch/batch."""
 
 

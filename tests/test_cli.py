@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pgkrig import cli, dataio
+from pgkrig import cli, dataio, testbed
 from pgkrig.rendering import parse_pgm
 from pgkrig.testbed import ScenarioSpec
 
@@ -159,7 +159,7 @@ def test_scenario_file_with_nonfinite_value(tmp_path, capsys, monkeypatch, key):
     def integrate(*args, **kwargs):
         raise AssertionError("a non-finite scenario reached the simulator")
 
-    monkeypatch.setattr(cli, "run_scenario", integrate)
+    monkeypatch.setattr(testbed, "run_scenario", integrate)
     section, _, name = key.rpartition(".")
     source = {"x_km": 1.0, "y_km": 1.0, "rate_per_h": 2.0}
     for value in (".nan", ".inf", "-.inf"):
@@ -184,6 +184,57 @@ def test_scenario_file_not_utf8_is_data_error(tmp_path, capsys):
     assert run_cli("simulate", "--scenario", bad, "--out", tmp_path / "x") == 2
     err = capsys.readouterr().err
     assert "utf-8" in err and "Traceback" not in err
+
+
+# -- YAML 1.2 floats ---------------------------------------------------
+
+
+def _config_with_learning_rate(root, text):
+    cfg = root / f"lr-{text}.yaml"
+    cfg.write_text(CONFIG_YAML.replace("val_partitions: 2}",
+                                       f"val_partitions: 2, learning_rate: {text}}}"),
+                   encoding="utf-8")
+    return cfg
+
+
+def test_config_float_with_unsigned_exponent_trains_as_dotted(pipeline, tmp_path):
+    _, _, _, data, _ = pipeline
+    digests = {}
+    for text in ("1e-3", "1.0e-3", "3e-3"):
+        ckpt = tmp_path / f"{text}.ckpt"
+        assert run_cli("train", "--config", _config_with_learning_rate(tmp_path, text),
+                       "--data", data, "--out", ckpt, "--seed", 1) == 0
+        digests[text] = hashlib.sha256(ckpt.read_bytes()).hexdigest()
+    assert digests["1e-3"] == digests["1.0e-3"] != digests["3e-3"]
+
+
+def test_config_number_with_trailing_text_is_data_error(pipeline, tmp_path, capsys):
+    _, _, _, data, _ = pipeline
+    assert run_cli("train", "--config", _config_with_learning_rate(tmp_path, "1e-3x"),
+                   "--data", data, "--out", tmp_path / "x.ckpt") == 2
+    err = capsys.readouterr().err
+    assert "learning_rate must be float, got '1e-3x'" in err and "Traceback" not in err
+
+
+def test_scenario_float_with_unsigned_exponent_places_the_source(tmp_path):
+    scen = tmp_path / "far.yaml"
+    scen.write_text("nx: 4\nny: 4\nt_hours: 4\nstation_count: 3\nbackground_rate: 0.0\n"
+                    "sources: [{x_km: 1.0e308, y_km: 1.0, rate_per_h: 2.0}]\n",
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--scenario", scen, "--out", out) == 0
+    _, emissions = dataio.read_grid_inputs(out / "grid_inputs.csv")
+    # x clamps to the last column, and y = 1 km lies in the first row
+    assert np.all(emissions[:, 3] == 2.0)
+    assert np.count_nonzero(emissions) == emissions.shape[0]
+
+
+def test_scenario_syntax_error_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("nx: [4\n", encoding="utf-8")
+    assert run_cli("simulate", "--scenario", bad, "--out", tmp_path / "x") == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: invalid scenario syntax" in err and "Traceback" not in err
 
 
 def test_scenario_from_dict_round_trip():
@@ -417,7 +468,8 @@ STATION_FAULTS = [
      + ("stations.csv: node ids outside 0..29",) * 2),
     ("stations.csv", "short_hours", ("wind must be (59, 30, 2), got (60, 30, 2)",)
      + ("stations.csv: 59 hours but wind has 60",) * 2),
-    ("nodes.csv", "short", (_dense("wind.csv", 30, last=28),) * 3),
+    ("nodes.csv", "short", ("nodes.csv: lists 29 nodes, but wind.csv and emissions.csv "
+                            "hold series for ids 0..29",) * 3),
     ("nodes.csv", "missing", ("nodes.csv: [Errno 2] No such file",) * 3),
     ("wind.csv", "missing", ("wind.csv: [Errno 2] No such file",) * 3),
     ("emissions.csv", "missing", ("emissions.csv: [Errno 2] No such file",) * 3),
@@ -631,6 +683,30 @@ def test_commands_do_not_mutate_inputs(pipeline, tmp_path):
     assert dir_digest(data) == before
 
 
+def _error_classes():
+    from pgkrig import (DataError, NumericFailure, autodiff, baselines, graphs, losses,
+                        metrics, network, rendering, training)
+
+    return [(dataio.SchemaError, DataError, ValueError),
+            (testbed.ScenarioError, DataError, ValueError),
+            (graphs.GraphBuildError, DataError, ValueError),
+            (training.ConfigError, DataError, ValueError),
+            (network.ModelError, DataError, ValueError),
+            (losses.LossError, DataError, ValueError),
+            (metrics.MetricError, DataError, ValueError),
+            (baselines.BaselineError, DataError, ValueError),
+            (rendering.RenderError, DataError, ValueError),
+            (autodiff.NumericError, NumericFailure, ArithmeticError),
+            (training.TrainError, NumericFailure, RuntimeError)]
+
+
+@pytest.mark.parametrize("error, root, base", _error_classes(),
+                         ids=lambda v: getattr(v, "__name__", str(v)))
+def test_each_error_keeps_its_base_under_one_exit_code_root(error, root, base):
+    """`main` maps the two roots to exit codes 2 and 3; callers still catch the base."""
+    assert issubclass(error, root) and issubclass(error, base)
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert run_cli("teleport") == 1
     assert "invalid choice" in capsys.readouterr().err
@@ -646,12 +722,58 @@ def test_help_exits_zero(capsys):
     assert "simulate" in capsys.readouterr().out
 
 
-def test_module_is_executable():
-    # the child imports the pgkrig under test, whether installed or found
-    # through pytest's `pythonpath` setting, which only this process sees
+def _child(*args) -> subprocess.CompletedProcess:
+    """Run Python in a fresh interpreter that imports the pgkrig under test.
+
+    That pgkrig is installed or found through pytest's `pythonpath`
+    setting, which only this process sees.
+    """
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "pgkrig.cli", "--help"],
-                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, *map(str, args)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_module_is_executable():
+    proc = _child("-m", "pgkrig.cli", "--help")
     assert proc.returncode == 0
     assert "pgkrig" in proc.stdout
+
+
+_PROBE = """
+import json, sys
+from pgkrig import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+_MODEL_MODULES = {"pgkrig.autodiff", "pgkrig.network", "pgkrig.training", "pgkrig.losses"}
+
+
+def _modules_after(*argv) -> set:
+    """The module names loaded once `cli.main(argv)` returns 0 in a fresh interpreter."""
+    proc = _child("-c", _PROBE, *argv)
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    return set(modules)
+
+
+def _packages(modules: set, *names) -> set:
+    return {m for m in modules if m.split(".")[0] in names}
+
+
+def test_each_command_imports_only_what_it_runs(pipeline, tmp_path):
+    _, _, _, data, ckpt = pipeline
+    for argv, needed in (
+            (["eval", "--pred", data / "station_truth.csv",
+              "--truth", data / "station_truth.csv"], "pgkrig.metrics"),
+            (["render", "--field", data / "truth.csv", "--grid", data / "grid.csv",
+              "--out", tmp_path / "r.pgm"], "pgkrig.rendering")):
+        modules = _modules_after(*argv)
+        assert needed in modules
+        assert not _packages(modules, "scipy", "yaml"), argv[0]
+        assert not modules & _MODEL_MODULES, argv[0]
+    modules = _modules_after("infer", "--ckpt", ckpt, "--data", data, "--targets", "0",
+                             "--out", tmp_path / "p.csv")
+    assert "pgkrig.training" in modules and not _packages(modules, "yaml")
+    assert not _packages(_modules_after("--help"), "scipy")

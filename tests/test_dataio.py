@@ -467,6 +467,22 @@ def test_load_config_non_mapping_root(tmp_path):
         dataio.load_config(path)
 
 
+@pytest.mark.parametrize("text, value", [
+    ("1e-3", 0.001), ("1.0e308", 1.0e308), ("-2E+2", -200.0), ("1.0e-3", 0.001),
+    (".5", 0.5), ("3.", 3.0), ("12", 12), ("0x10", 16), ("1e-3x", "1e-3x"), ("e3", "e3"),
+    (".inf", np.inf), ("-.inf", -np.inf), ("true", True),
+])
+def test_parse_yaml_reads_yaml_1_2_floats(text, value):
+    parsed = dataio.parse_yaml(f"a: {text}\n", SchemaError, "run.yaml")["a"]
+    assert parsed == value and type(parsed) is type(value)
+
+
+def test_parse_yaml_keeps_nan_and_wraps_syntax_errors():
+    assert np.isnan(dataio.parse_yaml("a: .nan", SchemaError, "run.yaml")["a"])
+    with pytest.raises(SchemaError, match="^run.yaml: bad: while parsing"):
+        dataio.parse_yaml("a: [1", SchemaError, "run.yaml: bad")
+
+
 def _field_names(cls) -> set:
     return {f.name for f in fields(cls)}
 
