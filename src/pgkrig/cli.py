@@ -43,10 +43,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def _resolve_data_dir(value) -> Path:
     """Explicit flag wins; otherwise fall back to the environment."""
     if value is not None:
@@ -55,13 +51,6 @@ def _resolve_data_dir(value) -> Path:
     if env:
         return Path(env)
     raise _UsageError(f"no data directory given and {DATA_DIR_ENV} is not set")
-
-
-def _require_dense(ids: np.ndarray, n: int, path) -> None:
-    if not np.array_equal(np.asarray(ids), np.arange(n)):
-        raise dataio.SchemaError(
-            f"{path}: needs one series per node (ids 0..{n - 1}), "
-            f"got {np.asarray(ids).size} ids")
 
 
 # ---------------------------------------------------------------------------
@@ -117,42 +106,54 @@ def _cmd_simulate(args) -> int:
 # train / sweep
 
 
-def _read_station_inputs(data_dir: Path):
-    """Read nodes.csv, then wind.csv and emissions.csv, which need one series
-    per node, then stations.csv, whose node ids each command checks itself.
+def _read_stations(data_dir: Path, targets=(), with_aod: bool = False):
+    """The station inputs of `data_dir` as one StationDataset, under one rule.
 
-    When wind.csv and emissions.csv both hold series for ids 0..K-1 and
-    nodes.csv does not list K nodes, nodes.csv is the file named.
-
-    Returns (nodes, wind, emissions, station ids, station pm25).
+    nodes.csv fixes N. wind.csv, emissions.csv and, when `with_aod` and the
+    file exists, aod.csv hold one series per node. stations.csv holds ids
+    in 0..N-1 and a series for every node not in `targets`; a target's
+    pollution is read as 0 whether or not the file holds it. Every table
+    covers the hours of wind.csv. Any breach is a SchemaError naming the
+    file: when wind.csv and emissions.csv both hold ids 0..K-1 and nodes.csv
+    does not list K nodes, nodes.csv is the file named.
     """
+    from .training import StationDataset
+
     nodes = dataio.read_nodes(data_dir / "nodes.csv")
+    n = nodes.n
     wind_ids, wind = dataio.read_wind(data_dir / "wind.csv")
     em_ids, emissions = dataio.read_values(data_dir / "emissions.csv", "emission")
     k = wind_ids.size
-    if (k != nodes.n and np.array_equal(wind_ids, em_ids)
+    if (k != n and np.array_equal(wind_ids, em_ids)
             and np.array_equal(wind_ids, np.arange(k))):
         raise dataio.SchemaError(
-            f"{data_dir / 'nodes.csv'}: lists {nodes.n} nodes, but wind.csv and "
+            f"{data_dir / 'nodes.csv'}: lists {n} nodes, but wind.csv and "
             f"emissions.csv hold series for ids 0..{k - 1}")
-    _require_dense(wind_ids, nodes.n, data_dir / "wind.csv")
-    _require_dense(em_ids, nodes.n, data_dir / "emissions.csv")
-    ids, pm25 = dataio.read_values(data_dir / "stations.csv", "pm25")
-    return nodes, wind, emissions, ids, pm25
 
+    def check(name: str, ids: np.ndarray, values: np.ndarray, exempt=()) -> None:
+        path = data_dir / name
+        if ids.size and ids.max() >= n:
+            raise dataio.SchemaError(f"{path}: node ids outside 0..{n - 1}")
+        missing = np.setdiff1d(np.arange(n), np.union1d(ids, exempt))
+        if missing.size:
+            raise dataio.SchemaError(f"{path}: nodes {missing.tolist()} have no series")
+        if values.shape[0] != wind.shape[0]:
+            raise dataio.SchemaError(
+                f"{path}: {values.shape[0]} hours but wind.csv has {wind.shape[0]}")
 
-def _load_dataset(data_dir: Path, with_aod: bool):
-    from .training import StationDataset
-
-    nodes, wind, emissions, ids, pm25 = _read_station_inputs(data_dir)
-    _require_dense(ids, nodes.n, data_dir / "stations.csv")
+    check("wind.csv", wind_ids, wind)
+    check("emissions.csv", em_ids, emissions)
+    sids, svals = dataio.read_values(data_dir / "stations.csv", "pm25")
+    check("stations.csv", sids, svals, exempt=targets)
+    observed = ~np.isin(sids, targets)
+    pm25 = np.zeros((wind.shape[0], n))
+    pm25[:, sids[observed]] = svals[:, observed]
     aod_values = aod_valid = None
-    aod_path = data_dir / "aod.csv"
-    if with_aod and aod_path.exists():
-        aod_ids, aod_values, aod_valid = dataio.read_aod(aod_path)
-        _require_dense(aod_ids, nodes.n, aod_path)
-    return StationDataset(nodes=nodes, wind=wind, emissions=emissions,
-                          pm25=pm25, aod_values=aod_values, aod_valid=aod_valid)
+    if with_aod and (data_dir / "aod.csv").exists():
+        aod_ids, aod_values, aod_valid = dataio.read_aod(data_dir / "aod.csv")
+        check("aod.csv", aod_ids, aod_values)
+    return StationDataset(nodes=nodes, wind=wind, emissions=emissions, pm25=pm25,
+                          aod_values=aod_values, aod_valid=aod_valid)
 
 
 def _train_inputs(args):
@@ -163,7 +164,7 @@ def _train_inputs(args):
 
     data_dir = _resolve_data_dir(args.data)
     cfg = dataio.load_config(args.config) if args.config else {}
-    dataset = _load_dataset(data_dir, with_aod=not args.no_aod)
+    dataset = _read_stations(data_dir, with_aod=not args.no_aod)
     model_cfg = dataio.from_mapping(ModelConfig, cfg.get("model", {}), "model")
     train_cfg = dataio.from_mapping(TrainConfig, cfg.get("train", {}), "train")
     weights = dataio.from_mapping(LossWeights, cfg.get("loss", {}), "loss")
@@ -205,14 +206,12 @@ def _cmd_sweep(args) -> int:
         raise _UsageError(f"--values must be comma-separated numbers: {exc}")
     if not values:
         raise _UsageError("--values is empty")
-    lines = [dataio.version_line("sweep"), f"{args.param},best_epoch,best_val_mae"]
-    for value in values:
-        swept = replace(weights, **{args.param: value})
-        result = train(dataset, model_cfg, train_cfg, split, weights=swept,
-                       threshold_km=threshold)
-        mae = "" if result.best_val_mae is None else _fmt(result.best_val_mae)
-        lines.append(f"{_fmt(value)},{result.best_epoch},{mae}")
-    text = "\n".join(lines) + "\n"
+    results = [train(dataset, model_cfg, train_cfg, split,
+                     weights=replace(weights, **{args.param: value}), threshold_km=threshold)
+               for value in values]
+    text = dataio.table_text(
+        [dataio.version_line("sweep"), f"{args.param},best_epoch,best_val_mae"],
+        [values, [r.best_epoch for r in results], [r.best_val_mae for r in results]])
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out} ({len(values)} runs)")
@@ -238,7 +237,7 @@ def _parse_targets(text: str) -> np.ndarray:
 def _cmd_infer(args) -> int:
     if args.grid == (args.targets is not None):
         raise _UsageError("exactly one of --targets or --grid is required")
-    from .training import Normalization, StationDataset, infer_grid, infer_stations
+    from .training import Normalization, infer_grid, infer_stations
 
     ckpt = dataio.load_checkpoint(args.ckpt)
     normalization = Normalization(mean=ckpt.norm_mean, std=ckpt.norm_std)
@@ -246,22 +245,18 @@ def _cmd_infer(args) -> int:
     if threshold is None:
         threshold = float(ckpt.meta.get("threshold_km", DEFAULT_THRESHOLD_KM))
     data_dir = _resolve_data_dir(args.data)
-    nodes, wind, emissions, sids, svals = _read_station_inputs(data_dir)
-    station_path = data_dir / "stations.csv"
-    if sids.size and (sids.min() < 0 or sids.max() >= nodes.n):
-        raise dataio.SchemaError(
-            f"{station_path}: node ids outside 0..{nodes.n - 1}")
-    if svals.shape[0] != wind.shape[0]:
-        raise dataio.SchemaError(
-            f"{station_path}: {svals.shape[0]} hours but wind has {wind.shape[0]}")
 
     if args.grid:
-        _require_dense(sids, nodes.n, station_path)
-        dataset = StationDataset(nodes=nodes, wind=wind, emissions=emissions,
-                                 pm25=svals)
+        dataset = _read_stations(data_dir)
         geometry = dataio.read_grid_nodes(data_dir / "grid.csv")
-        grid_wind, grid_emissions = dataio.read_grid_inputs(
-            data_dir / "grid_inputs.csv")
+        inputs_path = data_dir / "grid_inputs.csv"
+        grid_wind, grid_emissions = dataio.read_grid_inputs(inputs_path)
+        if grid_wind.shape[0] != dataset.t_hours:
+            raise dataio.SchemaError(f"{inputs_path}: {grid_wind.shape[0]} hours but "
+                                     f"wind.csv has {dataset.t_hours}")
+        if grid_wind.shape[1] != geometry.n_cells:
+            raise dataio.SchemaError(f"{inputs_path}: {grid_wind.shape[1]} cells but "
+                                     f"grid.csv has {geometry.n_cells}")
         field = infer_grid(ckpt.model, normalization, dataset,
                            geometry.positions(), grid_wind, grid_emissions,
                            threshold_km=threshold)
@@ -271,16 +266,7 @@ def _cmd_infer(args) -> int:
         return EXIT_OK
 
     targets = _parse_targets(args.targets)
-    # Target nodes may be absent from the station table (their pollution
-    # is zeroed and flagged unobserved either way); every other node
-    # needs a series, otherwise it would silently pass zeros as data.
-    pm25 = np.zeros((wind.shape[0], nodes.n), dtype=np.float64)
-    pm25[:, sids] = svals
-    uncovered = sorted(set(range(nodes.n)) - set(sids.tolist()) - set(targets.tolist()))
-    if uncovered:
-        raise dataio.SchemaError(
-            f"{station_path}: nodes {uncovered} have no series and are not targets")
-    dataset = StationDataset(nodes=nodes, wind=wind, emissions=emissions, pm25=pm25)
+    dataset = _read_stations(data_dir, targets)
     preds = infer_stations(ckpt.model, normalization, dataset, targets,
                            threshold_km=threshold)
     dataio.write_values(args.out, preds, "pm25", node_ids=targets)
@@ -317,8 +303,7 @@ def _cmd_eval(args) -> int:
     scores = [replace(s, node_id=int(pred_ids[i]))
               for i, s in enumerate(score_per_node(pred, aligned))]
     pooled = score_pooled(pred, aligned)
-    text = "\n".join(dataio.report_lines(scores, pooled)) + "\n"
-    sys.stdout.write(text)
+    sys.stdout.write(dataio.report_text(scores, pooled))
     if args.out:
         dataio.write_report(args.out, scores, pooled)
     return EXIT_OK

@@ -190,15 +190,32 @@ def _first_repeat(keys: np.ndarray) -> int:
     return int(repeats.min()) if repeats.size else -1
 
 
-def _write_table(path, head: list[str], columns) -> None:
-    """Write ``head`` lines, then one row per index of the 1-D ``columns``.
+def _cells(column):
+    """The cell texts of one column (see `table_text`)."""
+    values = np.asarray(column)
+    if values.dtype == object:  # a float column with empty cells
+        return ("" if v is None else _fmt(v) for v in values.tolist())
+    return map(repr, values.tolist())
+
+
+def table_text(head: list[str], columns) -> str:
+    """``head`` lines, then one row per index of the 1-D ``columns``.
 
     Cells are ``repr`` of the Python value: integers as digits, floats as
-    the shortest decimal that round-trips (``_fmt``).
+    the shortest decimal that round-trips (``_fmt``), and None as an empty
+    cell (an undefined R², or no validation MAE).
     """
-    cells = [map(repr, np.asarray(column).tolist()) for column in columns]
-    Path(path).write_text("\n".join([*head, *map(",".join, zip(*cells))]) + "\n",
-                          encoding="utf-8")
+    cells = [_cells(column) for column in columns]
+    return "\n".join([*head, *map(",".join, zip(*cells))]) + "\n"
+
+
+def _write_table(path, head: list[str], columns) -> None:
+    Path(path).write_text(table_text(head, columns), encoding="utf-8")
+
+
+def _record_columns(records, header: str) -> list[list]:
+    """One column per field of `header`, read off the attribute of that name."""
+    return [[getattr(record, name) for record in records] for name in header.split(",")]
 
 
 # ---------------------------------------------------------------------------
@@ -394,26 +411,19 @@ def read_grid_inputs(path) -> tuple[np.ndarray, np.ndarray]:
 
 def write_metrics_log(path, records) -> None:
     """Write the per-epoch training log `epoch,train_loss,val_mae,val_rmse,val_r2`."""
-    lines = [version_line("train-log"), "epoch,train_loss,val_mae,val_rmse,val_r2"]
-    for rec in records:
-        r2_cell = "" if rec.val_r2 is None else _fmt(rec.val_r2)
-        lines.append(f"{rec.epoch},{_fmt(rec.train_loss)},{_fmt(rec.val_mae)},"
-                     f"{_fmt(rec.val_rmse)},{r2_cell}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = "epoch,train_loss,val_mae,val_rmse,val_r2"
+    _write_table(path, [version_line("train-log"), header], _record_columns(records, header))
 
 
-def report_lines(node_scores, pooled) -> list[str]:
+def report_text(node_scores, pooled) -> str:
     """Metric report rows `node_id,mae,rmse,r2`; the pooled row uses id -1."""
-    lines = [version_line("report"), "node_id,mae,rmse,r2"]
-    for score in list(node_scores) + [pooled]:
-        r2_cell = "" if score.r2 is None else _fmt(score.r2)
-        lines.append(f"{score.node_id},{_fmt(score.mae)},{_fmt(score.rmse)},{r2_cell}")
-    return lines
+    header = "node_id,mae,rmse,r2"
+    return table_text([version_line("report"), header],
+                      _record_columns([*node_scores, pooled], header))
 
 
 def write_report(path, node_scores, pooled) -> None:
-    Path(path).write_text("\n".join(report_lines(node_scores, pooled)) + "\n",
-                          encoding="utf-8")
+    Path(path).write_text(report_text(node_scores, pooled), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

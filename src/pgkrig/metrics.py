@@ -87,13 +87,10 @@ def score_per_node(pred: np.ndarray, truth: np.ndarray) -> list[NodeScore]:
 
 
 def score_pooled(pred: np.ndarray, truth: np.ndarray) -> NodeScore:
-    """Pool every element into one score (node_id -1)."""
-    pooled_r2: float | None
+    """Pool every element into one score (node_id -1); r2 is None for constant truth."""
+    pooled_mae = mae(pred, truth)  # raises on mismatched shapes and empty input
     try:
-        pooled_r2 = r2(pred, truth)
-    except MetricError as err:
-        if "variance" not in str(err):
-            raise
+        pooled_r2: float | None = r2(pred, truth)
+    except MetricError:  # past `mae`, only zero-variance truth is left
         pooled_r2 = None
-    return NodeScore(node_id=-1, mae=mae(pred, truth),
-                     rmse=rmse(pred, truth), r2=pooled_r2)
+    return NodeScore(node_id=-1, mae=pooled_mae, rmse=rmse(pred, truth), r2=pooled_r2)

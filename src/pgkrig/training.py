@@ -38,28 +38,9 @@ class TrainError(NumericFailure, RuntimeError):
 # masking partitions
 
 
-@dataclass(frozen=True)
-class MaskPartition:
-    """One observed/target split of the training stations."""
-
-    observed: np.ndarray
-    target: np.ndarray
-
-    def __post_init__(self):
-        observed = np.asarray(self.observed, dtype=np.int64)
-        target = np.asarray(self.target, dtype=np.int64)
-        if observed.size == 0 or target.size == 0:
-            raise ConfigError("both sides of a partition must be non-empty")
-        combined = np.concatenate([observed, target])
-        if len(np.unique(combined)) != combined.size:
-            raise ConfigError("observed and target sets must be disjoint")
-        object.__setattr__(self, "observed", np.sort(observed))
-        object.__setattr__(self, "target", np.sort(target))
-
-
 def sample_partition(node_ids: np.ndarray, mask_ratio: float,
-                     rng: np.random.Generator) -> MaskPartition:
-    """Uniform random observed/target split; |target| = floor(N * ratio).
+                     rng: np.random.Generator) -> np.ndarray:
+    """Uniform random target draw of floor(N * ratio) nodes, leaving the rest observed.
 
     Args:
         node_ids: ids eligible for masking.
@@ -67,7 +48,7 @@ def sample_partition(node_ids: np.ndarray, mask_ratio: float,
         rng: source of the draw; a fresh draw every call.
 
     Returns:
-        MaskPartition with both sides sorted.
+        The sorted target ids; at least one node stays on each side.
     """
     node_ids = np.asarray(node_ids, dtype=np.int64)
     n = node_ids.size
@@ -77,8 +58,7 @@ def sample_partition(node_ids: np.ndarray, mask_ratio: float,
     if k == 0 or k == n:
         raise ConfigError(
             f"mask_ratio {mask_ratio} empties one side of a {n}-node partition")
-    perm = rng.permutation(node_ids)
-    return MaskPartition(observed=perm[k:], target=perm[:k])
+    return np.sort(rng.permutation(node_ids)[:k])
 
 
 def jittered_ratio(mask_ratio: float, jitter: float, n: int,
@@ -398,12 +378,6 @@ class TrainResult:
     meta: dict = field(default_factory=dict)
 
 
-def _window_flags(t_len: int, n: int, target: np.ndarray) -> np.ndarray:
-    flags = np.ones((t_len, n))
-    flags[:, target] = 0.0
-    return flags
-
-
 @dataclass(frozen=True)
 class Graph:
     """The operators of one node set: what every kriging forward runs on."""
@@ -427,13 +401,15 @@ def prepare_graph(nodes: NodeSet, wind: np.ndarray, threshold_km: float) -> Grap
 
 def predict(model: KrigingModel, normalization: Normalization, graph: Graph,
             wind: np.ndarray, emissions: np.ndarray, pm25: np.ndarray,
-            flags: np.ndarray) -> tuple[ad.Tensor, ad.Tensor]:
+            hidden: np.ndarray | list[int]) -> tuple[ad.Tensor, ad.Tensor]:
     """One kriging forward on raw time-major inputs over `graph`'s nodes.
 
-    Standardizes the inputs, hides pollution wherever `flags` is 0, and
-    returns (initial, refined) estimates, each (N, T) in physical units.
-    Pass `model.detached()` for a forward-only pass.
+    Standardizes the inputs, hides the pollution of the node ids `hidden`
+    at every hour, and returns (initial, refined) estimates, each (N, T) in
+    physical units. Pass `model.detached()` for a forward-only pass.
     """
+    flags = np.ones(pm25.shape)
+    flags[:, hidden] = 0.0
     series = make_node_series(*normalization.apply(wind, emissions, pm25), flags)
     x_init, x_hat = model.full_forward(series, graph.diffusion, graph.advection)
     return normalization.to_physical(x_init), normalization.to_physical(x_hat)
@@ -441,19 +417,18 @@ def predict(model: KrigingModel, normalization: Normalization, graph: Graph,
 
 def _evaluate(model: KrigingModel, normalization: Normalization,
               view: StationDataset, graph: Graph,
-              partitions: list[MaskPartition],
+              targets: list[np.ndarray],
               time_range: tuple[int, int]) -> tuple[float, float, float | None]:
-    """Pooled masked-reconstruction metrics over fixed partitions of a range."""
+    """Pooled masked-reconstruction metrics over fixed target sets of a range."""
     model = model.detached()
     lo, hi = time_range
     graph = graph.window(lo, hi)
     preds, truths = [], []
-    for part in partitions:
-        flags = _window_flags(hi - lo, view.n, part.target)
+    for target in targets:
         _, x_hat = predict(model, normalization, graph, view.wind[lo:hi],
-                           view.emissions[lo:hi], view.pm25[lo:hi], flags)
-        preds.append(x_hat.data[part.target, :].ravel())
-        truths.append(view.pm25[lo:hi].T[part.target, :].ravel())
+                           view.emissions[lo:hi], view.pm25[lo:hi], target)
+        preds.append(x_hat.data[target, :].ravel())
+        truths.append(view.pm25[lo:hi].T[target, :].ravel())
     pred = np.concatenate(preds)
     truth = np.concatenate(truths)
     try:
@@ -541,8 +516,8 @@ def train(dataset: StationDataset, model_config: ModelConfig, config: TrainConfi
         raise ConfigError(
             f"station_dropout {config.station_dropout} leaves {n_kept} of "
             f"{view.n} stations; at least 2 are needed")
-    val_parts = [sample_partition(station_ids, config.mask_ratio, rng)
-                 for _ in range(config.val_partitions)]
+    val_targets = [sample_partition(station_ids, config.mask_ratio, rng)
+                   for _ in range(config.val_partitions)]
     optimizer = ad.Adam(model.params, lr=config.learning_rate)
 
     log: list[EpochRecord] = []
@@ -564,16 +539,15 @@ def train(dataset: StationDataset, model_config: ModelConfig, config: TrainConfi
                                         view.wind[t0:t1][:, keep], threshold_km)
             else:
                 keep, b_graph = station_ids, graph.window(t0, t1)
-            part = sample_partition(np.arange(n_kept), ratio, rng)
+            target = sample_partition(np.arange(n_kept), ratio, rng)
             try:
-                flags = _window_flags(config.window, keep.size, part.target)
                 x_init, x_hat = predict(
                     model, normalization, b_graph, view.wind[t0:t1][:, keep],
-                    view.emissions[t0:t1][:, keep], view.pm25[t0:t1][:, keep], flags)
+                    view.emissions[t0:t1][:, keep], view.pm25[t0:t1][:, keep], target)
                 truth_window = view.pm25[t0:t1].T[keep]  # (K, window) physical
-                scale = 1.0 / (part.target.size * config.window)
-                term_infer = infer_loss(x_hat, truth_window, part.target) * scale
-                term_init = init_loss(x_init, truth_window, part.target) * scale
+                scale = 1.0 / (target.size * config.window)
+                term_infer = infer_loss(x_hat, truth_window, target) * scale
+                term_init = init_loss(x_init, truth_window, target) * scale
                 term_aod: ad.Tensor | float = 0.0
                 if aod_active:
                     valid_window = view.aod_valid[t0:t1].T[keep]
@@ -590,7 +564,7 @@ def train(dataset: StationDataset, model_config: ModelConfig, config: TrainConfi
                     f"non-finite value at epoch {epoch}, batch {batch}: {exc}") from exc
             batch_losses.append(float(loss.data))
         val_mae, val_rmse, val_r2 = _evaluate(model, normalization, view, graph,
-                                              val_parts, split.val_range)
+                                              val_targets, split.val_range)
         log.append(EpochRecord(epoch=epoch, train_loss=float(np.mean(batch_losses)),
                                val_mae=val_mae, val_rmse=val_rmse, val_r2=val_r2))
         if val_mae < best_mae:
@@ -642,10 +616,9 @@ def infer_stations(model: KrigingModel, normalization: Normalization,
         raise ConfigError(f"unknown node ids {unknown}; dataset has 0..{dataset.n - 1}")
     if len(np.unique(target_ids)) != target_ids.size:
         raise ConfigError("target ids contain duplicates")
-    flags = _window_flags(dataset.t_hours, dataset.n, target_ids)
     _, x_hat = predict(model.detached(), normalization,
                        prepare_graph(dataset.nodes, dataset.wind, threshold_km),
-                       dataset.wind, dataset.emissions, dataset.pm25, flags)
+                       dataset.wind, dataset.emissions, dataset.pm25, target_ids)
     return x_hat.data[target_ids, :].T.copy()
 
 
@@ -706,8 +679,7 @@ def infer_grid(model: KrigingModel, normalization: Normalization,
     if np.any(coincident):
         _, x_hat = predict(model, normalization,
                            prepare_graph(dataset.nodes, dataset.wind, threshold_km),
-                           dataset.wind, dataset.emissions, dataset.pm25,
-                           np.ones((t_hours, n_stations)))
+                           dataset.wind, dataset.emissions, dataset.pm25, [])
         out[:, coincident] = x_hat.data.T[:, node_of_cell[coincident]]
 
     free = np.nonzero(~coincident)[0]
@@ -725,9 +697,7 @@ def infer_grid(model: KrigingModel, normalization: Normalization,
         emissions = np.concatenate([dataset.emissions, grid_emissions[:, cells]], axis=1)
         pm25 = np.zeros((t_hours, nodes.n))
         pm25[:, :n_stations] = dataset.pm25
-        flags = np.zeros((t_hours, nodes.n))
-        flags[:, :n_stations] = 1.0
         _, x_hat = predict(model, normalization, prepare_graph(nodes, wind, threshold_km),
-                           wind, emissions, pm25, flags)
+                           wind, emissions, pm25, np.arange(n_stations, nodes.n))
         out[:, cells] = x_hat.data[n_stations:, :].T
     return out

@@ -435,67 +435,88 @@ def test_infer_missing_nontarget_series_is_data_error(pipeline, tmp_path, capsys
 
 def _break(data, path, fault):
     """Rewrite one station input of a copy of `data` to hold one fault."""
-    if fault == "short":  # the last node's series is missing
-        if path.name == "nodes.csv":
-            dataio.write_nodes(path, dataio.read_nodes(data / path.name).positions[:-1])
-        elif path.name == "wind.csv":
-            dataio.write_wind(path, dataio.read_wind(data / path.name)[1][:, :-1])
-        else:
-            column = "emission" if path.name == "emissions.csv" else "pm25"
-            dataio.write_values(path, dataio.read_values(data / path.name, column)[1][:, :-1],
-                                column)
+    if fault == "missing":
+        path.unlink()
+    elif path.name == "nodes.csv":  # short: the last node is missing
+        dataio.write_nodes(path, dataio.read_nodes(data / path.name).positions[:-1])
     elif fault == "bad_id":
         ids, pm25 = dataio.read_values(data / path.name, "pm25")
         dataio.write_values(path, pm25, "pm25", node_ids=np.where(ids == 29, 99, ids))
-    elif fault == "short_hours":
-        dataio.write_values(path, dataio.read_values(data / path.name, "pm25")[1][:-1], "pm25")
-    else:
-        path.unlink()
+    else:  # short: the last node's series is missing; short_hours: the last hour
+        cut = (slice(None), slice(None, -1)) if fault == "short" else slice(None, -1)
+        if path.name == "wind.csv":
+            dataio.write_wind(path, dataio.read_wind(data / path.name)[1][cut])
+        elif path.name == "aod.csv":
+            _, values, valid = dataio.read_aod(data / path.name)
+            dataio.write_aod(path, values[cut], valid[cut])
+        else:
+            column = "emission" if path.name == "emissions.csv" else "pm25"
+            dataio.write_values(path, dataio.read_values(data / path.name, column)[1][cut],
+                                column)
 
 
-def _dense(name, n_ids, last=29):
-    return f"{name}: needs one series per node (ids 0..{last}), got {n_ids} ids"
-
-
-# (file, fault, the messages of train, infer --targets and infer --grid)
+# (file, fault, the message of train, infer --targets and infer --grid alike)
 STATION_FAULTS = [
-    ("wind.csv", "short", (_dense("wind.csv", 29),) * 3),
-    ("emissions.csv", "short", (_dense("emissions.csv", 29),) * 3),
-    ("stations.csv", "short", (_dense("stations.csv", 29),
-                               "stations.csv: nodes [29] have no series and are not targets",
-                               _dense("stations.csv", 29))),
-    ("stations.csv", "bad_id", (_dense("stations.csv", 30),)
-     + ("stations.csv: node ids outside 0..29",) * 2),
-    ("stations.csv", "short_hours", ("wind must be (59, 30, 2), got (60, 30, 2)",)
-     + ("stations.csv: 59 hours but wind has 60",) * 2),
-    ("nodes.csv", "short", ("nodes.csv: lists 29 nodes, but wind.csv and emissions.csv "
-                            "hold series for ids 0..29",) * 3),
-    ("nodes.csv", "missing", ("nodes.csv: [Errno 2] No such file",) * 3),
-    ("wind.csv", "missing", ("wind.csv: [Errno 2] No such file",) * 3),
-    ("emissions.csv", "missing", ("emissions.csv: [Errno 2] No such file",) * 3),
-    ("stations.csv", "missing", ("stations.csv: [Errno 2] No such file",) * 3),
+    ("wind.csv", "short", "wind.csv: nodes [29] have no series"),
+    ("emissions.csv", "short", "emissions.csv: nodes [29] have no series"),
+    ("aod.csv", "short", "aod.csv: nodes [29] have no series"),
+    ("stations.csv", "short", "stations.csv: nodes [29] have no series"),
+    ("stations.csv", "bad_id", "stations.csv: node ids outside 0..29"),
+    ("wind.csv", "short_hours", "emissions.csv: 60 hours but wind.csv has 59"),
+    ("emissions.csv", "short_hours", "emissions.csv: 59 hours but wind.csv has 60"),
+    ("aod.csv", "short_hours", "aod.csv: 59 hours but wind.csv has 60"),
+    ("stations.csv", "short_hours", "stations.csv: 59 hours but wind.csv has 60"),
+    ("nodes.csv", "short", "nodes.csv: lists 29 nodes, but wind.csv and emissions.csv "
+                           "hold series for ids 0..29"),
+    ("nodes.csv", "missing", "nodes.csv: [Errno 2] No such file"),
+    ("wind.csv", "missing", "wind.csv: [Errno 2] No such file"),
+    ("emissions.csv", "missing", "emissions.csv: [Errno 2] No such file"),
+    ("stations.csv", "missing", "stations.csv: [Errno 2] No such file"),
 ]
 
 
-@pytest.mark.parametrize("name, fault, messages", STATION_FAULTS,
-                         ids=[f"{name}-{fault}" for name, fault, _ in STATION_FAULTS])
-def test_one_faulty_station_input_names_it(pipeline, tmp_path, capsys, name, fault,
-                                           messages):
-    """train, infer --targets and infer --grid each exit 2 naming the fault."""
-    _, _, cfg, data, ckpt = pipeline
+def _copy_data(data, tmp_path):
     broken = tmp_path / "broken"
     broken.mkdir()
     for file in SIM_FILES:
         (broken / file).write_bytes((data / file).read_bytes())
+    return broken
+
+
+@pytest.mark.parametrize("name, fault, message", STATION_FAULTS,
+                         ids=[f"{name}-{fault}" for name, fault, _ in STATION_FAULTS])
+def test_one_faulty_station_input_names_it(pipeline, tmp_path, capsys, name, fault,
+                                           message):
+    """train, infer --targets and infer --grid each exit 2 with one message."""
+    _, _, cfg, data, ckpt = pipeline
+    broken = _copy_data(data, tmp_path)
     _break(data, broken / name, fault)
-    commands = (["train", "--config", cfg, "--out", tmp_path / "x.ckpt"],
-                ["infer", "--ckpt", ckpt, "--targets", "0", "--out", tmp_path / "x.csv"],
-                ["infer", "--ckpt", ckpt, "--grid", "--out", tmp_path / "x.csv"])
-    for argv, message in zip(commands, messages):
+    commands = [["train", "--config", cfg, "--out", tmp_path / "x.ckpt"]]
+    if name != "aod.csv":  # inference reads no AOD
+        commands += [["infer", "--ckpt", ckpt, "--targets", "0", "--out", tmp_path / "x.csv"],
+                     ["infer", "--ckpt", ckpt, "--grid", "--out", tmp_path / "x.csv"]]
+    for argv in commands:
         assert run_cli(*argv, "--data", broken) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
     assert not (tmp_path / "x.ckpt").exists() and not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("cut, message", [
+    (slice(None, -1), "grid_inputs.csv: 59 hours but wind.csv has 60"),
+    ((slice(None), slice(None, -1)), "grid_inputs.csv: 47 cells but grid.csv has 48"),
+], ids=["short_hours", "short_cells"])
+def test_infer_grid_names_a_mismatched_grid_inputs_csv(pipeline, tmp_path, capsys, cut,
+                                                       message):
+    _, _, _, data, ckpt = pipeline
+    broken = _copy_data(data, tmp_path)
+    wind, emissions = dataio.read_grid_inputs(data / "grid_inputs.csv")
+    dataio.write_grid_inputs(broken / "grid_inputs.csv", wind[cut], emissions[cut])
+    assert run_cli("infer", "--ckpt", ckpt, "--data", broken, "--grid",
+                   "--out", tmp_path / "x.csv") == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_infer_grid_mode_shapes(pipeline, tmp_path):

@@ -47,35 +47,30 @@ def fast_config(**overrides):
 
 def test_partition_target_count_floor():
     rng = np.random.default_rng(0)
-    part = tr.sample_partition(np.arange(10), 0.5, rng)
-    assert part.target.size == 5
-    assert part.observed.size == 5
+    target = tr.sample_partition(np.arange(10), 0.5, rng)
+    assert target.size == 5
 
 
 def test_partition_is_disjoint_cover():
+    # the targets are sorted distinct ids, and the observed rest is not empty
     rng = np.random.default_rng(1)
     for n in (2, 5, 9, 24):
-        part = tr.sample_partition(np.arange(n), 0.4 if n > 2 else 0.5, rng)
-        combined = np.sort(np.concatenate([part.observed, part.target]))
-        assert np.array_equal(combined, np.arange(n))
+        target = tr.sample_partition(np.arange(n), 0.4 if n > 2 else 0.5, rng)
+        assert np.array_equal(target, np.unique(target))
+        assert 0 < target.size < n and np.isin(target, np.arange(n)).all()
 
 
 def test_partition_same_seed_same_sequence():
-    parts_a = [tr.sample_partition(np.arange(12), 0.5, np.random.default_rng(7))
-               for _ in range(1)]
     rng_a = np.random.default_rng(7)
     rng_b = np.random.default_rng(7)
     for _ in range(5):
-        pa = tr.sample_partition(np.arange(12), 0.5, rng_a)
-        pb = tr.sample_partition(np.arange(12), 0.5, rng_b)
-        assert np.array_equal(pa.target, pb.target)
-        assert np.array_equal(pa.observed, pb.observed)
-    del parts_a
+        assert np.array_equal(tr.sample_partition(np.arange(12), 0.5, rng_a),
+                              tr.sample_partition(np.arange(12), 0.5, rng_b))
 
 
 def test_partition_fresh_draw_each_call():
     rng = np.random.default_rng(3)
-    draws = {tuple(tr.sample_partition(np.arange(10), 0.5, rng).target)
+    draws = {tuple(tr.sample_partition(np.arange(10), 0.5, rng))
              for _ in range(20)}
     assert len(draws) > 1
 
@@ -86,8 +81,7 @@ def test_partition_uniform_target_frequency():
     counts = np.zeros(10)
     n_draws = 10_000
     for _ in range(n_draws):
-        part = tr.sample_partition(np.arange(10), 0.5, rng)
-        counts[part.target] += 1
+        counts[tr.sample_partition(np.arange(10), 0.5, rng)] += 1
     freq = counts / n_draws
     assert np.all(freq >= 0.45) and np.all(freq <= 0.55)
 
@@ -112,7 +106,7 @@ def test_jittered_ratio_lower_clip_keeps_one_target():
         ratio = tr.jittered_ratio(0.3, 0.49, n, _LowestDraw())
         assert math.floor(n * ratio) == 1, n  # sample_partition's target count
         if n <= 500:
-            assert tr.sample_partition(np.arange(n), ratio, rng).target.size == 1, n
+            assert tr.sample_partition(np.arange(n), ratio, rng).size == 1, n
 
 
 def test_jittered_ratio_stays_in_band():
@@ -124,16 +118,6 @@ def test_jittered_ratio_stays_in_band():
 def test_partition_needs_two_nodes():
     with pytest.raises(tr.ConfigError, match="at least 2"):
         tr.sample_partition(np.arange(1), 0.5, np.random.default_rng(0))
-
-
-def test_mask_partition_rejects_overlap():
-    with pytest.raises(tr.ConfigError, match="disjoint"):
-        tr.MaskPartition(observed=np.array([0, 1]), target=np.array([1, 2]))
-
-
-def test_mask_partition_rejects_empty_side():
-    with pytest.raises(tr.ConfigError, match="non-empty"):
-        tr.MaskPartition(observed=np.array([0, 1]), target=np.array([], dtype=int))
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +573,29 @@ def test_infer_grid_is_equivariant_to_cell_order():
     assert permuted.tobytes() == field[:, perm].tobytes()
 
 
+def test_station_ids_are_labels():
+    """Relabelling the stations (their positions, wind, emissions and pm25
+    columns permuted, the targets mapped) moves no prediction of
+    infer_stations or infer_grid beyond rounding: prepare_graph, where the
+    kernel width and the degrees are computed, sees a set of stations."""
+    run = toy_run()
+    dataset = tr.dataset_from_scenario(run)
+    _, result = trained_toy()
+    model, norm = result.model, result.normalization
+    perm = np.random.default_rng(5).permutation(dataset.n)
+    relabelled = dataset.subset(perm)  # new id i is old id perm[i]
+    targets = np.array([3, 11, 7])
+    stations = tr.infer_stations(model, norm, dataset, targets, threshold_km=10.0)
+    moved = tr.infer_stations(model, norm, relabelled, np.argsort(perm)[targets],
+                              threshold_km=10.0)
+    np.testing.assert_allclose(moved, stations, rtol=1e-9, atol=0.0)
+
+    grid = (run.truth.cell_positions(), run.truth.wind, run.truth.emissions)
+    field = tr.infer_grid(model, norm, dataset, *grid, threshold_km=10.0)
+    moved = tr.infer_grid(model, norm, relabelled, *grid, threshold_km=10.0)
+    np.testing.assert_allclose(moved, field, rtol=1e-9, atol=0.0)
+
+
 def test_infer_grid_uniform_scenario_is_flat():
     # uniform truth + zero wind: predicted spatial spread stays below 10%
     spec = ScenarioSpec(nx=8, ny=8, cell_km=2.0, t_hours=40, wind_speed_ms=0.0,
@@ -652,8 +659,8 @@ def _forward_only_passes(dataset, result):
     grid = tr.infer_grid(model, norm, dataset, positions, dataset.wind[:, cells],
                          dataset.emissions[:, cells], threshold_km=10.0)
     graph = tr.prepare_graph(dataset.nodes, dataset.wind, 10.0)
-    parts = [tr.sample_partition(np.arange(dataset.n), 0.5, np.random.default_rng(1))]
-    scores = tr._evaluate(model, norm, dataset, graph, parts, (40, 60))
+    targets = [tr.sample_partition(np.arange(dataset.n), 0.5, np.random.default_rng(1))]
+    scores = tr._evaluate(model, norm, dataset, graph, targets, (40, 60))
     return stations, grid, scores
 
 
