@@ -43,6 +43,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _seed(text: str) -> int:
+    """The `--seed` type of every command: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return int(text)
+
+
 def _resolve_data_dir(value) -> Path:
     """Explicit flag wins; otherwise fall back to the environment."""
     if value is not None:
@@ -158,26 +165,17 @@ def _read_stations(data_dir: Path, targets=(), with_aod: bool = False):
 
 def _train_inputs(args):
     """Shared train/sweep plumbing: dataset plus validated configuration."""
-    from .losses import LossWeights
-    from .network import ModelConfig
-    from .training import ConfigError, TrainConfig, split_from_dict
+    from .training import RunConfig
 
     data_dir = _resolve_data_dir(args.data)
-    cfg = dataio.load_config(args.config) if args.config else {}
+    run = dataio.from_mapping(
+        RunConfig, dataio.load_config(args.config) if args.config else {}, "config")
     dataset = _read_stations(data_dir, with_aod=not args.no_aod)
-    model_cfg = dataio.from_mapping(ModelConfig, cfg.get("model", {}), "model")
-    train_cfg = dataio.from_mapping(TrainConfig, cfg.get("train", {}), "train")
-    weights = dataio.from_mapping(LossWeights, cfg.get("loss", {}), "loss")
-    graph_cfg = dict(cfg.get("graph", {}))
-    threshold = float(dataio.config_value(
-        "graph", "threshold_km", graph_cfg.pop("threshold_km", DEFAULT_THRESHOLD_KM), float))
-    if graph_cfg:
-        raise ConfigError(f"unknown keys in graph section: {sorted(graph_cfg)}")
-    split = split_from_dict(cfg.get("split", {}), dataset.t_hours)
+    train_cfg, split = run.train, run.split.spec(dataset.t_hours)
     if args.seed is not None:
-        train_cfg = replace(train_cfg, seed=int(args.seed))
-        split = replace(split, seed=int(args.seed))
-    return dataset, model_cfg, train_cfg, split, weights, threshold
+        train_cfg = replace(train_cfg, seed=args.seed)
+        split = replace(split, seed=args.seed)
+    return dataset, run.model, train_cfg, split, run.loss, run.graph.threshold_km
 
 
 def _cmd_train(args) -> int:
@@ -226,12 +224,12 @@ def _cmd_sweep(args) -> int:
 
 def _parse_targets(text: str) -> np.ndarray:
     try:
-        ids = [int(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
+        ids = np.array([int(v) for v in text.split(",") if v.strip()], dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
         raise _UsageError(f"--targets must be comma-separated node ids: {exc}")
-    if not ids:
+    if not ids.size:
         raise _UsageError("--targets is empty")
-    return np.array(ids, dtype=np.int64)
+    return ids
 
 
 def _cmd_infer(args) -> int:
@@ -345,8 +343,6 @@ def build_parser() -> _Parser:
                      help=f"preset name ({', '.join(PRESET_NAMES)}) or a YAML file")
     sim.add_argument("--out", default=None,
                      help=f"output directory (default ${DATA_DIR_ENV})")
-    sim.add_argument("--seed", type=int, default=None,
-                     help="master seed (default: the scenario's layout seed)")
     sim.set_defaults(func=_cmd_simulate)
 
     tr = sub.add_parser("train", help="fit a model on a station data directory")
@@ -356,8 +352,6 @@ def build_parser() -> _Parser:
     tr.add_argument("--out", required=True, help="checkpoint path to write")
     tr.add_argument("--log", default=None,
                     help="metrics log CSV path (default: <out>.log.csv)")
-    tr.add_argument("--seed", type=int, default=None,
-                    help="overrides both the training and the split seed")
     tr.add_argument("--no-aod", action="store_true",
                     help="ignore aod.csv even when present")
     tr.set_defaults(func=_cmd_train)
@@ -372,8 +366,6 @@ def build_parser() -> _Parser:
                     help="comma-separated weight values, e.g. 0,0.1,0.5")
     sw.add_argument("--out", default=None,
                     help="result CSV path (default: print to stdout)")
-    sw.add_argument("--seed", type=int, default=None,
-                    help="overrides both the training and the split seed")
     sw.add_argument("--no-aod", action="store_true",
                     help="ignore aod.csv even when present")
     sw.set_defaults(func=_cmd_sweep)
@@ -389,8 +381,6 @@ def build_parser() -> _Parser:
     inf.add_argument("--out", required=True, help="prediction CSV path")
     inf.add_argument("--threshold-km", type=float, default=None,
                      help="edge cutoff override (default: from the checkpoint)")
-    inf.add_argument("--seed", type=int, default=None,
-                     help="accepted for uniformity; inference is deterministic")
     inf.set_defaults(func=_cmd_infer)
 
     ev = sub.add_parser("eval", help="score predictions against truth")
@@ -401,8 +391,6 @@ def build_parser() -> _Parser:
                     help="first hour to score (inclusive)")
     ev.add_argument("--to", dest="to_hour", type=int, default=None,
                     help="last hour to score (exclusive)")
-    ev.add_argument("--seed", type=int, default=None,
-                    help="accepted for uniformity; eval is deterministic")
     ev.set_defaults(func=_cmd_eval)
 
     rn = sub.add_parser("render", help="render one hour of a field as a graymap")
@@ -415,9 +403,15 @@ def build_parser() -> _Parser:
                     help="value mapped to black (default: frame minimum)")
     rn.add_argument("--vmax", type=float, default=None,
                     help="value mapped to white (default: frame maximum)")
-    rn.add_argument("--seed", type=int, default=None,
-                    help="accepted for uniformity; render is deterministic")
     rn.set_defaults(func=_cmd_render)
+
+    for command, text in ((sim, "master seed (default: the scenario's layout seed)"),
+                          (tr, "overrides both the training and the split seed"),
+                          (sw, "overrides both the training and the split seed"),
+                          (inf, "accepted for uniformity; inference is deterministic"),
+                          (ev, "accepted for uniformity; eval is deterministic"),
+                          (rn, "accepted for uniformity; render is deterministic")):
+        command.add_argument("--seed", type=_seed, default=None, help=text)
 
     return parser
 

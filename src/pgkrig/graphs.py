@@ -193,6 +193,7 @@ def build_geo_adjacency(nodes: NodeSet,
         sigma_sq = 1.0
 
     weights = np.where(mask, np.exp(-(dist * dist) / sigma_sq), 0.0)
+    weights[weights < np.finfo(float).tiny] = 0.0  # else 1/sqrt(degree) can overflow
     return GeoAdjacency(weights=sp.csr_matrix(weights), sigma_sq=sigma_sq)
 
 

@@ -143,6 +143,8 @@ class ScenarioSpec:
             raise ScenarioError(f"cell_km must be positive, got {self.cell_km}")
         if self.t_hours < 1:
             raise ScenarioError(f"t_hours must be >= 1, got {self.t_hours}")
+        if self.layout_seed < 0:
+            raise ScenarioError(f"layout_seed must be >= 0, got {self.layout_seed}")
         if self.wind_regime not in WIND_REGIMES:
             raise ScenarioError(
                 f"unknown wind regime '{self.wind_regime}', expected one of {WIND_REGIMES}")
@@ -442,7 +444,6 @@ def _s1_spec() -> ScenarioSpec:
             EmissionSource(x_km=16.0, y_km=34.0, rate_per_h=8.0, schedule="diurnal"),
         ),
         station_count=40, layout_seed=7,
-        aod=AodSpec(cloud_fraction=0.2, gain_a=1.0, offset_b=0.0, noise_sigma=0.0),
     )
 
 
@@ -457,8 +458,12 @@ def _aod_base() -> ScenarioSpec:
             EmissionSource(x_km=8.0, y_km=22.0, rate_per_h=8.0, schedule="constant"),
         ),
         station_count=32, layout_seed=11,
-        aod=AodSpec(cloud_fraction=0.2, gain_a=1.0, offset_b=0.0, noise_sigma=0.0),
     )
+
+
+# the aod-* presets: their AodSpec fields that differ from _aod_base's
+_AOD_PRESETS = {"aod-ideal": {}, "aod-missing": {"cloud_fraction": 1.0},
+                "aod-conflict": {"invert": True}, "aod-biased": {"gain_a": 3.0, "offset_b": 0.5}}
 
 
 def scenario_preset(name: str) -> ScenarioSpec:
@@ -470,17 +475,9 @@ def scenario_preset(name: str) -> ScenarioSpec:
     """
     if name == "s1-advection":
         return _s1_spec()
-    if name == "aod-ideal":
-        return _aod_base()
-    if name == "aod-missing":
+    if name in _AOD_PRESETS:
         base = _aod_base()
-        return replace(base, aod=replace(base.aod, cloud_fraction=1.0))
-    if name == "aod-conflict":
-        base = _aod_base()
-        return replace(base, aod=replace(base.aod, invert=True))
-    if name == "aod-biased":
-        base = _aod_base()
-        return replace(base, aod=replace(base.aod, gain_a=3.0, offset_b=0.5))
+        return replace(base, aod=replace(base.aod, **_AOD_PRESETS[name]))
     raise ScenarioError(
         f"unknown preset '{name}', expected one of {sorted(PRESET_NAMES)}")
 

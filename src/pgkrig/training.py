@@ -16,7 +16,6 @@ import numpy as np
 
 from . import DataError, NumericFailure
 from . import autodiff as ad
-from .dataio import config_value
 from .graphs import (DEFAULT_THRESHOLD_KM, AdvectionOperator, DiffusionOperator, NodeSet,
                      advection_sequence, build_diffusion_operator, build_geo_adjacency)
 from .losses import (LossWeights, aod_gradient_loss, composite_loss,
@@ -94,10 +93,8 @@ class SplitSpec:
                                    ("test", self.test_range)):
             if start < 0 or end < start:
                 raise ConfigError(f"{name}_range {(start, end)} is not a valid range")
-        if self.train_range[0] >= self.train_range[1]:
-            raise ConfigError(f"train_range {self.train_range} is empty")
-        if self.val_range[0] >= self.val_range[1]:
-            raise ConfigError(f"val_range {self.val_range} is empty")
+            if start == end and name != "test":
+                raise ConfigError(f"{name}_range {(start, end)} is empty")
         if self.train_range[1] > self.val_range[0]:
             raise ConfigError("train range must end before the validation range")
         if self.val_range[1] > self.test_range[0]:
@@ -112,7 +109,7 @@ def split_from_fractions(t_hours: int, train_fraction: float = 0.7,
     """Carve [0, T) chronologically into train/val/test by fractions."""
     if t_hours < 3:
         raise ConfigError(f"need at least 3 hours to split, got {t_hours}")
-    if train_fraction <= 0 or val_fraction <= 0 or train_fraction + val_fraction >= 1:
+    if not (train_fraction > 0 and val_fraction > 0 and train_fraction + val_fraction < 1):
         raise ConfigError(
             f"fractions ({train_fraction}, {val_fraction}) must be positive and sum < 1")
     train_end = math.floor(t_hours * train_fraction)
@@ -294,6 +291,8 @@ class TrainConfig:
     mask_jitter: float = 0.0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed {self.seed} is negative")
         if not 0.0 < self.mask_ratio < 1.0:
             raise ConfigError(f"mask_ratio {self.mask_ratio} not in (0, 1)")
         if not 0.0 <= self.station_dropout < 1.0:
@@ -315,40 +314,60 @@ class TrainConfig:
             raise ConfigError(f"val_partitions {self.val_partitions} must be >= 1")
 
 
-def split_from_dict(data: dict, t_hours: int) -> SplitSpec:
-    """Build a SplitSpec from a config section.
+@dataclass(frozen=True)
+class SplitConfig:
+    """The `split` section: the hold-out draw, plus fractions that carve the
+    series chronologically or all three [start, end) hour ranges instead."""
 
-    Explicit `train_hours/val_hours/test_hours` ranges win; otherwise
-    `train_fraction/val_fraction` carve the series chronologically.
-    """
-    data = dict(data)
+    holdout_fraction: float = 0.3
+    seed: int = 0
+    train_fraction: float | None = None
+    val_fraction: float | None = None
+    train_hours: tuple[int, ...] | None = None
+    val_hours: tuple[int, ...] | None = None
+    test_hours: tuple[int, ...] | None = None
 
-    def pop(key: str, default, kind: type):
-        return config_value("split", key, data.pop(key, default), kind)
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed {self.seed} is negative")
+        hours = {key: getattr(self, key) for key in ("train_hours", "val_hours", "test_hours")}
+        if set(hours.values()) == {None}:
+            return
+        if self.train_fraction is not None or self.val_fraction is not None:
+            raise ConfigError("explicit hour ranges exclude train_fraction and val_fraction")
+        for key, value in hours.items():
+            if value is None or len(value) != 2:
+                raise ConfigError("explicit split needs train_hours, val_hours and test_hours, "
+                                  f"each a [start, end] pair of integers: {key} is {value!r}")
 
-    holdout = float(pop("holdout_fraction", 0.3, float))
-    seed = pop("seed", 0, int)
-    explicit = {"train_hours", "val_hours", "test_hours"} & set(data)
-    if explicit:
-        if explicit != {"train_hours", "val_hours", "test_hours"}:
-            raise ConfigError("explicit split needs train_hours, val_hours and test_hours")
-        ranges = {}
-        for key in ("train_hours", "val_hours", "test_hours"):
-            value = data.pop(key)
-            if not isinstance(value, (list, tuple)) or len(value) != 2:
-                raise ConfigError(f"{key} must be a [start, end] pair of integers")
-            ranges[key] = tuple(config_value("split", key, v, int) for v in value)
-        if data:
-            raise ConfigError(f"unknown split keys {sorted(data)}")
-        return SplitSpec(train_range=ranges["train_hours"], val_range=ranges["val_hours"],
-                         test_range=ranges["test_hours"], holdout_fraction=holdout,
-                         seed=seed)
-    train_fraction = float(pop("train_fraction", 0.7, float))
-    val_fraction = float(pop("val_fraction", 0.15, float))
-    if data:
-        raise ConfigError(f"unknown split keys {sorted(data)}")
-    return split_from_fractions(t_hours, train_fraction, val_fraction,
-                                holdout_fraction=holdout, seed=seed)
+    def spec(self, t_hours: int) -> SplitSpec:
+        """The split of a `t_hours`-long series."""
+        if self.train_hours is None:
+            fractions = {key: getattr(self, key) for key in ("train_fraction", "val_fraction")
+                         if getattr(self, key) is not None}
+            return split_from_fractions(t_hours, **fractions,
+                                        holdout_fraction=self.holdout_fraction, seed=self.seed)
+        return SplitSpec(train_range=self.train_hours, val_range=self.val_hours,
+                         test_range=self.test_hours, holdout_fraction=self.holdout_fraction,
+                         seed=self.seed)
+
+
+@dataclass(frozen=True)
+class GraphConfig:
+    """The `graph` section: the station graph's edge cutoff."""
+
+    threshold_km: float = DEFAULT_THRESHOLD_KM
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """A whole run configuration file, one field per section."""
+
+    model: ModelConfig = field(default_factory=ModelConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    split: SplitConfig = field(default_factory=SplitConfig)
+    loss: LossWeights = field(default_factory=LossWeights)
+    graph: GraphConfig = field(default_factory=GraphConfig)
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,17 @@ def test_scenario_file_with_nonfinite_value(tmp_path, capsys, monkeypatch, key):
         assert not out.exists()
 
 
+def test_scenario_file_with_negative_layout_seed(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(SCENARIO_YAML.replace("layout_seed: 3", "layout_seed: -4"),
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--scenario", bad, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "layout_seed must be >= 0, got -4" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_scenario_file_not_utf8_is_data_error(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_bytes(b"nx: 4\xff\n")
@@ -357,6 +368,37 @@ def test_infer_with_checkpoint_config_carrying_final_softplus_is_data_error(
     err = capsys.readouterr().err
     assert "final_softplus" in err and "Traceback" not in err
     assert not (tmp_path / "preds.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--scenario", "s1-advection", "--out", "x"),
+    ("train", "--data", "x", "--out", "x.ckpt"),
+    ("sweep", "--data", "x", "--values", "0"),
+    ("infer", "--ckpt", "x.ckpt", "--targets", "0", "--out", "x.csv"),
+    ("eval", "--pred", "x.csv", "--truth", "x.csv"),
+    ("render", "--field", "x.csv", "--grid", "g.csv", "--out", "x.pgm"),
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("seed", ["-1", "abc"])
+def test_seed_flag_takes_a_non_negative_integer(tmp_path, monkeypatch, capsys, argv, seed):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv, "--seed", seed) == 1
+    err = capsys.readouterr().err
+    assert f"--seed: {seed!r} is not a non-negative integer" in err
+    assert "Traceback" not in err and not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("section", ["train", "split"])
+def test_negative_config_seed_is_data_error(pipeline, tmp_path, capsys, section):
+    _, _, _, data, _ = pipeline
+    config = {"train": {"epochs": 1}}
+    config.setdefault(section, {})["seed"] = -2
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(json.dumps(config), encoding="utf-8")  # JSON is YAML
+    assert run_cli("train", "--config", cfg, "--data", data,
+                   "--out", tmp_path / "x.ckpt") == 2
+    err = capsys.readouterr().err
+    assert "seed -2 is negative" in err and "Traceback" not in err
+    assert not (tmp_path / "x.ckpt").exists()
 
 
 def test_train_without_data_dir_or_env_is_usage_error(pipeline, monkeypatch):
@@ -556,6 +598,16 @@ def test_infer_bad_targets_are_usage_errors(pipeline, tmp_path):
                    "--targets", "0,abc", "--out", out) == 1
     assert run_cli("infer", "--ckpt", ckpt, "--data", data,
                    "--targets", ",", "--out", out) == 1
+
+
+def test_infer_oversized_target_id_is_usage_error(pipeline, tmp_path, capsys):
+    _, _, _, data, ckpt = pipeline
+    out = tmp_path / "x.csv"
+    assert run_cli("infer", "--ckpt", ckpt, "--data", data,
+                   "--targets", "100000000000000000000000", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "--targets" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_infer_corrupt_checkpoint_is_data_error(pipeline, tmp_path):

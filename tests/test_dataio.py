@@ -1,5 +1,6 @@
 """Schema, round-trip, and checkpoint determinism tests for dataio."""
 
+import re
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from pgkrig.metrics import NodeScore
 from pgkrig.network import KrigingModel, ModelConfig
 from pgkrig.testbed import (PRESET_NAMES, AodSpec, EmissionSource, ScenarioSpec,
                             scenario_preset)
-from pgkrig.training import TrainConfig, split_from_dict
+from pgkrig.training import GraphConfig, RunConfig, SplitConfig, TrainConfig
 
 
 # ---------------------------------------------------------------------------
@@ -449,15 +450,17 @@ def test_load_config_empty_file(tmp_path):
 def test_load_config_unknown_section(tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text("trainer:\n  epochs: 1\n")
-    with pytest.raises(SchemaError, match="unknown config sections.*trainer"):
-        dataio.load_config(path)
+    with pytest.raises(SchemaError, match=r"section 'config': unknown keys \['trainer'\]"):
+        dataio.from_mapping(RunConfig, dataio.load_config(path), "config")
 
 
 def test_load_config_non_mapping_section(tmp_path):
     path = tmp_path / "run.yaml"
-    path.write_text("train: [1, 2]\n")
-    with pytest.raises(SchemaError, match="must be a mapping"):
-        dataio.load_config(path)
+    for section in ("model", "train", "split", "loss", "graph"):
+        path.write_text(f"{section}: [1, 2]\n")
+        with pytest.raises(SchemaError,
+                           match=f"section 'config.{section}' must be a mapping, got list"):
+            dataio.from_mapping(RunConfig, dataio.load_config(path), "config")
 
 
 def test_load_config_non_mapping_root(tmp_path):
@@ -494,14 +497,23 @@ def _formats_yaml(heading: str) -> str:
 
 
 def test_formats_md_config_matches_the_dataclasses(tmp_path):
-    """The documented run configuration loads, and lists every field."""
-    path = tmp_path / "run.yaml"
-    path.write_text(_formats_yaml("## Run configuration (YAML)"), encoding="utf-8")
-    config = dataio.load_config(path)
-    split_from_dict(config["split"], 240)
-    for name, cls in (("model", ModelConfig), ("train", TrainConfig), ("loss", LossWeights)):
-        dataio.from_mapping(cls, config[name], name)
-        assert set(config[name]) == _field_names(cls), name
+    """The documented run configuration loads, and lists every field; its
+    commented-out hour ranges load in place of the fractions."""
+    text = _formats_yaml("## Run configuration (YAML)")
+    explicit = re.sub(r"^  (?:train|val)_fraction:.*\n", "",
+                      re.sub(r"^  # (\w+_hours:)", r"  \1", text, flags=re.M), flags=re.M)
+    hours = {"train_hours", "val_hours", "test_hours"}
+    fractions = {"train_fraction", "val_fraction"}
+    for yaml_text, left_out in ((text, hours), (explicit, fractions)):
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml_text, encoding="utf-8")
+        config = dataio.load_config(path)
+        dataio.from_mapping(RunConfig, config, "config").split.spec(240)
+        assert set(config) == _field_names(RunConfig)
+        for name, cls in (("model", ModelConfig), ("train", TrainConfig),
+                          ("split", SplitConfig), ("loss", LossWeights), ("graph", GraphConfig)):
+            assert set(config[name]) == _field_names(cls) - (left_out if name == "split"
+                                                             else set()), name
 
 
 def test_formats_md_scenario_matches_the_dataclasses():
@@ -515,9 +527,12 @@ def test_formats_md_scenario_matches_the_dataclasses():
         assert set(source) == _field_names(EmissionSource)
 
 
-@pytest.mark.parametrize("config", [ModelConfig(), TrainConfig(), LossWeights(),
-                                    *map(scenario_preset, PRESET_NAMES)],
-                         ids=["model", "train", "loss", *PRESET_NAMES])
+@pytest.mark.parametrize("config", [
+    ModelConfig(), TrainConfig(), LossWeights(),
+    RunConfig(split=SplitConfig(train_fraction=0.6, val_fraction=0.2)),
+    RunConfig(split=SplitConfig(train_hours=(0, 40), val_hours=(40, 50), test_hours=(50, 60))),
+    *map(scenario_preset, PRESET_NAMES),
+], ids=["model", "train", "loss", "run", "run-hours", *PRESET_NAMES])
 def test_every_config_field_has_a_checked_type(config):
     """from_mapping rebuilds each config from its own fields; a field whose
     annotation it cannot check fails here."""

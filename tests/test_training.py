@@ -1,6 +1,7 @@
 """Partitioning, splits, standardization, and training-loop contracts."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -596,6 +597,28 @@ def test_station_ids_are_labels():
     np.testing.assert_allclose(moved, field, rtol=1e-9, atol=0.0)
 
 
+def test_subnormal_kernel_weight_is_dropped():
+    """(0,0)-(14.85,0) is the only pair under 16 km with a nonzero weight,
+    and exp(-14.85**2 / 0.3025) is subnormal: kept, its node's inverse
+    square-root degree overflows and the diffusion operator holds inf."""
+    nodes = NodeSet(np.array([[0.0, 0.0], [14.85, 0.0], [0.0, 15.95], [40.0, 40.0]]))
+    rng = np.random.default_rng(0)
+    t = 12
+    dataset = tr.StationDataset(nodes=nodes, wind=rng.normal(size=(t, 4, 2)),
+                                emissions=rng.uniform(size=(t, 4)),
+                                pm25=rng.uniform(5.0, 40.0, size=(t, 4)))
+    model = KrigingModel(small_model_config(), seed=0)
+    normalization = tr.Normalization.fit(dataset, (0, t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        geo = build_geo_adjacency(nodes, 16.0)
+        operator = build_diffusion_operator(geo)
+        preds = tr.infer_stations(model, normalization, dataset, np.array([0]),
+                                  threshold_km=16.0)
+    assert geo.weights.nnz == 0 and np.isfinite(operator.weights.data).all()
+    assert preds.shape == (t, 1) and np.isfinite(preds).all()
+
+
 def test_infer_grid_uniform_scenario_is_flat():
     # uniform truth + zero wind: predicted spatial spread stays below 10%
     spec = ScenarioSpec(nx=8, ny=8, cell_km=2.0, t_hours=40, wind_speed_ms=0.0,
@@ -700,36 +723,70 @@ def test_train_config_from_dict_rejects_unknown():
         from_mapping(tr.TrainConfig, {"window_len": 24}, "train")
 
 
+def split_from_dict(data: dict, t_hours: int) -> tr.SplitSpec:
+    """The split a run config's `split` mapping gives a `t_hours`-long series."""
+    return from_mapping(tr.SplitConfig, data, "split").spec(t_hours)
+
+
+_HOURS = {"train_hours": [0, 40], "val_hours": [40, 50], "test_hours": [50, 60]}
+
+
 def test_split_from_dict_fractions():
-    split = tr.split_from_dict({"train_fraction": 0.5, "val_fraction": 0.25,
-                                "holdout_fraction": 0.2, "seed": 8}, t_hours=100)
+    split = split_from_dict({"train_fraction": 0.5, "val_fraction": 0.25,
+                             "holdout_fraction": 0.2, "seed": 8}, t_hours=100)
     assert split.train_range == (0, 50)
     assert split.val_range == (50, 75)
     assert split.test_range == (75, 100)
     assert split.holdout_fraction == 0.2 and split.seed == 8
 
 
+def test_split_from_dict_default_fractions():
+    assert split_from_dict({}, t_hours=100) == tr.split_from_fractions(100)
+    assert split_from_dict({"val_fraction": 0.25}, t_hours=100).val_range == (70, 95)
+
+
+@pytest.mark.parametrize("key", ["train_fraction", "val_fraction"])
+def test_split_from_dict_rejects_nan_fractions(key):
+    with pytest.raises(tr.ConfigError, match="must be positive and sum < 1"):
+        split_from_dict({key: float("nan")}, t_hours=100)
+
+
 def test_split_from_dict_explicit_ranges():
-    split = tr.split_from_dict({"train_hours": [0, 40], "val_hours": [40, 50],
-                                "test_hours": [50, 60]}, t_hours=60)
+    split = split_from_dict(_HOURS, t_hours=60)
     assert split.train_range == (0, 40)
 
 
 def test_split_from_dict_partial_explicit_rejected():
     with pytest.raises(tr.ConfigError, match="explicit split needs"):
-        tr.split_from_dict({"train_hours": [0, 40]}, t_hours=60)
+        split_from_dict({"train_hours": [0, 40]}, t_hours=60)
+
+
+def test_split_from_dict_hours_exclude_fractions():
+    for key in ("train_fraction", "val_fraction"):
+        with pytest.raises(tr.ConfigError, match="exclude train_fraction and val_fraction"):
+            split_from_dict({**_HOURS, key: 0.5}, t_hours=60)
 
 
 def test_split_from_dict_explicit_hours_must_be_ints():
-    hours = {"train_hours": [0, 40], "val_hours": [40, 50], "test_hours": [50, 60]}
     for bad in ([True, 40], [0, 40.0], [0, "40"]):
-        with pytest.raises(SchemaError, match="train_hours must be int"):
-            tr.split_from_dict({**hours, "train_hours": bad}, t_hours=60)
+        with pytest.raises(SchemaError, match=r"train_hours\[\d\] must be int"):
+            split_from_dict({**_HOURS, "train_hours": bad}, t_hours=60)
+    for bad in ([0], [0, 40, 50]):
+        with pytest.raises(tr.ConfigError, match=r"\[start, end\] pair of integers: train_hours"):
+            split_from_dict({**_HOURS, "train_hours": bad}, t_hours=60)
+    with pytest.raises(SchemaError, match="train_hours must be a list of int, got 40"):
+        split_from_dict({**_HOURS, "train_hours": 40}, t_hours=60)
 
 
 def test_split_from_dict_unknown_keys():
-    with pytest.raises(tr.ConfigError, match="unknown split keys"):
-        tr.split_from_dict({"fraction": 0.5}, t_hours=60)
+    with pytest.raises(SchemaError, match=r"section 'split': unknown keys \['fraction'\]"):
+        split_from_dict({"fraction": 0.5}, t_hours=60)
+
+
+@pytest.mark.parametrize("cls", [tr.TrainConfig, tr.SplitConfig])
+def test_negative_seed_rejected(cls):
+    with pytest.raises(tr.ConfigError, match="seed -1 is negative"):
+        cls(seed=-1)
 
 
 def test_weights_from_dict():
