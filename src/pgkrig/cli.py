@@ -50,6 +50,17 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _threshold_km(text: str) -> float:
+    """The `--threshold-km` type: a positive, finite distance."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite distance")
+    return value
+
+
 def _resolve_data_dir(value) -> Path:
     """Explicit flag wins; otherwise fall back to the environment."""
     if value is not None:
@@ -379,7 +390,7 @@ def build_parser() -> _Parser:
     inf.add_argument("--grid", action="store_true",
                      help="reconstruct the full grid from grid.csv/grid_inputs.csv")
     inf.add_argument("--out", required=True, help="prediction CSV path")
-    inf.add_argument("--threshold-km", type=float, default=None,
+    inf.add_argument("--threshold-km", type=_threshold_km, default=None,
                      help="edge cutoff override (default: from the checkpoint)")
     inf.set_defaults(func=_cmd_infer)
 

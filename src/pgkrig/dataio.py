@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 import types
+import warnings
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, get_args, get_origin, get_type_hints
 
@@ -53,10 +54,6 @@ def _err(path, line_no: int | None, message: str) -> SchemaError:
 
 
 _INT64_MAX = np.iinfo(np.int64).max
-
-# Rows converted per step. Splitting a whole file at once would keep every
-# field string alive together (480k for grid_inputs.csv) and raise peak RSS.
-_BLOCK_ROWS = 4096
 
 
 def _split_header(path, lines: list[str], header: str):
@@ -128,37 +125,37 @@ def _parse_row(path, line_no: int, line: str, names: list[str], kinds: str) -> l
     return values
 
 
-def _parse_block(block: list[str], kinds: str) -> list[np.ndarray] | None:
-    """Columns of a block of rows, or None if any row fails `_parse_row`."""
-    arity = len(kinds)
-    commas = np.fromiter(map(str.count, block, repeat(",")), np.int64, len(block))
-    if (commas != arity - 1).any():
+def _load_rows(rows: list[str], dtype, kinds: str):
+    """The rows through numpy's C reader, or None where `_parse_row` must decide.
+
+    numpy converts a field as ``int`` and ``float`` do, but it skips blank
+    lines and takes inf and nan, so it misses on those as on any fault.
+    """
+    try:
+        with warnings.catch_warnings():  # older numpy reads "1.0" as int 1, with a warning
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=1, dtype=dtype)
+    except (ValueError, DeprecationWarning):
         return None
-    fields = ",".join(block).split(",")
-    columns = []
-    for c, kind in enumerate(kinds):
-        try:
-            col = np.fromiter(map(float if kind == "f" else int, fields[c::arity]),
-                              np.float64 if kind == "f" else np.int64, len(block))
-        except (ValueError, OverflowError):
+    if len(table) != len(rows):
+        return None
+    for (name, _), kind in zip(dtype, kinds):
+        col = table[name]
+        if not (np.isfinite(col).all() if kind == "f"
+                else col.min() >= 0 and (kind == "i" or col.max() <= 1)):
             return None
-        ok = (np.isfinite(col).all() if kind == "f"
-              else col.min() >= 0 and (kind == "i" or col.max() <= 1))
-        if not ok:
-            return None
-        columns.append(col)
-    return columns
+    return table
 
 
 def _read_table(path, header: str, kinds: str):
     """Parse every data row under ``header`` into one array per column.
 
     ``kinds`` holds one code per header field: ``i`` a non-negative
-    integer and ``b`` a 0/1 bit (both int64), ``f`` a finite float. Blocks
-    convert with the same ``int``/``float`` rules as ``_parse_row``; a
-    block that fails is parsed again row by row, so the error names the
-    first bad line in file order. Returns (comments, first_line, columns),
-    where data row r sits on line ``first_line + r``.
+    integer and ``b`` a 0/1 bit (both int64), ``f`` a finite float. All
+    rows go through numpy's reader in one call; if it misses, they are
+    parsed again row by row, so the error names the first bad line in file
+    order. Returns (comments, first_line, columns), where data row r sits
+    on line ``first_line + r``.
     """
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -169,18 +166,13 @@ def _read_table(path, header: str, kinds: str):
     if rows and not rows[-1].strip():
         rows.pop()  # a blank last line just ends the file
     names = header.split(",")
-    columns = [np.empty(len(rows), np.float64 if kind == "f" else np.int64)
-               for kind in kinds]
-    for lo in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[lo:lo + _BLOCK_ROWS]
-        parsed = _parse_block(block, kinds)
-        if parsed is None:
-            first = body_start + lo + 1
-            parsed = list(zip(*(_parse_row(path, first + r, line, names, kinds)
-                                for r, line in enumerate(block))))
-        for column, values in zip(columns, parsed):
-            column[lo:lo + len(block)] = values
-    return comments, body_start + 1, columns
+    dtype = [(name, np.float64 if kind == "f" else np.int64)
+             for name, kind in zip(names, kinds)]
+    table = _load_rows(rows, dtype, kinds) if rows else np.empty(0, dtype)
+    if table is None:
+        table = np.array([tuple(_parse_row(path, body_start + 1 + r, line, names, kinds))
+                          for r, line in enumerate(rows)], dtype)
+    return comments, body_start + 1, [table[name] for name in names]
 
 
 def _first_repeat(keys: np.ndarray) -> int:
@@ -543,11 +535,14 @@ def config_value(section: str, key: str, value, kind: type):
     """`value` if it has the config type `kind`, else a SchemaError naming `key`.
 
     An int takes an int but not a bool, a bool takes only a bool, a float
-    takes an int or a float, and a str takes only a str.
+    takes an int or a float within the finite float64 range, and a str
+    takes only a str.
     """
     accepted = (int, float) if kind is float else kind
     if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
         raise SchemaError(f"section {section!r}: {key} must be {kind.__name__}, got {value!r}")
+    if kind is float and not abs(value) <= sys.float_info.max:  # false for nan too
+        raise SchemaError(f"section {section!r}: {key} must be finite, got {value!r}")
     return value
 
 
@@ -561,7 +556,7 @@ def from_mapping(cls, data, section: str):
     `section.key`), and `tuple[X, ...]` takes a list whose items are each
     checked as `key[i]` (a dataclass item as section `section.key[i]`).
     Scalars pass through unconverted. Range checks stay in
-    `cls.__post_init__`.
+    `cls.__post_init__`; a DataError they raise gets `section` put in front.
     """
     if not isinstance(data, dict):
         raise SchemaError(f"section {section!r} must be a mapping, got {type(data).__name__}")
@@ -572,8 +567,11 @@ def from_mapping(cls, data, section: str):
         if keys:
             raise SchemaError(f"section {section!r}: {problem} keys {sorted(keys, key=str)}")
     kinds = get_type_hints(cls)
-    return cls(**{key: _field_value(section, key, value, kinds[key])
-                  for key, value in data.items()})
+    values = {key: _field_value(section, key, value, kinds[key]) for key, value in data.items()}
+    try:
+        return cls(**values)
+    except DataError as exc:
+        raise type(exc)(f"section {section!r}: {exc}") from exc
 
 
 def _field_value(section: str, key: str, value, kind):

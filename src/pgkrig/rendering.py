@@ -7,6 +7,8 @@ extremes.
 
 from __future__ import annotations
 
+import textwrap
+
 import numpy as np
 
 from . import DataError
@@ -72,29 +74,8 @@ def render_pgm(frame: np.ndarray, vmin: float | None = None,
     lines = ["P2", version_line("pgm"), f"{nx} {ny}", str(_MAX_GRAY)]
     for iy in range(ny - 1, -1, -1):  # image rows run north to south
         row = " ".join(str(p) for p in pixels[iy])
-        lines.extend(_wrap(row))
+        lines.extend(textwrap.wrap(row, _MAX_LINE))
     return "\n".join(lines) + "\n"
-
-
-def _wrap(row: str) -> list[str]:
-    """Split a token row into lines no longer than the graymap limit."""
-    if len(row) <= _MAX_LINE:
-        return [row]
-    out = []
-    current: list[str] = []
-    length = 0
-    for token in row.split(" "):
-        added = len(token) if not current else len(token) + 1
-        if length + added > _MAX_LINE:
-            out.append(" ".join(current))
-            current = [token]
-            length = len(token)
-        else:
-            current.append(token)
-            length += added
-    if current:
-        out.append(" ".join(current))
-    return out
 
 
 def parse_pgm(text: str) -> np.ndarray:

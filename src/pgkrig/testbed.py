@@ -17,7 +17,7 @@ CFL bounds before stepping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,14 +46,6 @@ _POSITIVITY_BUDGET = 0.9
 _MS_TO_KMH = 3.6
 
 
-def _require_finite(spec) -> None:
-    """Reject a NaN or infinite float in any field of a scenario dataclass."""
-    for f in fields(spec):
-        value = getattr(spec, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ScenarioError(f"{f.name} must be finite, got {value}")
-
-
 @dataclass(frozen=True)
 class EmissionSource:
     """Point emission rasterized to its nearest cell.
@@ -69,7 +61,6 @@ class EmissionSource:
     schedule: str = "constant"
 
     def __post_init__(self):
-        _require_finite(self)
         if self.schedule not in SOURCE_SCHEDULES:
             raise ScenarioError(
                 f"unknown schedule '{self.schedule}', expected one of {SOURCE_SCHEDULES}")
@@ -100,7 +91,6 @@ class AodSpec:
     invert: bool = False
 
     def __post_init__(self):
-        _require_finite(self)
         if not 0.0 <= self.cloud_fraction <= 1.0:
             raise ScenarioError(
                 f"cloud_fraction must be in [0, 1], got {self.cloud_fraction}")
@@ -136,7 +126,6 @@ class ScenarioSpec:
     boundary: str = "open"
 
     def __post_init__(self):
-        _require_finite(self)
         if self.nx < 2 or self.ny < 2:
             raise ScenarioError(f"grid must be at least 2x2, got {self.nx}x{self.ny}")
         if self.cell_km <= 0:

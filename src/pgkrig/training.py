@@ -358,6 +358,10 @@ class GraphConfig:
 
     threshold_km: float = DEFAULT_THRESHOLD_KM
 
+    def __post_init__(self):
+        if not self.threshold_km > 0:
+            raise ConfigError(f"threshold_km {self.threshold_km} must be positive")
+
 
 @dataclass(frozen=True)
 class RunConfig:

@@ -162,7 +162,7 @@ def test_scenario_file_with_nonfinite_value(tmp_path, capsys, monkeypatch, key):
     monkeypatch.setattr(testbed, "run_scenario", integrate)
     section, _, name = key.rpartition(".")
     source = {"x_km": 1.0, "y_km": 1.0, "rate_per_h": 2.0}
-    for value in (".nan", ".inf", "-.inf"):
+    for value in (".nan", ".inf", "-.inf", "1" + "0" * 400):
         if section == "sources":
             entry = ", ".join(f"{k}: {value if k == name else v}" for k, v in source.items())
             line = f"sources: [{{{entry}}}]"
@@ -338,7 +338,8 @@ def test_train_mistyped_config_value_is_data_error(pipeline, tmp_path, capsys,
 @pytest.mark.parametrize("meta, key", [
     ({"threshold_km": "abc"}, "threshold_km"), ({"threshold_km": None}, "threshold_km"),
     ({"threshold_km": True}, "threshold_km"), ({"threshold_km": -8.0}, "threshold_km"),
-    ([8.0], "meta"),
+    ([8.0], "meta"), ({"threshold_km": float("inf")}, "threshold_km must be finite"),
+    ({"threshold_km": float("nan")}, "threshold_km must be finite"),
 ])
 def test_infer_with_malformed_checkpoint_meta_is_data_error(pipeline, tmp_path, capsys,
                                                             meta, key):
@@ -399,6 +400,31 @@ def test_negative_config_seed_is_data_error(pipeline, tmp_path, capsys, section)
     err = capsys.readouterr().err
     assert "seed -2 is negative" in err and "Traceback" not in err
     assert not (tmp_path / "x.ckpt").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("train: {learning_rate: .inf}", "'config.train': learning_rate must be finite, got inf"),
+    ("train: {learning_rate: .nan}", "'config.train': learning_rate must be finite, got nan"),
+    ("train: {mask_ratio: 1.5}", "'config.train': mask_ratio 1.5 not in (0, 1)"),
+    ("split: {holdout_fraction: -.inf}",
+     "'config.split': holdout_fraction must be finite, got -inf"),
+    ("model: {hidden_dim: 0}", "'config.model': hidden_dim must be >= 1, got 0"),
+    ("loss: {lambda1: -1.0}", "'config.loss': lambda1 must be finite and >= 0, got -1.0"),
+    ("graph: {threshold_km: -5}", "'config.graph': threshold_km -5 must be positive"),
+    ("graph: {threshold_km: 0}", "'config.graph': threshold_km 0 must be positive"),
+    ("graph: {threshold_km: .nan}", "'config.graph': threshold_km must be finite, got nan"),
+])
+def test_train_config_fault_names_its_section_before_reading_data(tmp_path, capsys,
+                                                                   monkeypatch, line, message):
+    def read(*args, **kwargs):
+        raise AssertionError("a faulty config reached the data directory")
+
+    monkeypatch.setattr(cli, "_read_stations", read)
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(f"{line}\n", encoding="utf-8")
+    assert run_cli("train", "--config", cfg, "--data", tmp_path,
+                   "--out", tmp_path / "x.ckpt") == 2
+    assert capsys.readouterr().err == f"error: section {message}\n"
 
 
 def test_train_without_data_dir_or_env_is_usage_error(pipeline, monkeypatch):
@@ -581,6 +607,16 @@ def test_infer_threshold_override_changes_output(pipeline, tmp_path):
     assert run_cli("infer", "--ckpt", ckpt, "--data", data,
                    "--targets", "0", "--out", wide, "--threshold-km", 20.0) == 0
     assert base.read_bytes() != wide.read_bytes()
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "nan", "inf", "abc"])
+def test_infer_threshold_flag_must_be_positive_and_finite(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("infer", "--ckpt", "x.ckpt", "--targets", "0", "--out", "x.csv",
+                   "--threshold-km", value) == 1
+    err = capsys.readouterr().err
+    assert f"--threshold-km: {value!r} is not a positive finite distance" in err
+    assert "Traceback" not in err and not any(tmp_path.iterdir())
 
 
 def test_infer_needs_exactly_one_mode(pipeline, tmp_path):

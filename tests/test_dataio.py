@@ -13,9 +13,9 @@ from pgkrig.dataio import SchemaError
 from pgkrig.losses import LossWeights
 from pgkrig.metrics import NodeScore
 from pgkrig.network import KrigingModel, ModelConfig
-from pgkrig.testbed import (PRESET_NAMES, AodSpec, EmissionSource, ScenarioSpec,
-                            scenario_preset)
-from pgkrig.training import GraphConfig, RunConfig, SplitConfig, TrainConfig
+from pgkrig.testbed import (PRESET_NAMES, AodSpec, EmissionSource, ScenarioError,
+                            ScenarioSpec, scenario_preset)
+from pgkrig.training import ConfigError, GraphConfig, RunConfig, SplitConfig, TrainConfig
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +470,14 @@ def test_load_config_non_mapping_root(tmp_path):
         dataio.load_config(path)
 
 
+def test_range_fault_names_its_section_and_keeps_its_type():
+    with pytest.raises(ConfigError, match=r"^section 'config.train': seed -2 is negative$"):
+        dataio.from_mapping(RunConfig, {"train": {"seed": -2}}, "config")
+    with pytest.raises(ScenarioError, match=r"^section 'scenario.sources\[0\]': source rate"):
+        dataio.from_mapping(ScenarioSpec, {"sources": [{"x_km": 0, "y_km": 0,
+                                                        "rate_per_h": -1}]}, "scenario")
+
+
 @pytest.mark.parametrize("text, value", [
     ("1e-3", 0.001), ("1.0e308", 1.0e308), ("-2E+2", -200.0), ("1.0e-3", 0.001),
     (".5", 0.5), ("3.", 3.0), ("12", 12), ("0x10", 16), ("1e-3x", "1e-3x"), ("e3", "e3"),
@@ -552,7 +560,7 @@ def _awkward(rng, shape):
     return values
 
 
-_SHAPE = (45, 100)  # 4,500 rows: more than one parse block
+_SHAPE = (45, 100)  # 4,500 rows
 
 _TABLES = {
     "values": (lambda path, rng: dataio.write_values(
@@ -600,6 +608,36 @@ def test_extreme_floats_round_trip_bitwise(tmp_path):
     assert back_emissions.tobytes() == values.tobytes()
 
 
+# (int cell, float cell) rows that int() and float() accept; numpy's reader
+# takes the first list, and rejects the underscores of the second
+_NUMPY_CELLS = [
+    ("+3", "+3"), (" 7 ", " 7 "), ("007", ".5"), ("-0", "5."), ("\t12", "1E5"),
+    ("0", "-0"), ("9223372036854775807", "-0.0"), ("1", "+.5e-3 "),
+    ("2", "1234567890123456789012345"), ("3", "0.1234567890123456789012345e-3"),
+    ("4", "1.7976931348623157e308"), ("5", "-1.7976931348623157E+308"),
+    ("6", "2.2250738585072014e-308"), ("7", "4.9e-324"), ("8", "1e-400"),
+    ("9", "123456789012345678901234567e-330"), ("10", "9999999999999999999999999e283"),
+]
+_ROW_CELLS = [("1_0", "1"), ("1", "1_0.2_5"), ("1_0", "-1_2e3_0")]
+
+
+def test_awkward_valid_cells_read_as_int_and_float(tmp_path, monkeypatch):
+    """Each cell reads to exactly int(text) or float(text), bitwise, whether
+    numpy's reader takes the table or the row parser does."""
+    parsed = []
+    row_parser = dataio._parse_row
+    monkeypatch.setattr(dataio, "_parse_row", lambda *args: parsed.append(args) or
+                        row_parser(*args))
+    path = tmp_path / "t.csv"
+    for rows in [_NUMPY_CELLS, *([row] for row in _ROW_CELLS), _NUMPY_CELLS + _ROW_CELLS]:
+        parsed.clear()
+        path.write_text("n,x\n" + "".join(f"{i},{f}\n" for i, f in rows), encoding="utf-8")
+        _, _, (n, x) = dataio._read_table(path, "n,x", "if")
+        assert n.dtype == np.int64 and n.tolist() == [int(i) for i, _ in rows]
+        assert x.tobytes() == np.array([float(f) for _, f in rows]).tobytes()
+        assert len(parsed) == (0 if rows is _NUMPY_CELLS else len(rows))
+
+
 def test_writers_match_per_row_reference(tmp_path):
     rng = np.random.default_rng(8)
     ids = np.array([4, 0, 9])
@@ -643,11 +681,10 @@ def test_writers_match_per_row_reference(tmp_path):
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8"), i
 
 
-@pytest.mark.parametrize("row", [dataio._BLOCK_ROWS - 1, dataio._BLOCK_ROWS,
-                                 dataio._BLOCK_ROWS + 1])
+@pytest.mark.parametrize("row", [4095, 4096, 4097])
 def test_error_near_block_boundary_names_its_line(tmp_path, row):
     path = tmp_path / "vals.csv"
-    dataio.write_values(path, np.ones((dataio._BLOCK_ROWS + 10, 1)), "pm25")
+    dataio.write_values(path, np.ones((4106, 1)), "pm25")
     lines = path.read_text().splitlines()
     lines[2 + row] = f"{row},0,oops"  # data row r sits on line 3 + r
     path.write_text("\n".join(lines) + "\n")
@@ -662,6 +699,7 @@ def test_error_near_block_boundary_names_its_line(tmp_path, row):
     ({5: "5,0", 6: "6,0,1,1"}, "vals.csv:8: expected 3 fields, got 2"),  # field counts cancel
     ({5: "5,0,1.0", 4500: "4500,q,1.0"}, "vals.csv:4503: column node_id: 'q' is not an integer"),
     ({7: "", 4500: "4500,0,x"}, "vals.csv:10: blank line inside data"),
+    ({7: ""}, "vals.csv:10: blank line inside data"),
 ])
 def test_first_of_two_bad_rows_is_reported(tmp_path, bad, message):
     path = tmp_path / "vals.csv"

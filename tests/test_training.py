@@ -747,8 +747,10 @@ def test_split_from_dict_default_fractions():
 
 @pytest.mark.parametrize("key", ["train_fraction", "val_fraction"])
 def test_split_from_dict_rejects_nan_fractions(key):
-    with pytest.raises(tr.ConfigError, match="must be positive and sum < 1"):
+    with pytest.raises(SchemaError, match=f"^section 'split': {key} must be finite, got nan$"):
         split_from_dict({key: float("nan")}, t_hours=100)
+    with pytest.raises(tr.ConfigError, match="must be positive and sum < 1"):
+        tr.split_from_fractions(100, **{key: float("nan")})
 
 
 def test_split_from_dict_explicit_ranges():
