@@ -607,7 +607,8 @@ _YAML_FLOAT = re.compile(r"""^(?:[-+]?(?:\.[0-9]+|[0-9]+\.[0-9]*)(?:[eE][-+]?[0-
 def parse_yaml(text: str, error: type[Exception], where: str):
     """YAML `text` read with safe tags and YAML 1.2 floats.
 
-    A syntax error is raised as `error("<where>: <details>")`.
+    A syntax error, or a scalar PyYAML cannot convert (an int of over 4300
+    digits, a bad date), is raised as `error("<where>: <details>")`.
     """
     import yaml
 
@@ -621,7 +622,7 @@ def parse_yaml(text: str, error: type[Exception], where: str):
     Loader.add_implicit_resolver(float_tag, _YAML_FLOAT, list("-+0123456789."))
     try:
         return yaml.load(text, Loader=Loader)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
         raise error(f"{where}: {exc}") from exc
 
 

@@ -9,6 +9,10 @@ Three operators drive the propagation model:
   transport rate in 1/hour at every hour of a window, on one sparsity
   pattern shared by all hours.
 
+One rule, in `_pairs`, connects two distinct nodes strictly closer than a
+positive threshold; it lists the pairs row-major, which is CSR order, and
+every operator is built straight from that list.
+
 All builders are pure functions of their inputs and the returned
 structures are never mutated, so they are safe to share across threads.
 (An advection operator builds its block matrix and transpose on first
@@ -147,11 +151,20 @@ class AdvectionOperator:
         return self.weights.T
 
 
-def _under_threshold(dist: np.ndarray, threshold_xi: float) -> np.ndarray:
-    """Boolean mask of off-diagonal pairs strictly closer than the threshold."""
-    mask = dist < threshold_xi
-    np.fill_diagonal(mask, False)
-    return mask
+def _pairs(nodes: NodeSet, threshold_xi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, dist) of every ordered pair under the threshold, in CSR order."""
+    if not threshold_xi > 0:
+        raise GraphBuildError(f"threshold_xi must be positive, got {threshold_xi}")
+    dist = planar_distances(nodes.positions)
+    near = dist < threshold_xi
+    np.fill_diagonal(near, False)
+    rows, cols = np.nonzero(near)
+    return rows, cols, dist[rows, cols]
+
+
+def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
+    """CSR row pointer of n rows for entries listed in row order."""
+    return np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
 
 
 def build_geo_adjacency(nodes: NodeSet,
@@ -176,25 +189,23 @@ def build_geo_adjacency(nodes: NodeSet,
     """
     import scipy.sparse as sp
 
-    if not threshold_xi > 0:
-        raise GraphBuildError(f"threshold_xi must be positive, got {threshold_xi}")
-    dist = planar_distances(nodes.positions)
-    mask = _under_threshold(dist, threshold_xi)
-    if not mask.any():
+    rows, cols, dist = _pairs(nodes, threshold_xi)
+    if not rows.size:
         raise GraphBuildError(
             f"no node pair closer than threshold {threshold_xi} km: graph is fully isolated")
 
-    iu, ju = np.triu_indices(nodes.n, k=1)
-    edge_d = dist[iu, ju][mask[iu, ju]]
+    edge_d = dist[rows < cols]  # each pair once, in upper-triangle order
     sigma_sq = float(np.var(edge_d))
     if sigma_sq == 0.0:
         sigma_sq = float(np.mean(edge_d * edge_d))
     if sigma_sq == 0.0:
         sigma_sq = 1.0
 
-    weights = np.where(mask, np.exp(-(dist * dist) / sigma_sq), 0.0)
-    weights[weights < np.finfo(float).tiny] = 0.0  # else 1/sqrt(degree) can overflow
-    return GeoAdjacency(weights=sp.csr_matrix(weights), sigma_sq=sigma_sq)
+    weights = np.exp(-(dist * dist) / sigma_sq)
+    keep = weights >= np.finfo(float).tiny  # else 1/sqrt(degree) can overflow
+    csr = sp.csr_matrix((weights[keep], cols[keep], _indptr(rows[keep], nodes.n)),
+                        shape=(nodes.n, nodes.n))
+    return GeoAdjacency(weights=csr, sigma_sq=sigma_sq)
 
 
 def build_diffusion_operator(geo: GeoAdjacency) -> DiffusionOperator:
@@ -206,41 +217,19 @@ def build_diffusion_operator(geo: GeoAdjacency) -> DiffusionOperator:
     """
     import scipy.sparse as sp
 
-    coo = geo.weights.tocoo()
-    n = coo.shape[0]
-    deg = np.asarray(geo.weights.sum(axis=1)).reshape(-1)
+    w = geo.weights
+    n = w.shape[0]
+    deg = np.asarray(w.sum(axis=1)).reshape(-1)
     inv_sqrt = np.zeros(n)
     positive = deg > 0
     inv_sqrt[positive] = 1.0 / np.sqrt(deg[positive])
-    data = coo.data * (inv_sqrt[coo.row] * inv_sqrt[coo.col])
-    out = sp.csr_matrix((data, (coo.row, coo.col)), shape=(n, n))
-    return DiffusionOperator(weights=out)
+    rows = np.repeat(np.arange(n), np.diff(w.indptr))
+    data = w.data * (inv_sqrt[rows] * inv_sqrt[w.indices])
+    return DiffusionOperator(weights=sp.csr_matrix((data, w.indices, w.indptr), shape=(n, n)))
 
 
 # m/s over km is 1/1000 per second; times 3600 s/h gives 3.6 per hour.
 _MS_PER_KM_TO_PER_HOUR = 3.6
-
-
-def _advection_pairs(nodes: NodeSet,
-                     threshold_xi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Directed pairs under the threshold and their geometry factor.
-
-    Returns (rows, cols, geom) where geom[k] = (pos[rows[k]] - pos[cols[k]])
-    / dist^2, so that weight = 3.6 * relu(wind_mid . geom): the dot product
-    folds the upwind cosine and the 1/distance decay into one step.
-    """
-    if not threshold_xi > 0:
-        raise GraphBuildError(f"threshold_xi must be positive, got {threshold_xi}")
-    dist = planar_distances(nodes.positions)
-    mask = _under_threshold(dist, threshold_xi)
-    rows, cols = np.nonzero(mask)
-    d = dist[rows, cols]
-    if np.any(d == 0.0):
-        k = int(np.argmax(d == 0.0))
-        raise GraphBuildError(
-            f"nodes {cols[k]} and {rows[k]} are coincident: advection direction undefined")
-    geom = (nodes.positions[rows] - nodes.positions[cols]) / (d * d)[:, None]
-    return rows, cols, geom
 
 
 def build_advection_operator(nodes: NodeSet, wind: np.ndarray,
@@ -274,9 +263,8 @@ def advection_sequence(nodes: NodeSet, wind_series: np.ndarray,
     """The advection operator over every hour of a (T, N, 2) wind series.
 
     The pair geometry is computed once and the (T, E) rates in one array
-    pass.  ``np.nonzero`` yields the pairs row-major, so they are already
-    in CSR order, and rates the ReLU clips to 0 stay stored, so every hour
-    has the same sparsity pattern.
+    pass.  The pairs come in CSR order, and rates the ReLU clips to 0 stay
+    stored, so every hour has the same sparsity pattern.
     """
     wind_series = np.asarray(wind_series, dtype=np.float64)
     if wind_series.ndim != 3 or wind_series.shape[0] < 1:
@@ -289,12 +277,18 @@ def advection_sequence(nodes: NodeSet, wind_series: np.ndarray,
     if not np.all(np.isfinite(wind_series)):
         raise GraphBuildError("wind_series contains non-finite values")
 
-    rows, cols, geom = _advection_pairs(nodes, threshold_xi)
+    rows, cols, dist = _pairs(nodes, threshold_xi)
+    if np.any(dist == 0.0):
+        k = int(np.argmax(dist == 0.0))
+        raise GraphBuildError(
+            f"nodes {cols[k]} and {rows[k]} are coincident: advection direction undefined")
+    # weight = 3.6 * relu(wind_mid . geom): the dot product folds the upwind
+    # cosine and the 1/distance decay into one step
+    geom = (nodes.positions[rows] - nodes.positions[cols]) / (dist * dist)[:, None]
     wind_mid = wind_series[:, rows]
     wind_mid += wind_series[:, cols]
     wind_mid *= 0.5
     wind_mid *= geom
     # C order, so that a window's rows are the data of its ``weights``
     rates = np.ascontiguousarray(_MS_PER_KM_TO_PER_HOUR * np.maximum(wind_mid.sum(axis=2), 0.0))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nodes.n))])
-    return AdvectionOperator(rates=rates, indices=cols, indptr=indptr)
+    return AdvectionOperator(rates=rates, indices=cols, indptr=_indptr(rows, nodes.n))

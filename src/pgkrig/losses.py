@@ -192,9 +192,10 @@ def validate_edges(edges: np.ndarray, n: int) -> np.ndarray:
 
 def edges_from_adjacency(geo: GeoAdjacency) -> np.ndarray:
     """Each undirected adjacency pair once, as (E, 2) with i < j."""
-    coo = geo.weights.tocoo()
-    keep = coo.row < coo.col
-    return np.stack([coo.row[keep], coo.col[keep]], axis=1)
+    w = geo.weights
+    rows = np.repeat(np.arange(w.shape[0], dtype=w.indices.dtype), np.diff(w.indptr))
+    keep = rows < w.indices
+    return np.stack([rows[keep], w.indices[keep]], axis=1)
 
 
 def grid_edges(nx: int, ny: int) -> np.ndarray:

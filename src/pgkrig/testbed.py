@@ -221,11 +221,16 @@ class AodField:
 
 
 def _required_substeps(spec: ScenarioSpec) -> int:
-    """Smallest substep count keeping every cell's outflow below budget."""
+    """Smallest substep count keeping every cell's outflow below budget.
+
+    Raises:
+        ScenarioError: the rates overflow float64, so no count is enough.
+    """
     dx = spec.cell_km
-    wind = spec.wind_series() * _MS_TO_KMH  # km/h
-    l1_speed = float(np.max(np.abs(wind).sum(axis=1))) if wind.size else 0.0
-    speed = float(np.max(np.linalg.norm(wind, axis=1))) if wind.size else 0.0
+    with np.errstate(over="ignore"):  # a speed that overflows to inf is reported below
+        wind = spec.wind_series() * _MS_TO_KMH  # km/h
+        l1_speed = float(np.max(np.abs(wind).sum(axis=1))) if wind.size else 0.0
+        speed = float(np.max(np.linalg.norm(wind, axis=1))) if wind.size else 0.0
     needed = 1.0
     if speed > 0:
         needed = max(needed, speed / (CFL_ADVECTION * dx))
@@ -235,6 +240,10 @@ def _required_substeps(spec: ScenarioSpec) -> int:
     outflow = l1_speed / dx + 4.0 * spec.kappa_km2_h / (dx * dx) + spec.decay_per_h
     if outflow > 0:
         needed = max(needed, outflow / _POSITIVITY_BUDGET)
+    if not math.isfinite(needed):
+        raise ScenarioError(f"no finite number of substeps is stable for wind_speed_ms "
+                            f"{spec.wind_speed_ms}, kappa_km2_h {spec.kappa_km2_h}, "
+                            f"decay_per_h {spec.decay_per_h} and cell_km {dx}")
     return int(math.ceil(needed - 1e-12))
 
 

@@ -20,7 +20,7 @@ from .graphs import (DEFAULT_THRESHOLD_KM, AdvectionOperator, DiffusionOperator,
                      advection_sequence, build_diffusion_operator, build_geo_adjacency)
 from .losses import (LossWeights, aod_gradient_loss, composite_loss,
                      count_valid_edge_terms, edges_from_adjacency, infer_loss, init_loss)
-from .metrics import MetricError, mae, r2, rmse
+from .metrics import NodeScore, score_pooled
 from .network import CHANNELS, KrigingModel, ModelConfig, make_node_series
 from .testbed import ScenarioRun
 
@@ -441,8 +441,8 @@ def predict(model: KrigingModel, normalization: Normalization, graph: Graph,
 def _evaluate(model: KrigingModel, normalization: Normalization,
               view: StationDataset, graph: Graph,
               targets: list[np.ndarray],
-              time_range: tuple[int, int]) -> tuple[float, float, float | None]:
-    """Pooled masked-reconstruction metrics over fixed target sets of a range."""
+              time_range: tuple[int, int]) -> NodeScore:
+    """Pooled masked-reconstruction score over fixed target sets of a range."""
     model = model.detached()
     lo, hi = time_range
     graph = graph.window(lo, hi)
@@ -452,13 +452,7 @@ def _evaluate(model: KrigingModel, normalization: Normalization,
                            view.emissions[lo:hi], view.pm25[lo:hi], target)
         preds.append(x_hat.data[target, :].ravel())
         truths.append(view.pm25[lo:hi].T[target, :].ravel())
-    pred = np.concatenate(preds)
-    truth = np.concatenate(truths)
-    try:
-        coeff = r2(pred, truth)
-    except MetricError:
-        coeff = None
-    return mae(pred, truth), rmse(pred, truth), coeff
+    return score_pooled(np.concatenate(preds), np.concatenate(truths))
 
 
 def train(dataset: StationDataset, model_config: ModelConfig, config: TrainConfig,
@@ -586,12 +580,11 @@ def train(dataset: StationDataset, model_config: ModelConfig, config: TrainConfi
                 raise TrainError(
                     f"non-finite value at epoch {epoch}, batch {batch}: {exc}") from exc
             batch_losses.append(float(loss.data))
-        val_mae, val_rmse, val_r2 = _evaluate(model, normalization, view, graph,
-                                              val_targets, split.val_range)
+        val = _evaluate(model, normalization, view, graph, val_targets, split.val_range)
         log.append(EpochRecord(epoch=epoch, train_loss=float(np.mean(batch_losses)),
-                               val_mae=val_mae, val_rmse=val_rmse, val_r2=val_r2))
-        if val_mae < best_mae:
-            best_mae = val_mae
+                               val_mae=val.mae, val_rmse=val.rmse, val_r2=val.r2))
+        if val.mae < best_mae:
+            best_mae = val.mae
             best_epoch = epoch
             best_params = {name: ad.Tensor(p.data.copy(), requires_grad=True)
                            for name, p in model.params.items()}

@@ -5,11 +5,17 @@ The program records one ``propagate`` node per layer and one
 the compositions here, which run the same arithmetic hour by hour through
 small tape nodes: the primitives ``sparse_matmul``, ``div`` and ``sqrt``
 that only these references use, plus the pgkrig.autodiff ops.
+
+The graph builders take their operators straight from one CSR-ordered pair
+list; the dense builders here go through an N x N weight matrix and COO
+triples instead, and must give the same bytes.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from pgkrig import autodiff as ad
+from pgkrig import graphs as g
 
 
 def sparse_matmul(matrix, x) -> ad.Tensor:
@@ -160,3 +166,68 @@ def reference_aod_loss(x_hat, aod_values, aod_valid, edges):
         step_sum = ad.tensor_sum(terms)
         total = step_sum if total is None else ad.add(total, step_sum)
     return total if total is not None else ad.Tensor(0.0)
+
+
+# -- graph builders ------------------------------------------------------
+
+
+def _dense_mask(nodes, threshold_xi):
+    if not threshold_xi > 0:
+        raise g.GraphBuildError(f"threshold_xi must be positive, got {threshold_xi}")
+    dist = g.planar_distances(nodes.positions)
+    mask = dist < threshold_xi
+    np.fill_diagonal(mask, False)
+    return dist, mask
+
+
+def dense_geo_adjacency(nodes, threshold_xi):
+    """The geo adjacency through a dense weight matrix and `csr_matrix(dense)`."""
+    dist, mask = _dense_mask(nodes, threshold_xi)
+    if not mask.any():
+        raise g.GraphBuildError(
+            f"no node pair closer than threshold {threshold_xi} km: graph is fully isolated")
+    iu, ju = np.triu_indices(nodes.n, k=1)
+    edge_d = dist[iu, ju][mask[iu, ju]]
+    sigma_sq = float(np.var(edge_d))
+    if sigma_sq == 0.0:
+        sigma_sq = float(np.mean(edge_d * edge_d))
+    if sigma_sq == 0.0:
+        sigma_sq = 1.0
+    weights = np.where(mask, np.exp(-(dist * dist) / sigma_sq), 0.0)
+    weights[weights < np.finfo(float).tiny] = 0.0
+    return g.GeoAdjacency(weights=sp.csr_matrix(weights), sigma_sq=sigma_sq)
+
+
+def coo_diffusion_operator(geo):
+    """D^(-1/2) A D^(-1/2) scaled on the COO triples and converted back to CSR."""
+    coo = geo.weights.tocoo()
+    n = coo.shape[0]
+    deg = np.asarray(geo.weights.sum(axis=1)).reshape(-1)
+    inv_sqrt = np.zeros(n)
+    positive = deg > 0
+    inv_sqrt[positive] = 1.0 / np.sqrt(deg[positive])
+    data = coo.data * (inv_sqrt[coo.row] * inv_sqrt[coo.col])
+    return g.DiffusionOperator(weights=sp.csr_matrix((data, (coo.row, coo.col)), shape=(n, n)))
+
+
+def coo_edges(geo):
+    """Each undirected pair once, i < j, read from the COO triples."""
+    coo = geo.weights.tocoo()
+    keep = coo.row < coo.col
+    return np.stack([coo.row[keep], coo.col[keep]], axis=1)
+
+
+def dense_advection_sequence(nodes, wind_series, threshold_xi):
+    """The advection operator with its pairs taken from a dense mask."""
+    dist, mask = _dense_mask(nodes, threshold_xi)
+    rows, cols = np.nonzero(mask)
+    d = dist[rows, cols]
+    if np.any(d == 0.0):
+        k = int(np.argmax(d == 0.0))
+        raise g.GraphBuildError(
+            f"nodes {cols[k]} and {rows[k]} are coincident: advection direction undefined")
+    geom = (nodes.positions[rows] - nodes.positions[cols]) / (d * d)[:, None]
+    wind_mid = 0.5 * (wind_series[:, rows] + wind_series[:, cols]) * geom
+    rates = np.ascontiguousarray(3.6 * np.maximum(wind_mid.sum(axis=2), 0.0))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nodes.n))])
+    return g.AdvectionOperator(rates=rates, indices=cols, indptr=indptr)

@@ -56,6 +56,27 @@ def test_advection_step_count_is_window_length():
     assert counter(ops, (nodes, wind)) == {"graphs.advection_steps": 7}
 
 
+def test_prepare_graph_runs_each_traced_builder_once():
+    # `graphs.build_s` times the three builders through the bindings the
+    # tracer patches; a graph built any other way would read 0 s
+    import pgkrig.training
+
+    spans = load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        nodes = NodeSet(np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]]))
+        wind = np.random.default_rng(0).normal(0.0, 2.0, size=(5, 3, 2))
+        tracer.run_stage("prepare", pgkrig.training.prepare_graph, nodes, wind, 10.0)
+    finally:
+        tracer.uninstall()
+    builds = {name: count for name, count in tracer.counts.items()
+              if name.startswith("graphs.") and name.endswith(".calls")}
+    assert builds == {"graphs.build_geo_adjacency.calls": 1,
+                      "graphs.build_diffusion_operator.calls": 1,
+                      "graphs.advection_sequence.calls": 1}
+
+
 def test_trainer_binds_the_timed_proxy_loss():
     # `losses.proxy_s` times pgkrig.losses.aod_gradient_loss and every module
     # binding that very object; a trainer calling anything else would read 0 s

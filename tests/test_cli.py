@@ -248,6 +248,41 @@ def test_scenario_syntax_error_is_data_error(tmp_path, capsys):
     assert f"{bad}: invalid scenario syntax" in err and "Traceback" not in err
 
 
+@pytest.fixture
+def int_digit_limit():
+    """CPython's default 4300-digit cap on int(str), whatever the environment sets."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_scenario_integer_past_the_digit_limit_is_data_error(tmp_path, capsys, int_digit_limit):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("nx: 4\nny: 4\nt_hours: 4\nstation_count: 3\ncell_km: 1" + "0" * 5000 + "\n",
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--scenario", bad, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: invalid scenario syntax: Exceeds the limit (4300 digits)")
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_config_integer_past_the_digit_limit_is_data_error(tmp_path, capsys, monkeypatch,
+                                                           int_digit_limit):
+    def read(*args, **kwargs):
+        raise AssertionError("a faulty config reached the data directory")
+
+    monkeypatch.setattr(cli, "_read_stations", read)
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text("train: {epochs: 1" + "0" * 5000 + "}\n", encoding="utf-8")
+    assert run_cli("train", "--config", cfg, "--data", tmp_path,
+                   "--out", tmp_path / "x.ckpt") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: invalid config syntax: Exceeds the limit (4300 digits)")
+    assert not (tmp_path / "x.ckpt").exists()
+
+
 def test_scenario_from_dict_round_trip():
     spec = dataio.from_mapping(ScenarioSpec, {
         "nx": 4, "ny": 5, "t_hours": 12, "station_count": 10,

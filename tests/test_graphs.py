@@ -7,6 +7,9 @@ import pytest
 import scipy.sparse as sp
 
 from pgkrig import graphs as g
+from pgkrig.losses import edges_from_adjacency
+from reference_ops import (coo_diffusion_operator, coo_edges, dense_advection_sequence,
+                           dense_geo_adjacency)
 
 
 def random_nodeset(rng, n=None):
@@ -260,7 +263,8 @@ class TestAdvectionSequence:
         dist = g.planar_distances(pos)
         near = (dist < xi) & ~np.eye(ns.n, dtype=bool)
         d_sq = np.where(near, dist * dist, 1.0)
-        rows, cols, geom = g._advection_pairs(ns, xi)
+        rows, cols, d = g._pairs(ns, xi)
+        geom = (pos[rows] - pos[cols]) / (d * d)[:, None]
         for step, op in enumerate(ops):
             w = wind[step]
             single = g.build_advection_operator(ns, w, threshold_xi=xi).weights
@@ -337,3 +341,61 @@ def test_window_operator_places_each_hour_in_its_block():
         assert messages[hour].tobytes() == single.tobytes()
     late = op.window(2, 5)
     assert len(late) == 3 and late.window(1, 2).rates.tobytes() == op.rates[3:4].tobytes()
+
+
+def _parity_layouts():
+    """(positions, threshold) pairs: random, lattice ties, coincident, isolated, subnormal."""
+    rng = np.random.default_rng(23)
+    for _ in range(120):
+        n = int(rng.integers(2, 25))
+        yield rng.uniform(0.0, 100.0, size=(n, 2)), float(rng.uniform(5.0, 150.0))
+    for side, spacing in ((2, 1.0), (3, 2.0), (4, 5.0), (5, 0.5)):
+        iy, ix = np.divmod(np.arange(side * side), side)
+        lattice = np.stack([ix, iy], axis=1) * spacing
+        for xi in (spacing, spacing * 1.5, spacing * math.sqrt(2.0), spacing * 2.0, 1e9):
+            yield lattice, xi  # every distance ties, some at the threshold itself
+    for _ in range(20):
+        pos = rng.uniform(0.0, 30.0, size=(int(rng.integers(2, 9)), 2))
+        pos[-1] = pos[int(rng.integers(0, pos.shape[0] - 1))]
+        yield pos, float(rng.uniform(5.0, 60.0))
+    yield np.array([[5.0, 5.0], [5.0, 5.0]]), 10.0
+    yield np.array([[0.0, 0.0], [50.0, 0.0], [0.0, 50.0]]), 50.0
+    yield np.array([[0.0, 0.0], [100.0, 0.0], [300.0, 0.0]]), 150.0  # node 2 isolated
+    yield np.array([[0.0, 0.0], [14.85, 0.0], [0.0, 15.95], [40.0, 40.0]]), 16.0
+    for xi in (0.0, -5.0, float("nan")):
+        yield np.array([[0.0, 0.0], [1.0, 0.0]]), xi
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except g.GraphBuildError as exc:
+        return type(exc), str(exc)
+
+
+def test_builders_match_the_dense_reference():
+    # the CSR-ordered pair list gives the bytes of the dense matrix and
+    # COO round trip, and the same error type and text where they fail
+    rng = np.random.default_rng(24)
+    for positions, xi in _parity_layouts():
+        ns = g.NodeSet(positions)
+        wind = rng.normal(0.0, 3.0, size=(3, ns.n, 2))
+        geo, ref_geo = _outcome(g.build_geo_adjacency, ns, xi), _outcome(dense_geo_adjacency, ns, xi)
+        if isinstance(ref_geo, tuple):
+            assert geo == ref_geo
+        else:
+            assert geo.sigma_sq == ref_geo.sigma_sq
+            assert _csr_bytes(geo.weights) == _csr_bytes(ref_geo.weights)
+            diffusion = g.build_diffusion_operator(geo).weights
+            assert _csr_bytes(diffusion) == _csr_bytes(coo_diffusion_operator(ref_geo).weights)
+            edges, ref_edges = edges_from_adjacency(geo), coo_edges(ref_geo)
+            assert edges.dtype == ref_edges.dtype
+            np.testing.assert_array_equal(edges, ref_edges)
+        op = _outcome(g.advection_sequence, ns, wind, xi)
+        ref_op = _outcome(dense_advection_sequence, ns, wind, xi)
+        if isinstance(ref_op, tuple):
+            assert op == ref_op
+        else:
+            assert _csr_bytes(op.weights) == _csr_bytes(ref_op.weights)
+            assert op.indices.tobytes() == ref_op.indices.tobytes()
+            assert op.indptr.tobytes() == ref_op.indptr.tobytes()

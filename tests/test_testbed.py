@@ -1,5 +1,7 @@
 """Simulator oracles: equilibrium, symmetry, drift, mass budget, proxies."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,19 @@ class TestSimulate:
             tb.simulate(quiet_spec(wind_speed_ms=10.0, substeps_per_hour=1))
         with pytest.raises(tb.ScenarioError, match="CFL"):
             tb.simulate(quiet_spec(kappa_km2_h=3.0, substeps_per_hour=1))
+
+    @pytest.mark.parametrize("key, value", [
+        ("wind_speed_ms", 1.0e307), ("kappa_km2_h", 1.5e308), ("decay_per_h", 1.7e308)])
+    def test_unbounded_substep_count_errors_before_stepping(self, monkeypatch, key, value):
+        # the rates overflow to inf; huge finite rates would need billions of
+        # substeps and are not tried here
+        def step(*args, **kwargs):
+            raise AssertionError("an hour was simulated")
+
+        monkeypatch.setattr(tb, "_laplacian", step)
+        with pytest.raises(tb.ScenarioError,
+                           match=f"^no finite number of substeps .*{re.escape(f'{key} {value}')}"):
+            tb.simulate(quiet_spec(**{key: value}))
 
     def test_sources_off_the_grid_land_on_its_edge_cells(self):
         sources = (tb.EmissionSource(1e308, -1e308, 2.0), tb.EmissionSource(-3.0, 7.9, 1.0),
