@@ -183,11 +183,20 @@ def _first_repeat(keys: np.ndarray) -> int:
 
 
 def _cells(column):
-    """The cell texts of one column (see `table_text`)."""
+    """The cell texts of one column (see `table_text`).
+
+    A numeric column where most values repeat formats each distinct value
+    once. Values are told apart by bit pattern, so -0.0 and 0.0 keep their
+    own texts.
+    """
     values = np.asarray(column)
     if values.dtype == object:  # a float column with empty cells
         return ("" if v is None else _fmt(v) for v in values.tolist())
-    return map(repr, values.tolist())
+    distinct, where = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+    if 2 * distinct.size > values.size:  # the index would cost more than it saves
+        return map(repr, values.tolist())
+    texts = np.array([repr(v) for v in distinct.view(values.dtype).tolist()], dtype=object)
+    return texts[where].tolist()
 
 
 def table_text(head: list[str], columns) -> str:

@@ -42,6 +42,10 @@ CFL_DIFFUSION = 0.25
 # outflow fraction of any cell per substep stays below 1, which keeps
 # concentrations non-negative without clamping.
 _POSITIVITY_BUDGET = 0.9
+# The most substeps per hour a run may take; s1-advection needs 10. Its 240
+# hours at this ceiling take about 11 s on one core, while finite but huge
+# rates (wind_speed_ms 1e6, decay_per_h 1e308) would step for days or more.
+MAX_SUBSTEPS = 1000
 
 _MS_TO_KMH = 3.6
 
@@ -130,6 +134,8 @@ class ScenarioSpec:
             raise ScenarioError(f"grid must be at least 2x2, got {self.nx}x{self.ny}")
         if self.cell_km <= 0:
             raise ScenarioError(f"cell_km must be positive, got {self.cell_km}")
+        if self.cell_km * self.cell_km == 0.0:  # the diffusion bounds divide by it
+            raise ScenarioError(f"cell_km {self.cell_km} is too small: its square is 0")
         if self.t_hours < 1:
             raise ScenarioError(f"t_hours must be >= 1, got {self.t_hours}")
         if self.layout_seed < 0:
@@ -142,8 +148,10 @@ class ScenarioSpec:
         if not 1 <= self.station_count <= self.nx * self.ny:
             raise ScenarioError(
                 f"station_count must be in [1, {self.nx * self.ny}], got {self.station_count}")
-        if self.substeps_per_hour is not None and self.substeps_per_hour < 1:
-            raise ScenarioError("substeps_per_hour must be >= 1 when given")
+        substeps = self.substeps_per_hour
+        if substeps is not None and not 1 <= substeps <= MAX_SUBSTEPS:
+            raise ScenarioError(f"substeps_per_hour must be in [1, {MAX_SUBSTEPS}] when given, "
+                                f"got {substeps}")
         if self.boundary not in BOUNDARY_MODES:
             raise ScenarioError(
                 f"unknown boundary mode '{self.boundary}', expected one of {BOUNDARY_MODES}")
@@ -224,7 +232,8 @@ def _required_substeps(spec: ScenarioSpec) -> int:
     """Smallest substep count keeping every cell's outflow below budget.
 
     Raises:
-        ScenarioError: the rates overflow float64, so no count is enough.
+        ScenarioError: the rates overflow float64, so no count is enough,
+            or the count exceeds MAX_SUBSTEPS.
     """
     dx = spec.cell_km
     with np.errstate(over="ignore"):  # a speed that overflows to inf is reported below
@@ -240,11 +249,15 @@ def _required_substeps(spec: ScenarioSpec) -> int:
     outflow = l1_speed / dx + 4.0 * spec.kappa_km2_h / (dx * dx) + spec.decay_per_h
     if outflow > 0:
         needed = max(needed, outflow / _POSITIVITY_BUDGET)
+    rates = (f"wind_speed_ms {spec.wind_speed_ms}, kappa_km2_h {spec.kappa_km2_h}, "
+             f"decay_per_h {spec.decay_per_h} and cell_km {dx}")
     if not math.isfinite(needed):
-        raise ScenarioError(f"no finite number of substeps is stable for wind_speed_ms "
-                            f"{spec.wind_speed_ms}, kappa_km2_h {spec.kappa_km2_h}, "
-                            f"decay_per_h {spec.decay_per_h} and cell_km {dx}")
-    return int(math.ceil(needed - 1e-12))
+        raise ScenarioError(f"no finite number of substeps is stable for {rates}")
+    count = int(math.ceil(needed - 1e-12))
+    if count > MAX_SUBSTEPS:
+        raise ScenarioError(f"{rates} need {count:.3g} substeps per hour, "
+                            f"more than the {MAX_SUBSTEPS} allowed")
+    return count
 
 
 def _check_cfl(spec: ScenarioSpec, substeps: int) -> None:
@@ -262,36 +275,39 @@ def _check_cfl(spec: ScenarioSpec, substeps: int) -> None:
             f"gives {spec.kappa_km2_h * dt / (dx * dx):.3f} > {CFL_DIFFUSION}")
 
 
-def _laplacian(c: np.ndarray, dx: float) -> np.ndarray:
-    """Mirror-padded 5-point Laplacian: zero flux across domain edges."""
-    p = np.pad(c, 1, mode="edge")
-    return (p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * c) / (dx * dx)
+def _substep(buf: np.ndarray, spec: ScenarioSpec, dt: float,
+             u_kmh: float, v_kmh: float, emit: np.ndarray) -> None:
+    """Advance the state, the interior of the (ny+2, nx+2) ``buf``, by dt hours.
 
-
-def _advection_divergence(c: np.ndarray, u_kmh: float, v_kmh: float, dx: float,
-                          closed: bool) -> np.ndarray:
-    """-div(v C) by upwind face fluxes.
-
-    Open mode fills ghost cells by zero-gradient extension, so outflow
-    faces drain the domain; closed mode zeroes the boundary-face fluxes,
-    leaving sources and decay as the only mass terms.
+    The edge strips are refreshed from the interior first, so the ghost
+    cells extend it by zero gradient. The Laplacian then has zero flux
+    across domain edges. Upwind face fluxes in open mode drain the domain
+    at outflow edges; closed mode zeroes the boundary-face fluxes, leaving
+    sources and decay as the only mass terms.
     """
-    div = np.zeros_like(c)
+    buf[0, 1:-1] = buf[1, 1:-1]
+    buf[-1, 1:-1] = buf[-2, 1:-1]
+    buf[1:-1, 0] = buf[1:-1, 1]
+    buf[1:-1, -1] = buf[1:-1, -2]
+    c = buf[1:-1, 1:-1]
+    dx = spec.cell_km
+    closed = spec.boundary == "closed"
+    laplacian = (buf[:-2, 1:-1] + buf[2:, 1:-1] + buf[1:-1, :-2] + buf[1:-1, 2:]
+                 - 4.0 * c) / (dx * dx)
+    div = np.zeros_like(c)  # -div(v C)
     if u_kmh != 0.0:
-        p = np.pad(c, ((0, 0), (1, 1)), mode="edge")
-        flux = u_kmh * (p[:, :-1] if u_kmh > 0 else p[:, 1:])  # one per face
+        flux = u_kmh * (buf[1:-1, :-1] if u_kmh > 0 else buf[1:-1, 1:])  # one per face
         if closed:
             flux[:, 0] = 0.0
             flux[:, -1] = 0.0
         div += (flux[:, :-1] - flux[:, 1:]) / dx
     if v_kmh != 0.0:
-        p = np.pad(c, ((1, 1), (0, 0)), mode="edge")
-        flux = v_kmh * (p[:-1, :] if v_kmh > 0 else p[1:, :])
+        flux = v_kmh * (buf[:-1, 1:-1] if v_kmh > 0 else buf[1:, 1:-1])
         if closed:
             flux[0, :] = 0.0
             flux[-1, :] = 0.0
         div += (flux[:-1, :] - flux[1:, :]) / dx
-    return div
+    c += dt * (spec.kappa_km2_h * laplacian + div + emit - spec.decay_per_h * c)
 
 
 def simulate(spec: ScenarioSpec) -> TruthField:
@@ -299,27 +315,25 @@ def simulate(spec: ScenarioSpec) -> TruthField:
 
     Raises:
         ScenarioError: explicitly configured substeps violate the CFL
-            bounds (checked before any stepping).
+            bounds, or the rates need more than MAX_SUBSTEPS (both checked
+            before any stepping).
     """
     substeps = spec.substeps_per_hour or _required_substeps(spec)
     _check_cfl(spec, substeps)
 
     dt = 1.0 / substeps
-    dx = spec.cell_km
     wind_ms = spec.wind_series()
     raster = spec.emission_raster()
-    c = np.full((spec.ny, spec.nx), float(spec.initial_value))
+    # the state plus one ghost cell on every side, which _substep refreshes
+    buf = np.full((spec.ny + 2, spec.nx + 2), float(spec.initial_value))
+    c = buf[1:-1, 1:-1]
     recorded = np.empty((spec.t_hours, spec.n_cells))
 
-    closed = spec.boundary == "closed"
     for hour in range(spec.t_hours):
         u_kmh, v_kmh = wind_ms[hour] * _MS_TO_KMH
         emit = raster[hour].reshape(spec.ny, spec.nx)
         for _ in range(substeps):
-            rate = (spec.kappa_km2_h * _laplacian(c, dx)
-                    + _advection_divergence(c, u_kmh, v_kmh, dx, closed)
-                    + emit - spec.decay_per_h * c)
-            c = c + dt * rate
+            _substep(buf, spec, dt, u_kmh, v_kmh, emit)
             low = c.min()
             if low < -1e-9 * max(1.0, abs(c.max())):
                 raise ScenarioError(
@@ -359,7 +373,32 @@ def sample_stations(truth: TruthField, count: int,
                          emissions=truth.emissions[:, cells].copy(), pm25=pm25)
 
 
+# The cloud smoother: a Gaussian of sigma 2 cells truncated at 4 sigma, with
+# the half-sample-symmetric edges of scipy.ndimage's "reflect" mode.
 _CLOUD_SMOOTH_CELLS = 2.0
+_CLOUD_RADIUS = int(4.0 * _CLOUD_SMOOTH_CELLS + 0.5)
+
+
+def _smooth_last_axis(fields: np.ndarray) -> np.ndarray:
+    """Gaussian-smooth along the last axis, in ndimage's summation order.
+
+    For a symmetric kernel that order is x[i] * w[0], then
+    (x[i - j] + x[i + j]) * w[j] added for j = radius down to 1, so the
+    result is bitwise that of ``gaussian_filter1d(mode="reflect")``.
+    """
+    r, n = _CLOUD_RADIUS, fields.shape[-1]
+    phi = np.exp(-0.5 / (_CLOUD_SMOOTH_CELLS * _CLOUD_SMOOTH_CELLS) * np.arange(-r, r + 1) ** 2)
+    weights = (phi / phi.sum())[r:]  # at offsets 0..r, as ndimage computes them
+    padded = np.pad(fields, [(0, 0)] * (fields.ndim - 1) + [(r, r)], mode="symmetric")
+    out = padded[..., r:r + n] * weights[0]
+    for j in range(r, 0, -1):
+        out += (padded[..., r - j:r - j + n] + padded[..., r + j:r + j + n]) * weights[j]
+    return out
+
+
+def _smooth_clouds(noise: np.ndarray) -> np.ndarray:
+    """(T, ny, nx) noise smoothed hour by hour, along y and then along x."""
+    return _smooth_last_axis(_smooth_last_axis(noise.swapaxes(1, 2)).swapaxes(1, 2))
 
 
 def make_aod(truth: TruthField, corruption: AodSpec,
@@ -379,19 +418,15 @@ def make_aod(truth: TruthField, corruption: AodSpec,
         per_t_max = values.max(axis=1, keepdims=True)
         per_t_min = values.min(axis=1, keepdims=True)
         values = per_t_max + per_t_min - values
-    valid = np.ones((t, n))
     cf = corruption.cloud_fraction
     if cf >= 1.0:
-        valid[:] = 0.0
-    elif cf > 0.0:
-        # Imported here: it costs ~0.09 s and only simulate draws clouds.
-        from scipy.ndimage import gaussian_filter
-
-        for step in range(t):
-            noise = rng.standard_normal((truth.ny, truth.nx))
-            smooth = gaussian_filter(noise, sigma=_CLOUD_SMOOTH_CELLS, mode="reflect")
-            cut = np.quantile(smooth, cf)
-            valid[step] = (smooth >= cut).ravel().astype(np.float64)
+        valid = np.zeros((t, n))
+    elif cf == 0.0:
+        valid = np.ones((t, n))
+    else:
+        smooth = _smooth_clouds(rng.standard_normal((t, truth.ny, truth.nx))).reshape(t, n)
+        cut = np.quantile(smooth, cf, axis=1)
+        valid = (smooth >= cut[:, None]).astype(np.float64)
     return AodField(values=values, valid=valid)
 
 

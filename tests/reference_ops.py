@@ -9,13 +9,20 @@ that only these references use, plus the pgkrig.autodiff ops.
 The graph builders take their operators straight from one CSR-ordered pair
 list; the dense builders here go through an N x N weight matrix and COO
 triples instead, and must give the same bytes.
+
+The testbed's integrator reads an edge-extended buffer, its cloud mask is a
+numpy Gaussian over all hours at once, and the table writer formats each
+distinct value once; the references here pad the state for every stencil,
+smooth hour by hour through scipy.ndimage, and format every cell.
 """
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.ndimage import gaussian_filter
 
 from pgkrig import autodiff as ad
 from pgkrig import graphs as g
+from pgkrig import testbed as tb
 
 
 def sparse_matmul(matrix, x) -> ad.Tensor:
@@ -231,3 +238,79 @@ def dense_advection_sequence(nodes, wind_series, threshold_xi):
     rates = np.ascontiguousarray(3.6 * np.maximum(wind_mid.sum(axis=2), 0.0))
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nodes.n))])
     return g.AdvectionOperator(rates=rates, indices=cols, indptr=indptr)
+
+
+# -- testbed -------------------------------------------------------------
+
+
+def padded_laplacian(c, dx):
+    """Mirror-padded 5-point Laplacian: zero flux across domain edges."""
+    p = np.pad(c, 1, mode="edge")
+    return (p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * c) / (dx * dx)
+
+
+def padded_advection_divergence(c, u_kmh, v_kmh, dx, closed):
+    """-div(v C) by upwind face fluxes on zero-gradient padded copies of c."""
+    div = np.zeros_like(c)
+    if u_kmh != 0.0:
+        p = np.pad(c, ((0, 0), (1, 1)), mode="edge")
+        flux = u_kmh * (p[:, :-1] if u_kmh > 0 else p[:, 1:])
+        if closed:
+            flux[:, 0] = 0.0
+            flux[:, -1] = 0.0
+        div += (flux[:, :-1] - flux[:, 1:]) / dx
+    if v_kmh != 0.0:
+        p = np.pad(c, ((1, 1), (0, 0)), mode="edge")
+        flux = v_kmh * (p[:-1, :] if v_kmh > 0 else p[1:, :])
+        if closed:
+            flux[0, :] = 0.0
+            flux[-1, :] = 0.0
+        div += (flux[:-1, :] - flux[1:, :]) / dx
+    return div
+
+
+def padded_substep(c, spec, dt, u_kmh, v_kmh, emit):
+    """One Euler step of the state c, with three padded copies of it."""
+    rate = (spec.kappa_km2_h * padded_laplacian(c, spec.cell_km)
+            + padded_advection_divergence(c, u_kmh, v_kmh, spec.cell_km,
+                                          spec.boundary == "closed")
+            + emit - spec.decay_per_h * c)
+    return c + dt * rate
+
+
+def per_hour_make_aod(truth, corruption, seed):
+    """The proxy with one ndimage-smoothed noise draw and quantile per hour."""
+    rng = np.random.default_rng(seed)
+    t, n = truth.concentrations.shape
+    values = corruption.gain_a * truth.concentrations + corruption.offset_b
+    if corruption.noise_sigma > 0.0:
+        values = values + rng.normal(0.0, corruption.noise_sigma, size=values.shape)
+    if corruption.invert:
+        per_t_max = values.max(axis=1, keepdims=True)
+        per_t_min = values.min(axis=1, keepdims=True)
+        values = per_t_max + per_t_min - values
+    valid = np.ones((t, n))
+    cf = corruption.cloud_fraction
+    if cf >= 1.0:
+        valid[:] = 0.0
+    elif cf > 0.0:
+        for step in range(t):
+            noise = rng.standard_normal((truth.ny, truth.nx))
+            smooth = gaussian_filter(noise, sigma=2.0, mode="reflect")
+            cut = np.quantile(smooth, cf)
+            valid[step] = (smooth >= cut).ravel().astype(np.float64)
+    return tb.AodField(values=values, valid=valid)
+
+
+# -- table writer --------------------------------------------------------
+
+
+def repr_table_text(head, columns):
+    """Table text with every cell formatted on its own: repr, or "" for None."""
+    def cells(column):
+        values = np.asarray(column)
+        if values.dtype == object:
+            return ["" if v is None else repr(float(v)) for v in values.tolist()]
+        return list(map(repr, values.tolist()))
+
+    return "\n".join([*head, *map(",".join, zip(*map(cells, columns)))]) + "\n"

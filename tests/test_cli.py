@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +187,23 @@ def test_scenario_file_with_negative_layout_seed(tmp_path, capsys):
     assert run_cli("simulate", "--scenario", bad, "--out", out) == 2
     err = capsys.readouterr().err
     assert "layout_seed must be >= 0, got -4" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("wind_speed_ms: 1.0e6", "need 2e+06 substeps per hour, more than the 1000 allowed"),
+    ("decay_per_h: 1.0e308", "need 1.11e+308 substeps per hour, more than the 1000 allowed"),
+    ("cell_km: 1.0e-200", "cell_km 1e-200 is too small: its square is 0"),
+])
+def test_scenario_file_that_cannot_be_stepped_exits_at_once(tmp_path, capsys, line, message):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(f"nx: 4\nny: 4\nt_hours: 4\nstation_count: 3\n{line}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert run_cli("simulate", "--scenario", bad, "--out", out) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -907,7 +925,9 @@ def _packages(modules: set, *names) -> set:
 
 
 def test_each_command_imports_only_what_it_runs(pipeline, tmp_path):
-    _, _, _, data, ckpt = pipeline
+    _, scen, _, data, ckpt = pipeline
+    modules = _modules_after("simulate", "--scenario", scen, "--out", tmp_path / "sim")
+    assert "pgkrig.testbed" in modules and not _packages(modules, "scipy"), "simulate"
     for argv, needed in (
             (["eval", "--pred", data / "station_truth.csv",
               "--truth", data / "station_truth.csv"], "pgkrig.metrics"),

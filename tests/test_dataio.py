@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from reference_ops import repr_table_text
 
 from pgkrig import cli, dataio
 from pgkrig.dataio import SchemaError
@@ -679,6 +680,29 @@ def test_writers_match_per_row_reference(tmp_path):
         path = tmp_path / f"{i}.csv"
         write(path)
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8"), i
+
+
+def _table_text_cases():
+    rng = np.random.default_rng(3)
+    pool = _awkward(rng, (40,))
+    grid = rng.normal(size=(300, 2)) * 10.0 ** rng.integers(-300, 300, size=(300, 2))
+    return {
+        "repeats": [np.repeat(np.arange(400), 5), rng.choice(pool, 2000),
+                    np.tile([0.1, -0.0, 0.0, 5e-324], 500), np.full(2000, 2.5)],
+        "no repeats": [np.arange(300), grid[:, 0], grid[:, 1]],  # strided columns
+        "signed zeros": [np.tile([0.0, -0.0, 1.0, -1.0], 3),
+                         np.tile([-5, 2**63 - 1, -(2**63), 0], 3)],
+        "few repeats": [np.arange(40), np.arange(40.0) % 39.0],
+        "empty cells": [[1.5, None, 1.5, None], [None, 0.0, -0.0, None], [0, 1, 0, 1]],
+        "bits and bools": [np.array([1, 0, 1, 1]), np.array([True, False, True, False])],
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_table_text_cases()))
+def test_table_text_matches_per_cell_repr(case):
+    columns = _table_text_cases()[case]
+    head = [dataio.version_line("test"), ",".join(f"c{i}" for i in range(len(columns)))]
+    assert dataio.table_text(head, columns) == repr_table_text(head, columns)
 
 
 @pytest.mark.parametrize("row", [4095, 4096, 4097])

@@ -1,9 +1,12 @@
 """Simulator oracles: equilibrium, symmetry, drift, mass budget, proxies."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from reference_ops import padded_substep, per_hour_make_aod
+from scipy.ndimage import gaussian_filter
 
 from pgkrig import testbed as tb
 
@@ -14,6 +17,13 @@ def quiet_spec(**overrides):
                     background_rate=0.0, sources=(), station_count=5, layout_seed=0)
     defaults.update(overrides)
     return tb.ScenarioSpec(**defaults)
+
+
+def assert_bitwise(actual, expected):
+    """Equal bit patterns, so -0.0 and 0.0 differ and NaN payloads count."""
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(np.ascontiguousarray(actual).view(np.uint64),
+                                  np.ascontiguousarray(expected).view(np.uint64))
 
 
 def centroid_x(field: tb.TruthField, step: int) -> float:
@@ -111,10 +121,35 @@ class TestSimulate:
         def step(*args, **kwargs):
             raise AssertionError("an hour was simulated")
 
-        monkeypatch.setattr(tb, "_laplacian", step)
+        monkeypatch.setattr(tb, "_substep", step)
         with pytest.raises(tb.ScenarioError,
                            match=f"^no finite number of substeps .*{re.escape(f'{key} {value}')}"):
             tb.simulate(quiet_spec(**{key: value}))
+
+    def test_huge_finite_rates_error_before_stepping(self, monkeypatch):
+        def step(*args, **kwargs):
+            raise AssertionError("an hour was simulated")
+
+        monkeypatch.setattr(tb, "_substep", step)
+        for key, value, count in (("wind_speed_ms", 1.0e6, "2e+06"),
+                                  ("decay_per_h", 1.0e308, "1.11e+308")):
+            with pytest.raises(tb.ScenarioError, match=(
+                    f"{re.escape(f'{key} {value}')}.* need {re.escape(count)} substeps per "
+                    f"hour, more than the {tb.MAX_SUBSTEPS} allowed$")):
+                tb.simulate(quiet_spec(**{key: value}))
+
+    def test_substep_ceiling_bounds_explicit_and_needed_counts(self):
+        with pytest.raises(tb.ScenarioError, match="substeps_per_hour must be in"):
+            quiet_spec(substeps_per_hour=tb.MAX_SUBSTEPS + 1)
+        # kappa at the positivity bound of exactly MAX_SUBSTEPS substeps runs
+        kappa = tb.MAX_SUBSTEPS * tb._POSITIVITY_BUDGET * 4.0 / 4.0
+        assert tb._required_substeps(quiet_spec(kappa_km2_h=kappa)) == tb.MAX_SUBSTEPS
+        with pytest.raises(tb.ScenarioError, match="more than the"):
+            tb._required_substeps(quiet_spec(kappa_km2_h=kappa * 1.01))
+
+    def test_cell_whose_square_underflows_errors(self):
+        with pytest.raises(tb.ScenarioError, match="cell_km 1e-200 is too small"):
+            quiet_spec(cell_km=1.0e-200)
 
     def test_sources_off_the_grid_land_on_its_edge_cells(self):
         sources = (tb.EmissionSource(1e308, -1e308, 2.0), tb.EmissionSource(-3.0, 7.9, 1.0),
@@ -258,3 +293,63 @@ class TestPresetsAndRuns:
         a = tb.run_scenario(spec, seed=1)
         b = tb.run_scenario(spec, seed=2)
         assert not np.array_equal(a.stations.cell_indices, b.stations.cell_indices)
+
+
+class TestReferenceParity:
+    """The pad-free integrator and the numpy cloud mask against the old code."""
+
+    @pytest.mark.parametrize("boundary", tb.BOUNDARY_MODES)
+    @pytest.mark.parametrize("u, v", [(7.3, 0.0), (-7.3, 0.0), (0.0, 5.1), (0.0, -5.1),
+                                      (6.2, -3.9), (-4.4, 2.8), (0.0, 0.0)])
+    def test_substep_equals_padded_reference(self, boundary, u, v):
+        spec = quiet_spec(nx=9, ny=7, cell_km=1.7, kappa_km2_h=0.7, decay_per_h=0.08,
+                          boundary=boundary)
+        rng = np.random.default_rng(4)
+        c = rng.uniform(0.0, 5.0, (spec.ny, spec.nx))
+        emit = rng.uniform(0.0, 1.0, c.shape)
+        buf = np.full((spec.ny + 2, spec.nx + 2), np.nan)  # stale ghosts must not leak in
+        buf[1:-1, 1:-1] = c
+        for _ in range(4):
+            c = padded_substep(c, spec, 0.03, u, v, emit)
+            tb._substep(buf, spec, 0.03, u, v, emit)
+            assert_bitwise(buf[1:-1, 1:-1], c)
+
+    @pytest.mark.parametrize("spec", [
+        replace(tb.scenario_preset("s1-advection"), t_hours=8),
+        replace(tb.scenario_preset("aod-ideal"), t_hours=8),
+        quiet_spec(nx=12, ny=9, t_hours=8, wind_regime="rotating", wind_speed_ms=2.0,
+                   kappa_km2_h=0.6, initial_value=1.0, boundary="closed",
+                   sources=(tb.EmissionSource(6.0, 6.0, 4.0, "diurnal"),)),
+    ])
+    def test_truth_equals_padded_reference(self, spec):
+        substeps = tb._required_substeps(spec)
+        raster = spec.emission_raster()
+        c = np.full((spec.ny, spec.nx), spec.initial_value)
+        expected = []
+        for hour, (u, v) in enumerate(spec.wind_series() * tb._MS_TO_KMH):
+            emit = raster[hour].reshape(spec.ny, spec.nx)
+            for _ in range(substeps):
+                c = padded_substep(c, spec, 1.0 / substeps, u, v, emit)
+                if c.min() < 0.0:
+                    c = np.maximum(c, 0.0)
+            expected.append(c.ravel())
+        assert_bitwise(tb.simulate(spec).concentrations, np.array(expected))
+
+    @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (1, 1), (3, 3), (2, 2), (9, 17),
+                                       (20, 20), (40, 40)])
+    def test_cloud_smoother_equals_ndimage(self, shape):
+        noise = np.random.default_rng(sum(shape)).standard_normal((6, *shape))
+        expected = np.stack([gaussian_filter(f, sigma=2.0, mode="reflect") for f in noise])
+        assert_bitwise(tb._smooth_clouds(noise), expected)
+
+    @pytest.mark.parametrize("preset", tb.PRESET_NAMES)
+    @pytest.mark.parametrize("cloud_fraction", [0.0, 0.05, 0.2, 0.5, 0.97, 1.0])
+    def test_make_aod_equals_per_hour_reference(self, preset, cloud_fraction):
+        spec = replace(tb.scenario_preset(preset), t_hours=6)
+        truth = tb.simulate(spec)
+        corruption = replace(spec.aod, cloud_fraction=cloud_fraction, noise_sigma=0.3)
+        for seed in (0, 7):
+            aod = tb.make_aod(truth, corruption, seed)
+            expected = per_hour_make_aod(truth, corruption, seed)
+            assert_bitwise(aod.values, expected.values)
+            assert_bitwise(aod.valid, expected.valid)
