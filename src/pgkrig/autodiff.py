@@ -107,9 +107,16 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Reverse pass from this scalar through the recorded graph."""
+        """Reverse pass from this scalar through the recorded graph.
+
+        The graph is dropped as it is walked: each node forgets its parents
+        and its closure once that has run, so the arrays the tape held are
+        freed during the pass.  A graph can therefore be walked only once.
+        """
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar loss, got shape {self.shape}")
+        if self._backward is None and self._op != "leaf":
+            raise RuntimeError(f"backward() already ran through this '{self._op}' graph")
         # Iterative post-order: inputs always appear before their consumers.
         topo: list[Tensor] = []
         visited: set[int] = set()
@@ -128,9 +135,11 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            node._parents, node._backward = (), None
 
     # -- operator sugar --------------------------------------------------
 
@@ -473,16 +482,37 @@ def conv1d_causal_dilated(x, weight, bias, dilation: int = 1) -> Tensor:
                 gx[:, : t - shift, :] += g[:, shift:, :] @ weight.data[tap].T
             x._accumulate(gx)
         if weight.requires_grad:
-            gw = np.zeros_like(weight.data)
-            for tap, shift in enumerate(shifts):
-                if shift >= t:
-                    continue
-                gw[tap] = np.einsum("ntc,ntf->cf", x.data[:, : t - shift, :], g[:, shift:, :])
-            weight._accumulate(gw)
+            weight._accumulate(_conv_weight_grad(x.data, g, shifts))
         if bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 1)))
 
     return _make(data, "conv1d_causal_dilated", (x, weight, bias), backward)
+
+
+def _conv_weight_grad(x: np.ndarray, g: np.ndarray, shifts: list[int]) -> np.ndarray:
+    """The (K, C_in, C_out) kernel gradient of a causal conv, one einsum for all taps.
+
+    Tap k of the (N, T, K*C_in) stack holds x delayed by ``shifts[k]`` hours,
+    zero before.  The einsum adds one term at a time over (node, hour) in C
+    order, which the C-contiguous stack pins whatever g's layout, exactly as
+    ``per_tap_weight_grad`` in tests/reference_ops.py does tap by tap on
+    node-major inputs.  So the bits agree: a padded hour only adds an exact
+    +-0 to a partial sum that starts at +0.  The einsum's inner loop runs
+    over the output's last axis, so that axis is the longer of K*C_in and
+    C_out.
+    """
+    n, t, c_in = x.shape
+    c_out = g.shape[2]
+    taps = np.zeros((n, t, len(shifts), c_in))
+    for tap, shift in enumerate(shifts):
+        if shift < t:
+            taps[:, shift:, tap] = x[:, : t - shift]
+    taps = taps.reshape(n, t, -1)
+    if taps.shape[2] >= c_out:
+        grad = np.einsum("ntj,ntf->jf", g, taps).T
+    else:
+        grad = np.einsum("ntf,ntj->fj", taps, g)
+    return grad.reshape(len(shifts), c_in, c_out)
 
 
 def l1_loss(pred, target) -> Tensor:

@@ -71,6 +71,14 @@ def _resolve_data_dir(value) -> Path:
     raise _UsageError(f"no data directory given and {DATA_DIR_ENV} is not set")
 
 
+def _output_file(path) -> Path:
+    """An output path whose directory exists; checked before a command reads anything."""
+    path = Path(path)
+    if not path.parent.is_dir():
+        raise DataError(f"{path}: no such directory {path.parent}")
+    return path
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -108,8 +116,11 @@ def _cmd_simulate(args) -> int:
     dataio.write_aod(out / "aod.csv", run.aod.values[:, cells],
                      run.aod.valid[:, cells])
     dataio.write_values(out / "truth.csv", run.truth.concentrations, "pm25")
-    dataio.write_values(out / "station_truth.csv",
-                        run.truth.concentrations[:, cells], "pm25")
+    station_truth = run.truth.concentrations[:, cells]
+    if station_truth.tobytes() == run.stations.pm25.tobytes():  # no observation noise
+        (out / "station_truth.csv").write_bytes((out / "stations.csv").read_bytes())
+    else:
+        dataio.write_values(out / "station_truth.csv", station_truth, "pm25")
     geometry = dataio.GridGeometry(nx=spec.nx, ny=spec.ny, cell_km=spec.cell_km)
     dataio.write_grid_nodes(out / "grid.csv", geometry)
     dataio.write_grid_inputs(out / "grid_inputs.csv", run.truth.wind,
@@ -192,12 +203,13 @@ def _train_inputs(args):
 def _cmd_train(args) -> int:
     from .training import train
 
+    out = _output_file(args.out)
+    log_path = _output_file(args.log if args.log else str(args.out) + ".log.csv")
     dataset, model_cfg, train_cfg, split, weights, threshold = _train_inputs(args)
     result = train(dataset, model_cfg, train_cfg, split, weights=weights,
                    threshold_km=threshold)
-    dataio.save_checkpoint(args.out, result.model, result.normalization.mean,
+    dataio.save_checkpoint(out, result.model, result.normalization.mean,
                            result.normalization.std, result.meta)
-    log_path = args.log if args.log else str(args.out) + ".log.csv"
     dataio.write_metrics_log(log_path, result.log)
     mae = result.best_val_mae
     print(f"wrote {args.out} (best epoch {result.best_epoch}, "
@@ -208,21 +220,22 @@ def _cmd_train(args) -> int:
 def _cmd_sweep(args) -> int:
     from .training import train
 
-    dataset, model_cfg, train_cfg, split, weights, threshold = _train_inputs(args)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
         raise _UsageError(f"--values must be comma-separated numbers: {exc}")
     if not values:
         raise _UsageError("--values is empty")
+    out = _output_file(args.out) if args.out else None
+    dataset, model_cfg, train_cfg, split, weights, threshold = _train_inputs(args)
     results = [train(dataset, model_cfg, train_cfg, split,
                      weights=replace(weights, **{args.param: value}), threshold_km=threshold)
                for value in values]
     text = dataio.table_text(
         [dataio.version_line("sweep"), f"{args.param},best_epoch,best_val_mae"],
         [values, [r.best_epoch for r in results], [r.best_val_mae for r in results]])
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+    if out:
+        out.write_text(text, encoding="utf-8")
         print(f"wrote {args.out} ({len(values)} runs)")
     else:
         sys.stdout.write(text)
@@ -248,6 +261,7 @@ def _cmd_infer(args) -> int:
         raise _UsageError("exactly one of --targets or --grid is required")
     from .training import Normalization, infer_grid, infer_stations
 
+    out = _output_file(args.out)
     ckpt = dataio.load_checkpoint(args.ckpt)
     normalization = Normalization(mean=ckpt.norm_mean, std=ckpt.norm_std)
     threshold = args.threshold_km
@@ -269,7 +283,7 @@ def _cmd_infer(args) -> int:
         field = infer_grid(ckpt.model, normalization, dataset,
                            geometry.positions(), grid_wind, grid_emissions,
                            threshold_km=threshold)
-        dataio.write_values(args.out, field, "pm25")
+        dataio.write_values(out, field, "pm25")
         print(f"wrote {args.out} ({field.shape[0]} hours x "
               f"{geometry.nx}x{geometry.ny} cells)")
         return EXIT_OK
@@ -278,7 +292,7 @@ def _cmd_infer(args) -> int:
     dataset = _read_stations(data_dir, targets)
     preds = infer_stations(ckpt.model, normalization, dataset, targets,
                            threshold_km=threshold)
-    dataio.write_values(args.out, preds, "pm25", node_ids=targets)
+    dataio.write_values(out, preds, "pm25", node_ids=targets)
     print(f"wrote {args.out} ({preds.shape[0]} hours x {targets.size} nodes)")
     return EXIT_OK
 
@@ -290,6 +304,7 @@ def _cmd_infer(args) -> int:
 def _cmd_eval(args) -> int:
     from .metrics import score_per_node, score_pooled
 
+    out = _output_file(args.out) if args.out else None
     pred_ids, pred = dataio.read_values(args.pred, "pm25")
     truth_ids, truth = dataio.read_values(args.truth, "pm25")
     lookup = {int(k): i for i, k in enumerate(truth_ids)}
@@ -313,8 +328,8 @@ def _cmd_eval(args) -> int:
               for i, s in enumerate(score_per_node(pred, aligned))]
     pooled = score_pooled(pred, aligned)
     sys.stdout.write(dataio.report_text(scores, pooled))
-    if args.out:
-        dataio.write_report(args.out, scores, pooled)
+    if out:
+        dataio.write_report(out, scores, pooled)
     return EXIT_OK
 
 
@@ -325,6 +340,7 @@ def _cmd_eval(args) -> int:
 def _cmd_render(args) -> int:
     from .rendering import RenderError, field_frame, render_pgm
 
+    out = _output_file(args.out)
     geometry = dataio.read_grid_nodes(args.grid)
     ids, values = dataio.read_values(args.field, "pm25")
     if not np.array_equal(ids, np.arange(geometry.n_cells)):
@@ -332,8 +348,7 @@ def _cmd_render(args) -> int:
             f"{args.field}: field covers {ids.size} of {geometry.n_cells} cells")
     hour = values.shape[0] - 1 if args.time is None else args.time
     frame = field_frame(values, geometry, hour)
-    Path(args.out).write_text(render_pgm(frame, vmin=args.vmin, vmax=args.vmax),
-                              encoding="utf-8")
+    out.write_text(render_pgm(frame, vmin=args.vmin, vmax=args.vmax), encoding="utf-8")
     print(f"wrote {args.out} ({geometry.nx}x{geometry.ny}, hour {hour})")
     return EXIT_OK
 

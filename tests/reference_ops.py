@@ -10,6 +10,9 @@ The graph builders take their operators straight from one CSR-ordered pair
 list; the dense builders here go through an N x N weight matrix and COO
 triples instead, and must give the same bytes.
 
+The conv kernel gradient is one einsum over a stack of delayed inputs; the
+reference runs one einsum per tap over strided slices.
+
 The testbed's integrator reads an edge-extended buffer, its cloud mask is a
 numpy Gaussian over all hours at once, and the table writer formats each
 distinct value once; the references here pad the state for every stencil,
@@ -70,6 +73,20 @@ def sqrt(x) -> ad.Tensor:
             x._accumulate(g * 0.5 / np.sqrt(x.data))
 
     return ad._make(data, "sqrt", (x,), backward)
+
+
+# -- convolution ---------------------------------------------------------
+
+
+def per_tap_weight_grad(x, g, shifts):
+    """A causal conv's (K, C_in, C_out) kernel gradient, one einsum per tap
+    over the strided slices of x and g; a tap delayed past the series is 0."""
+    t = x.shape[1]
+    grad = np.zeros((len(shifts), x.shape[2], g.shape[2]))
+    for tap, shift in enumerate(shifts):
+        if shift < t:
+            grad[tap] = np.einsum("ntc,ntf->cf", x[:, : t - shift, :], g[:, shift:, :])
+    return grad
 
 
 # -- propagation ---------------------------------------------------------

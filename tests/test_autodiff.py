@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from reference_ops import div, per_hour_propagation, sparse_matmul, sqrt
+from reference_ops import (div, per_hour_propagation, per_tap_weight_grad, sparse_matmul,
+                           sqrt)
 
 from pgkrig import autodiff as ad
 from pgkrig import graphs as g
@@ -205,6 +206,58 @@ class TestConv1d:
         np.testing.assert_allclose(out[0, :, 0], x[0, :, 0] * w[2, 0, 0])
 
 
+class TestConvWeightGrad:
+    """The one-einsum kernel gradient is bitwise the per-tap einsums."""
+
+    @staticmethod
+    def adjoint(rng, shape):
+        g = rng.normal(size=shape)
+        g[g > 1.0] = 0.0
+        g[g < -1.0] = -0.0  # as relu's backward hands a negative adjoint to a dead unit
+        return g
+
+    @staticmethod
+    def kernel_grad(x, g, k, dilation):
+        weight = ad.Tensor(np.zeros((k, x.shape[2], g.shape[2])), requires_grad=True)
+        out = ad.conv1d_causal_dilated(ad.Tensor(x), weight, np.zeros(g.shape[2]),
+                                       dilation=dilation)
+        out._backward(g)
+        return weight.grad
+
+    @pytest.mark.parametrize("dilation", [1, 2, 4])
+    @pytest.mark.parametrize("c_in", [5, 32])  # K*C_in below and above C_out
+    def test_matches_per_tap_einsums(self, dilation, c_in):
+        rng = np.random.default_rng(40 + dilation)
+        x = rng.normal(size=(7, 24, c_in))
+        g = self.adjoint(rng, (7, 24, 32))
+        shifts = [2 * dilation, dilation, 0]
+        expected = per_tap_weight_grad(x, g, shifts)
+        assert ad._conv_weight_grad(x, g, shifts).tobytes() == expected.tobytes()
+        assert self.kernel_grad(x, g, 3, dilation).tobytes() == (expected + 0.0).tobytes()
+
+    def test_tap_delayed_past_the_series(self):
+        rng = np.random.default_rng(44)
+        x = rng.normal(size=(3, 6, 5))
+        g = self.adjoint(rng, (3, 6, 32))
+        grad = ad._conv_weight_grad(x, g, [8, 4, 0])
+        assert grad.tobytes() == per_tap_weight_grad(x, g, [8, 4, 0]).tobytes()
+        assert not np.signbit(grad[0]).any() and not grad[0].any()
+
+    def test_sums_node_then_hour_whatever_the_layout(self):
+        rng = np.random.default_rng(45)
+        shifts = [4, 2, 0]
+        # time-major storage (the encoder's input) and strided channel slices
+        xs = [rng.normal(size=(24, 7, 5)).transpose(1, 0, 2),
+              rng.normal(size=(7, 24, 10))[:, :, 1::2]]
+        gs = [self.adjoint(rng, (24, 7, 32)).transpose(1, 0, 2),
+              self.adjoint(rng, (7, 24, 64))[:, :, ::2]]
+        for x in xs:
+            for g in gs:
+                expected = per_tap_weight_grad(np.ascontiguousarray(x),
+                                               np.ascontiguousarray(g), shifts)
+                assert ad._conv_weight_grad(x, g, shifts).tobytes() == expected.tobytes()
+
+
 class TestLossAndGraph:
     def test_l1_loss_value_and_grad(self):
         rng = np.random.default_rng(16)
@@ -237,6 +290,16 @@ class TestLossAndGraph:
             x = x + 1.0
         x.sum().backward()
         np.testing.assert_allclose(t.grad, [1.0])
+
+    def test_backward_drops_the_graph_it_walked(self):
+        t = ad.Tensor(np.array([2.0]), requires_grad=True)
+        hidden = t * 3.0
+        out = (hidden * hidden).sum()  # d/dt 9t^2 = 36
+        out.backward()
+        assert hidden._parents == () and hidden._backward is None
+        with pytest.raises(RuntimeError, match="already ran through this 'sum' graph"):
+            out.backward()
+        np.testing.assert_allclose(t.grad, [36.0])
 
     def test_backward_requires_scalar(self):
         t = ad.Tensor(np.zeros((2, 2)), requires_grad=True)

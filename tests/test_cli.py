@@ -124,6 +124,18 @@ def test_simulate_aod_missing_preset_all_masked(tmp_path):
     assert np.all(valid == 0.0)
 
 
+def test_simulate_station_truth_is_the_truth_at_the_stations(pipeline, tmp_path):
+    _, scen, _, data, _ = pipeline
+    station_truth = (data / "station_truth.csv").read_bytes()
+    assert station_truth == (data / "stations.csv").read_bytes()  # no observation noise
+    noisy = tmp_path / "noisy.yaml"
+    noisy.write_text(SCENARIO_YAML + "observation_noise_sigma: 0.5\n", encoding="utf-8")
+    out = tmp_path / "noisy"
+    assert run_cli("simulate", "--scenario", noisy, "--out", out, "--seed", 3) == 0
+    assert (out / "station_truth.csv").read_bytes() == station_truth
+    assert (out / "stations.csv").read_bytes() != station_truth
+
+
 def test_simulate_unknown_preset_is_data_error(tmp_path, capsys):
     assert run_cli("simulate", "--scenario", "nope", "--out", tmp_path / "x") == 2
     assert "preset" in capsys.readouterr().err
@@ -495,6 +507,17 @@ def test_data_dir_env_fallback(pipeline, tmp_path, monkeypatch):
     assert ids.tolist() == [5]
 
 
+def test_train_checks_output_directories_before_reading(pipeline, tmp_path, capsys):
+    _, _, cfg, _, _ = pipeline
+    missing, ckpt = tmp_path / "missing", tmp_path / "m.ckpt"
+    for outputs, named in ((("--out", missing / "m.ckpt"), missing / "m.ckpt"),
+                           (("--out", ckpt, "--log", missing / "log.csv"), missing / "log.csv")):
+        # no data directory either: the output is checked first
+        assert run_cli("train", "--config", cfg, "--data", tmp_path / "no-data", *outputs) == 2
+        assert f"{named}: no such directory {missing}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- infer -------------------------------------------------------------
 
 
@@ -640,6 +663,14 @@ def test_infer_grid_names_a_mismatched_grid_inputs_csv(pipeline, tmp_path, capsy
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("mode", [("--targets", "0"), ("--grid",)])
+def test_infer_checks_output_directory_before_reading(tmp_path, capsys, mode):
+    out = tmp_path / "missing" / "pred.csv"
+    assert run_cli("infer", "--ckpt", tmp_path / "no.ckpt", "--data", tmp_path / "no-data",
+                   *mode, "--out", out) == 2
+    assert f"{out}: no such directory {out.parent}" in capsys.readouterr().err
+
+
 def test_infer_grid_mode_shapes(pipeline, tmp_path):
     _, _, _, data, ckpt = pipeline
     out = tmp_path / "field.csv"
@@ -760,7 +791,22 @@ def test_eval_bad_hour_range_is_usage_error(pipeline, capsys):
     capsys.readouterr()
 
 
+def test_eval_checks_output_directory_before_reading(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.csv"
+    assert run_cli("eval", "--pred", tmp_path / "no.csv", "--truth", tmp_path / "no.csv",
+                   "--out", out) == 2
+    captured = capsys.readouterr()
+    assert f"{out}: no such directory {out.parent}" in captured.err and captured.out == ""
+
+
 # -- render ------------------------------------------------------------
+
+
+def test_render_checks_output_directory_before_reading(tmp_path, capsys):
+    out = tmp_path / "missing" / "f.pgm"
+    assert run_cli("render", "--field", tmp_path / "no.csv", "--grid", tmp_path / "no.csv",
+                   "--out", out) == 2
+    assert f"{out}: no such directory {out.parent}" in capsys.readouterr().err
 
 
 def test_render_constant_field_is_uniform(pipeline, tmp_path):
@@ -824,6 +870,17 @@ def test_sweep_bad_values_are_usage_errors(pipeline):
     assert run_cli("sweep", "--config", cfg, "--data", data,
                    "--values", "0,zap") == 1
     assert run_cli("sweep", "--config", cfg, "--data", data, "--values", ",") == 1
+
+
+def test_sweep_checks_values_and_output_before_reading(pipeline, tmp_path, capsys):
+    _, _, cfg, _, _ = pipeline
+    out, no_data = tmp_path / "missing" / "sweep.csv", tmp_path / "no-data"
+    assert run_cli("sweep", "--config", cfg, "--data", no_data, "--values", "0,zap",
+                   "--out", out) == 1
+    assert "--values must be comma-separated numbers" in capsys.readouterr().err
+    assert run_cli("sweep", "--config", cfg, "--data", no_data, "--values", "0,0.2",
+                   "--out", out) == 2
+    assert f"{out}: no such directory {out.parent}" in capsys.readouterr().err
 
 
 # -- shared contract ---------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -712,6 +713,32 @@ def test_forward_only_passes_record_no_tape(monkeypatch):
             assert out._parents == () and out._backward is None and not out.requires_grad
     for p in result.model.params.values():
         assert p.requires_grad and p.grad is None
+
+
+def test_no_batch_tape_outlives_its_step(monkeypatch):
+    """Every array a batch's tape recorded is freed before the next forward."""
+    tapes = []
+    backward, forward = ad.Tensor.backward, KrigingModel.full_forward
+
+    def recording_backward(self):
+        refs, seen, stack = [], set(), [self]
+        while stack:
+            node = stack.pop()
+            if node._op != "leaf" and id(node) not in seen:
+                seen.add(id(node))
+                refs.append(weakref.ref(node.data))
+                stack.extend(node._parents)
+        tapes.append(refs)
+        backward(self)
+
+    def checking_forward(self, *args):
+        assert all(ref() is None for refs in tapes for ref in refs)
+        return forward(self, *args)
+
+    monkeypatch.setattr(ad.Tensor, "backward", recording_backward)
+    monkeypatch.setattr(KrigingModel, "full_forward", checking_forward)
+    trained_toy(epochs=2)
+    assert len(tapes) == 8 and all(len(refs) > 30 for refs in tapes)
 
 
 # ---------------------------------------------------------------------------
