@@ -72,10 +72,12 @@ def _resolve_data_dir(value) -> Path:
 
 
 def _output_file(path) -> Path:
-    """An output path whose directory exists; checked before a command reads anything."""
+    """An output file path in an existing directory; checked before a command reads anything."""
     path = Path(path)
     if not path.parent.is_dir():
         raise DataError(f"{path}: no such directory {path.parent}")
+    if path.is_dir():
+        raise DataError(f"{path}: is a directory")
     return path
 
 

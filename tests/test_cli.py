@@ -509,13 +509,17 @@ def test_data_dir_env_fallback(pipeline, tmp_path, monkeypatch):
 
 def test_train_checks_output_directories_before_reading(pipeline, tmp_path, capsys):
     _, _, cfg, _, _ = pipeline
-    missing, ckpt = tmp_path / "missing", tmp_path / "m.ckpt"
-    for outputs, named in ((("--out", missing / "m.ckpt"), missing / "m.ckpt"),
-                           (("--out", ckpt, "--log", missing / "log.csv"), missing / "log.csv")):
-        # no data directory either: the output is checked first
+    missing, ckpt, folder = tmp_path / "missing", tmp_path / "m.ckpt", tmp_path / "folder"
+    folder.mkdir()
+    for outputs, fault in (
+            (("--out", missing / "m.ckpt"), f"{missing / 'm.ckpt'}: no such directory {missing}"),
+            (("--out", ckpt, "--log", missing / "log.csv"),
+             f"{missing / 'log.csv'}: no such directory {missing}"),
+            (("--out", folder), f"{folder}: is a directory")):
+        # no data directory either: the outputs are checked first
         assert run_cli("train", "--config", cfg, "--data", tmp_path / "no-data", *outputs) == 2
-        assert f"{named}: no such directory {missing}" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+        assert fault in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [folder] and not any(folder.iterdir())
 
 
 # -- infer -------------------------------------------------------------
