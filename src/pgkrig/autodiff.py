@@ -111,12 +111,11 @@ class Tensor:
 
         The graph is dropped as it is walked: each node forgets its parents
         and its closure once that has run, so the arrays the tape held are
-        freed during the pass.  A graph can therefore be walked only once.
+        freed during the pass.  A node can therefore be walked only once;
+        reaching one that an earlier backward() walked raises RuntimeError.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar loss, got shape {self.shape}")
-        if self._backward is None and self._op != "leaf":
-            raise RuntimeError(f"backward() already ran through this '{self._op}' graph")
         # Iterative post-order: inputs always appear before their consumers.
         topo: list[Tensor] = []
         visited: set[int] = set()
@@ -128,6 +127,9 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is None and node._op != "leaf":
+                raise RuntimeError(
+                    f"backward() reached a '{node._op}' node that an earlier backward() walked")
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:

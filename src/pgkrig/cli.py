@@ -118,11 +118,8 @@ def _cmd_simulate(args) -> int:
     dataio.write_aod(out / "aod.csv", run.aod.values[:, cells],
                      run.aod.valid[:, cells])
     dataio.write_values(out / "truth.csv", run.truth.concentrations, "pm25")
-    station_truth = run.truth.concentrations[:, cells]
-    if station_truth.tobytes() == run.stations.pm25.tobytes():  # no observation noise
-        (out / "station_truth.csv").write_bytes((out / "stations.csv").read_bytes())
-    else:
-        dataio.write_values(out / "station_truth.csv", station_truth, "pm25")
+    dataio.write_values(out / "station_truth.csv",
+                        run.truth.concentrations[:, cells], "pm25")
     geometry = dataio.GridGeometry(nx=spec.nx, ny=spec.ny, cell_km=spec.cell_km)
     dataio.write_grid_nodes(out / "grid.csv", geometry)
     dataio.write_grid_inputs(out / "grid_inputs.csv", run.truth.wind,

@@ -455,35 +455,6 @@ def _evaluate(model: KrigingModel, normalization: Normalization,
     return score_pooled(np.concatenate(preds), np.concatenate(truths))
 
 
-def _fit_batch(model: KrigingModel, optimizer: ad.Adam, normalization: Normalization,
-               view: StationDataset, graph: Graph, keep: np.ndarray,
-               hours: tuple[int, int], target: np.ndarray, weights: LossWeights) -> float:
-    """One Adam step on the stations `keep` over `hours`, hiding `target`.
-
-    Returns the batch loss.  The batch's tape lives only in this frame, so
-    it is freed before the next batch records its own.
-    """
-    t0, t1 = hours
-    x_init, x_hat = predict(model, normalization, graph, view.wind[t0:t1][:, keep],
-                            view.emissions[t0:t1][:, keep], view.pm25[t0:t1][:, keep], target)
-    truth_window = view.pm25[t0:t1].T[keep]  # (K, window) physical
-    scale = 1.0 / (target.size * (t1 - t0))
-    term_infer = infer_loss(x_hat, truth_window, target) * scale
-    term_init = init_loss(x_init, truth_window, target) * scale
-    term_aod: ad.Tensor | float = 0.0
-    if view.aod_values is not None:
-        valid_window = view.aod_valid[t0:t1].T[keep]
-        raw = aod_gradient_loss(x_hat, view.aod_values[t0:t1].T[keep],
-                                valid_window, graph.edges)
-        n_terms = count_valid_edge_terms(valid_window, graph.edges)
-        term_aod = raw * (1.0 / n_terms) if n_terms else raw
-    loss = composite_loss(term_infer, term_init, term_aod, weights)
-    optimizer.zero_grad()
-    loss.backward()
-    optimizer.step()
-    return float(loss.data)
-
-
 def train(dataset: StationDataset, model_config: ModelConfig, config: TrainConfig,
           split: SplitSpec, weights: LossWeights | None = None,
           threshold_km: float = DEFAULT_THRESHOLD_KM) -> TrainResult:
@@ -527,6 +498,7 @@ def train(dataset: StationDataset, model_config: ModelConfig, config: TrainConfi
     normalization = Normalization.fit(view, split.train_range)
 
     model = KrigingModel(model_config, seed=config.seed)
+    aod_active = view.aod_values is not None
     meta = {
         "seed": int(config.seed),
         "threshold_km": float(threshold_km),
@@ -539,7 +511,7 @@ def train(dataset: StationDataset, model_config: ModelConfig, config: TrainConfi
         "mask_jitter": float(config.mask_jitter),
         "lambda1": float(weights.lambda1),
         "lambda2": float(weights.lambda2),
-        "aod_loss_active": view.aod_values is not None,
+        "aod_loss_active": bool(aod_active),
         "holdout_fraction": float(split.holdout_fraction),
         "split_seed": int(split.seed),
         "train_range": list(split.train_range),
@@ -586,11 +558,28 @@ def train(dataset: StationDataset, model_config: ModelConfig, config: TrainConfi
                 keep, b_graph = station_ids, graph.window(t0, t1)
             target = sample_partition(np.arange(n_kept), ratio, rng)
             try:
-                batch_losses.append(_fit_batch(model, optimizer, normalization, view,
-                                               b_graph, keep, (t0, t1), target, weights))
+                x_init, x_hat = predict(
+                    model, normalization, b_graph, view.wind[t0:t1][:, keep],
+                    view.emissions[t0:t1][:, keep], view.pm25[t0:t1][:, keep], target)
+                truth_window = view.pm25[t0:t1].T[keep]  # (K, window) physical
+                scale = 1.0 / (target.size * config.window)
+                term_infer = infer_loss(x_hat, truth_window, target) * scale
+                term_init = init_loss(x_init, truth_window, target) * scale
+                term_aod: ad.Tensor | float = 0.0
+                if aod_active:
+                    valid_window = view.aod_valid[t0:t1].T[keep]
+                    raw = aod_gradient_loss(x_hat, view.aod_values[t0:t1].T[keep],
+                                            valid_window, b_graph.edges)
+                    n_terms = count_valid_edge_terms(valid_window, b_graph.edges)
+                    term_aod = raw * (1.0 / n_terms) if n_terms else raw
+                loss = composite_loss(term_infer, term_init, term_aod, weights)
+                optimizer.zero_grad()
+                loss.backward()
+                optimizer.step()
             except ad.NumericError as exc:
                 raise TrainError(
                     f"non-finite value at epoch {epoch}, batch {batch}: {exc}") from exc
+            batch_losses.append(float(loss.data))
         val = _evaluate(model, normalization, view, graph, val_targets, split.val_range)
         log.append(EpochRecord(epoch=epoch, train_loss=float(np.mean(batch_losses)),
                                val_mae=val.mae, val_rmse=val.rmse, val_r2=val.r2))

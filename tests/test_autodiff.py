@@ -297,8 +297,10 @@ class TestLossAndGraph:
         out = (hidden * hidden).sum()  # d/dt 9t^2 = 36
         out.backward()
         assert hidden._parents == () and hidden._backward is None
-        with pytest.raises(RuntimeError, match="already ran through this 'sum' graph"):
+        with pytest.raises(RuntimeError, match="reached a 'sum' node that an earlier"):
             out.backward()
+        with pytest.raises(RuntimeError, match="reached a 'mul' node that an earlier"):
+            (hidden * 2.0).sum().backward()  # a second loss on a walked node
         np.testing.assert_allclose(t.grad, [36.0])
 
     def test_backward_requires_scalar(self):
