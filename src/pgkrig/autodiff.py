@@ -28,11 +28,6 @@ class NumericError(NumericFailure, ArithmeticError):
     """A forward operation produced NaN or Inf."""
 
 
-def _as_array(value) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    return arr
-
-
 def _check_finite(data: np.ndarray, op: str) -> np.ndarray:
     if not np.isfinite(data).all():
         raise NumericError(f"non-finite values produced by '{op}'")
@@ -60,7 +55,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
@@ -172,12 +167,10 @@ class Tensor:
     def __getitem__(self, key):
         return take(self, key)
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
+    def sum(self) -> "Tensor":
+        return tensor_sum(self)
 
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
+    def reshape(self, *shape: int) -> "Tensor":
         return reshape(self, shape)
 
 
@@ -288,19 +281,14 @@ def absolute(x) -> Tensor:
 # -- reductions and shaping --------------------------------------------
 
 
-def tensor_sum(x, axis=None, keepdims: bool = False) -> Tensor:
+def tensor_sum(x) -> Tensor:
+    """The sum of every element, as a 0-d tensor."""
     x = as_tensor(x)
-    data = x.data.sum(axis=axis, keepdims=keepdims)
+    data = x.data.sum()
 
     def backward(g: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        if axis is None:
-            x._accumulate(np.broadcast_to(g, x.shape).copy())
-            return
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        x._accumulate(np.broadcast_to(g, x.shape).copy())
+        if x.requires_grad:
+            x._accumulate(np.broadcast_to(g, x.shape))
 
     return _make(data, "sum", (x,), backward)
 
@@ -323,11 +311,7 @@ def reshape(x, shape: Sequence[int]) -> Tensor:
 def take(x, key) -> Tensor:
     """Numpy-style indexing; the backward pass scatter-adds into the source."""
     x = as_tensor(x)
-    data = x.data[key]
-    if np.isscalar(data) or data.ndim == 0:
-        data = np.asarray(data, dtype=np.float64)
-    else:
-        data = data.copy()
+    data = np.array(x.data[key], dtype=np.float64)
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
@@ -499,9 +483,7 @@ def _conv_weight_grad(x: np.ndarray, g: np.ndarray, shifts: list[int]) -> np.nda
     order, which the C-contiguous stack pins whatever g's layout, exactly as
     ``per_tap_weight_grad`` in tests/reference_ops.py does tap by tap on
     node-major inputs.  So the bits agree: a padded hour only adds an exact
-    +-0 to a partial sum that starts at +0.  The einsum's inner loop runs
-    over the output's last axis, so that axis is the longer of K*C_in and
-    C_out.
+    +-0 to a partial sum that starts at +0.
     """
     n, t, c_in = x.shape
     c_out = g.shape[2]
@@ -509,11 +491,7 @@ def _conv_weight_grad(x: np.ndarray, g: np.ndarray, shifts: list[int]) -> np.nda
     for tap, shift in enumerate(shifts):
         if shift < t:
             taps[:, shift:, tap] = x[:, : t - shift]
-    taps = taps.reshape(n, t, -1)
-    if taps.shape[2] >= c_out:
-        grad = np.einsum("ntj,ntf->jf", g, taps).T
-    else:
-        grad = np.einsum("ntf,ntj->fj", taps, g)
+    grad = np.einsum("ntj,ntf->jf", g, taps.reshape(n, t, -1)).T
     return grad.reshape(len(shifts), c_in, c_out)
 
 

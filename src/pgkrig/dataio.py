@@ -9,6 +9,7 @@ inputs) but reject mismatched versions, and report every failure as
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 import types
@@ -496,21 +497,30 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         header = json.loads(raw[len(_CKPT_MAGIC):end].decode("utf-8"))
         config = from_mapping(ModelConfig, header["config"], "config")
-        entries = [(str(e["name"]), tuple(int(s) for s in e["shape"]))
-                   for e in header["arrays"]]
+        entries = [(str(e["name"]), e["shape"]) for e in header["arrays"]]
         meta = header["meta"]
         _check_meta(meta)
     except (KeyError, TypeError, ValueError) as exc:
         raise _err(path, None, f"malformed checkpoint header: {exc}") from exc
+    expected = config.n_param_arrays + 2  # the parameters, then norm:mean and norm:std
+    if len(entries) != expected:
+        raise _err(path, None, f"malformed checkpoint header: {len(entries)} arrays listed, "
+                               f"config implies {expected}")
     offset = end + 1
     buffers = {}
     for name, shape in entries:
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
+            raise _err(path, None, f"malformed checkpoint header: shape of {name} must be "
+                                   f"a list of non-negative integers, got {shape!r}")
+        count = math.prod(shape)
         nbytes = count * 8
         if offset + nbytes > len(raw):
             raise _err(path, None, f"truncated buffer for {name}")
-        buffers[name] = np.frombuffer(raw, dtype="<f8", count=count,
-                                      offset=offset).reshape(shape).copy()
+        try:  # a zero-size shape can still name a dimension numpy cannot hold
+            buffers[name] = np.frombuffer(raw, dtype="<f8", count=count,
+                                          offset=offset).reshape(shape).copy()
+        except ValueError as exc:
+            raise _err(path, None, f"malformed checkpoint header: shape of {name}: {exc}") from exc
         offset += nbytes
     if offset != len(raw):
         raise _err(path, None, f"{len(raw) - offset} trailing bytes after buffers")

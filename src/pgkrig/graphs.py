@@ -140,9 +140,7 @@ class AdvectionOperator:
         t, e = self.rates.shape
         size = (self.indptr.size - 1) * t
         hours = np.arange(t)[:, None]
-        # int32 column indices where they fit, as scipy would store them
-        cols = self.indices.astype(np.int32 if size <= np.iinfo(np.int32).max else np.int64)
-        indices = (cols * t + hours.astype(cols.dtype)).ravel()
+        indices = (self.indices * t + hours).ravel()
         indptr = np.concatenate([[0], (self.indptr[1:] + e * hours).ravel()])
         return sp.csr_matrix((self.rates.reshape(-1), indices, indptr), shape=(size, size))
 

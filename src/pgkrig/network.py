@@ -120,6 +120,12 @@ class ModelConfig:
     def receptive_field(self) -> int:
         return 1 + (self.tcn_kernel_size - 1) * sum(self.dilations)
 
+    @property
+    def n_param_arrays(self) -> int:
+        """How many named parameters the model has, counted without naming them."""
+        per_layer = 3 if self.two_weight_propagation else 2
+        return 2 * self.tcn_layers + per_layer * self.gnn_layers + 8
+
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...],
             fan_in: int, fan_out: int) -> np.ndarray:

@@ -91,12 +91,6 @@ class TestElementwise:
 
 
 class TestReductionsShaping:
-    def test_sum_axis_keepdims(self):
-        rng = np.random.default_rng(4)
-        a = rng.normal(size=(3, 4))
-        check_op(lambda t: (t.sum(axis=0) * np.arange(1.0, 5.0)).sum(), [a])
-        check_op(lambda t: (t.sum(axis=1, keepdims=True) * 2.0).sum(), [a])
-
     def test_reshape_roundtrip(self):
         rng = np.random.default_rng(6)
         a = rng.normal(size=(2, 6))

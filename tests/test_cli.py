@@ -418,22 +418,43 @@ def test_infer_with_malformed_checkpoint_meta_is_data_error(pipeline, tmp_path, 
     assert key in err and "Traceback" not in err
 
 
-def test_infer_with_checkpoint_config_carrying_final_softplus_is_data_error(
-        pipeline, tmp_path, capsys):
-    _, _, _, data, ckpt = pipeline
+def _edited_checkpoint(ckpt, edit, out):
+    """A copy of checkpoint `ckpt` at `out` whose JSON header went through `edit`."""
     raw = ckpt.read_bytes()
     start = raw.index(b"\n") + 1
     end = raw.index(b"\n", start)
     header = json.loads(raw[start:end])
-    header["config"]["final_softplus"] = False
-    old = tmp_path / "old.ckpt"
-    old.write_bytes(raw[:start] + json.dumps(header, sort_keys=True, separators=(",", ":"))
+    edit(header)
+    out.write_bytes(raw[:start] + json.dumps(header, sort_keys=True, separators=(",", ":"))
                     .encode("utf-8") + raw[end:])
+    return out
+
+
+def test_infer_with_checkpoint_config_carrying_final_softplus_is_data_error(
+        pipeline, tmp_path, capsys):
+    _, _, _, data, ckpt = pipeline
+    old = _edited_checkpoint(ckpt, lambda header: header["config"].update(final_softplus=False),
+                             tmp_path / "old.ckpt")
     assert run_cli("infer", "--ckpt", old, "--data", data, "--targets", "0",
                    "--out", tmp_path / "preds.csv") == 2
     err = capsys.readouterr().err
     assert "final_softplus" in err and "Traceback" not in err
     assert not (tmp_path / "preds.csv").exists()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda header: header["arrays"][0].update(shape=[2 ** 70]),
+    lambda header: header["config"].update(tcn_layers=400000),
+], ids=["huge_shape", "tcn_layers"])
+def test_infer_with_malformed_checkpoint_header_is_data_error(pipeline, tmp_path, capsys,
+                                                              edit):
+    _, _, _, data, ckpt = pipeline
+    bad = _edited_checkpoint(ckpt, edit, tmp_path / "bad.ckpt")
+    assert run_cli("infer", "--ckpt", bad, "--data", data, "--targets", "0",
+                   "--out", tmp_path / "preds.csv") == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", [

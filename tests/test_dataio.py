@@ -1,5 +1,6 @@
 """Schema, round-trip, and checkpoint determinism tests for dataio."""
 
+import json
 import re
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -341,6 +342,61 @@ def test_checkpoint_trailing_bytes(tmp_path):
     path.write_bytes(path.read_bytes() + b"xxxx")
     with pytest.raises(SchemaError, match="trailing bytes"):
         dataio.load_checkpoint(path)
+
+
+def _edit_header(path, edit) -> None:
+    """Rewrite a checkpoint's JSON header through `edit`, keeping its buffers."""
+    raw = path.read_bytes()
+    start = raw.index(b"\n") + 1
+    end = raw.index(b"\n", start)
+    header = json.loads(raw[start:end])
+    edit(header)
+    path.write_bytes(raw[:start] + json.dumps(header).encode("utf-8") + raw[end:])
+
+
+@pytest.mark.parametrize("shape, message", [
+    ([2 ** 70], "truncated buffer"),
+    ([2 ** 40, 2 ** 40], "truncated buffer"),  # np.prod wraps to 0 in int64
+    ([2 ** 62, 4], "truncated buffer"),
+    ([0, 2 ** 70], "Maximum allowed dimension exceeded"),
+    ([-2, -16], "non-negative integers"),
+    ([True], "non-negative integers"),
+    ([3.5], "non-negative integers"),
+    ("12", "non-negative integers"),
+    (None, "non-negative integers"),
+])
+def test_checkpoint_rejects_malformed_shapes(tmp_path, shape, message):
+    path = tmp_path / "model.ckpt"
+    dataio.save_checkpoint(path, _small_model(), np.zeros(5), np.ones(5), {})
+
+    def edit(header):
+        header["arrays"][0]["shape"] = shape
+
+    _edit_header(path, edit)
+    with pytest.raises(SchemaError, match=re.escape(message)) as info:
+        dataio.load_checkpoint(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda header: header["config"].update(tcn_layers=400000),
+    lambda header: header["config"].update(two_weight_propagation=True),
+    lambda header: header["arrays"].pop(),
+    lambda header: header["arrays"].append({"name": "norm:extra", "shape": [5]}),
+], ids=["tcn_layers", "two_weight", "one_short", "one_extra"])
+def test_checkpoint_array_count_must_match_config(tmp_path, edit):
+    path = tmp_path / "model.ckpt"
+    dataio.save_checkpoint(path, _small_model(), np.zeros(5), np.ones(5), {})
+    _edit_header(path, edit)
+    with pytest.raises(SchemaError, match=r"\d+ arrays listed, config implies \d+$") as info:
+        dataio.load_checkpoint(path)
+    assert "\n" not in str(info.value) and len(str(info.value)) < len(str(path)) + 100
+
+
+@pytest.mark.parametrize("two_weight", [False, True])
+def test_config_counts_its_parameter_arrays(two_weight):
+    config = ModelConfig(tcn_layers=4, gnn_layers=3, two_weight_propagation=two_weight)
+    assert config.n_param_arrays == len(KrigingModel(config).params)
 
 
 @pytest.mark.parametrize("name", ["norm:mean", "norm:std"])

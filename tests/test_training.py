@@ -598,6 +598,55 @@ def test_station_ids_are_labels():
     np.testing.assert_allclose(moved, field, rtol=1e-9, atol=0.0)
 
 
+@pytest.fixture(scope="module")
+def s1_inference():
+    """s1-advection at seed 0 over its first 48 h, a fresh default model and 4 targets."""
+    dataset = tr.dataset_from_scenario(
+        run_scenario(replace(scenario_preset("s1-advection"), t_hours=48), seed=0))
+    model = KrigingModel(ModelConfig(), seed=0)
+    normalization = tr.Normalization.fit(dataset, (0, 48))
+    targets = np.array([3, 11, 20, 36])
+    base = tr.infer_stations(model, normalization, dataset, targets, threshold_km=16.0)
+    return dataset, model, normalization, targets, base
+
+
+def _with_stations(dataset, positions):
+    """`dataset` plus stations at `positions`, each carrying station 0's series."""
+    extra = len(positions)
+    return tr.StationDataset(
+        nodes=NodeSet(np.concatenate([dataset.nodes.positions, positions])),
+        wind=np.concatenate([dataset.wind, np.repeat(dataset.wind[:, :1], extra, 1)], 1),
+        emissions=np.concatenate(
+            [dataset.emissions, np.repeat(dataset.emissions[:, :1], extra, 1)], 1),
+        pm25=np.concatenate([dataset.pm25, np.repeat(dataset.pm25[:, :1], extra, 1)], 1))
+
+
+@pytest.mark.parametrize("positions", [
+    [(500.0, 500.0)],
+    [(500.0, 500.0), (-500.0, 500.0), (500.0, -500.0)],
+], ids=["one", "three"])
+def test_isolated_stations_leave_predictions_bitwise_unchanged(s1_inference, positions):
+    """A station beyond the threshold of every node gets no edge, so it adds no
+    term to any sum the other nodes' predictions make, and the kernel width
+    sigma^2 is taken over the same pairs.  (Two far stations closer than the
+    threshold to each other would add a pair to sigma^2 and move the outputs
+    by rounding; that case is left out.)"""
+    dataset, model, normalization, targets, base = s1_inference
+    grown = _with_stations(dataset, np.array(positions))
+    out = tr.infer_stations(model, normalization, grown, targets, threshold_km=16.0)
+    assert out.tobytes() == base.tobytes()
+
+
+def test_permuting_station_rows_permutes_predictions(s1_inference):
+    """Graph building sees the permuted rows (the pair list's CSR order and
+    sigma^2's summation order both change), so only rounding may differ."""
+    dataset, model, normalization, targets, base = s1_inference
+    perm = np.random.default_rng(0).permutation(dataset.n)
+    out = tr.infer_stations(model, normalization, dataset.subset(perm),
+                            np.argsort(perm)[targets], threshold_km=16.0)
+    np.testing.assert_allclose(out, base, rtol=1e-10, atol=0.0)
+
+
 def test_subnormal_kernel_weight_is_dropped():
     """(0,0)-(14.85,0) is the only pair under 16 km with a nonzero weight,
     and exp(-14.85**2 / 0.3025) is subnormal: kept, its node's inverse
