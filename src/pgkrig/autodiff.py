@@ -457,7 +457,7 @@ def conv1d_causal_dilated(x, weight, bias, dilation: int = 1) -> Tensor:
             continue
         # x at time t - shift contributes through kernel tap `tap`
         data[:, shift:, :] += x.data[:, : t - shift, :] @ weight.data[tap]
-    data = data + bias.data
+    data += bias.data
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:

@@ -256,13 +256,24 @@ def build_advection_operator(nodes: NodeSet, wind: np.ndarray,
     return advection_sequence(nodes, wind[None], threshold_xi)
 
 
+def _upwind_term(component: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                 geom: np.ndarray) -> np.ndarray:
+    """(T, E) product of one wind component's edge midpoint and its geometry factor."""
+    component = np.ascontiguousarray(component)
+    term = np.take(component, rows, axis=1)
+    term += np.take(component, cols, axis=1)
+    term *= 0.5
+    term *= geom
+    return term
+
+
 def advection_sequence(nodes: NodeSet, wind_series: np.ndarray,
                        threshold_xi: float = DEFAULT_THRESHOLD_KM) -> AdvectionOperator:
     """The advection operator over every hour of a (T, N, 2) wind series.
 
-    The pair geometry is computed once and the (T, E) rates in one array
-    pass.  The pairs come in CSR order, and rates the ReLU clips to 0 stay
-    stored, so every hour has the same sparsity pattern.
+    The pair geometry is computed once and the (T, E) rates in one pass
+    per wind component.  The pairs come in CSR order, and rates the ReLU
+    clips to 0 stay stored, so every hour has the same sparsity pattern.
     """
     wind_series = np.asarray(wind_series, dtype=np.float64)
     if wind_series.ndim != 3 or wind_series.shape[0] < 1:
@@ -281,12 +292,13 @@ def advection_sequence(nodes: NodeSet, wind_series: np.ndarray,
         raise GraphBuildError(
             f"nodes {cols[k]} and {rows[k]} are coincident: advection direction undefined")
     # weight = 3.6 * relu(wind_mid . geom): the dot product folds the upwind
-    # cosine and the 1/distance decay into one step
+    # cosine and the 1/distance decay into one step, taken one wind
+    # component at a time.  np.take keeps each (T, E) term in C order (a
+    # fancy index on axis 1 comes back in F order), so a window's rows are
+    # the data of its ``weights`` without a copy.
     geom = (nodes.positions[rows] - nodes.positions[cols]) / (dist * dist)[:, None]
-    wind_mid = wind_series[:, rows]
-    wind_mid += wind_series[:, cols]
-    wind_mid *= 0.5
-    wind_mid *= geom
-    # C order, so that a window's rows are the data of its ``weights``
-    rates = np.ascontiguousarray(_MS_PER_KM_TO_PER_HOUR * np.maximum(wind_mid.sum(axis=2), 0.0))
+    rates, v_term = (_upwind_term(wind_series[:, :, c], rows, cols, geom[:, c]) for c in (0, 1))
+    rates += v_term
+    np.maximum(rates, 0.0, out=rates)
+    rates *= _MS_PER_KM_TO_PER_HOUR
     return AdvectionOperator(rates=rates, indices=cols, indptr=_indptr(rows, nodes.n))

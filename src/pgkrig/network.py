@@ -256,6 +256,17 @@ class KrigingModel:
     def init_readout(self, h0: ad.Tensor) -> ad.Tensor:
         return self._mlp(h0, "init_readout")
 
+    def refine(self, h: ad.Tensor, diffusion: DiffusionOperator,
+               advection: AdvectionOperator) -> ad.Tensor:
+        """The propagation stack and the readout: (N, T, hidden) encodings to (N, T).
+
+        Every hour is refined on its own, so a run over a window of hours
+        gives, bit for bit, those hours of a run over a longer window.
+        """
+        for layer in range(self.config.gnn_layers):
+            h = self.propagate(h, diffusion, advection, layer)
+        return self.readout(h)
+
     def full_forward(self, series: NodeSeries, diffusion: DiffusionOperator,
                      advection: AdvectionOperator) -> tuple[ad.Tensor, ad.Tensor]:
         """Run the whole network: returns (initial estimate, refined estimate).
@@ -272,10 +283,8 @@ class KrigingModel:
         if len(advection) != series.t:
             raise ModelError(
                 f"advection operator over {len(advection)} hours for {series.t} timesteps")
-        # no name keeps the encoder output past layer 0, so a forward-only
-        # pass can free it
+        # training records the encoder output on the tape anyway; forward-only
+        # passes skip this method and refine encodings in hour blocks
+        # (training._refine_in_blocks)
         h = self.encode(series)
-        x_init = self.init_readout(h)
-        for layer in range(self.config.gnn_layers):
-            h = self.propagate(h, diffusion, advection, layer)
-        return x_init, self.readout(h)
+        return self.init_readout(h), self.refine(h, diffusion, advection)

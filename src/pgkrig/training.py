@@ -21,7 +21,7 @@ from .graphs import (DEFAULT_THRESHOLD_KM, AdvectionOperator, DiffusionOperator,
 from .losses import (LossWeights, aod_gradient_loss, composite_loss,
                      count_valid_edge_terms, edges_from_adjacency, infer_loss, init_loss)
 from .metrics import NodeScore, score_pooled
-from .network import CHANNELS, KrigingModel, ModelConfig, make_node_series
+from .network import CHANNELS, KrigingModel, ModelConfig, NodeSeries, make_node_series
 from .testbed import ScenarioRun
 
 
@@ -422,20 +422,65 @@ def prepare_graph(nodes: NodeSet, wind: np.ndarray, threshold_km: float) -> Grap
                  edges=edges_from_adjacency(geo))
 
 
+def _series(normalization: Normalization, wind: np.ndarray, emissions: np.ndarray,
+            pm25: np.ndarray, hidden: np.ndarray | list[int]) -> NodeSeries:
+    """Standardized inputs from raw time-major ones, with the pollution of
+    the node ids `hidden` hidden at every hour."""
+    flags = np.ones(pm25.shape)
+    flags[:, hidden] = 0.0
+    return make_node_series(*normalization.apply(wind, emissions, pm25), flags)
+
+
 def predict(model: KrigingModel, normalization: Normalization, graph: Graph,
             wind: np.ndarray, emissions: np.ndarray, pm25: np.ndarray,
             hidden: np.ndarray | list[int]) -> tuple[ad.Tensor, ad.Tensor]:
-    """One kriging forward on raw time-major inputs over `graph`'s nodes.
+    """One tracked kriging forward on raw time-major inputs over `graph`'s nodes.
 
-    Standardizes the inputs, hides the pollution of the node ids `hidden`
-    at every hour, and returns (initial, refined) estimates, each (N, T) in
-    physical units. Pass `model.detached()` for a forward-only pass.
+    Returns (initial, refined) estimates, each (N, T) in physical units.
+    Forward-only passes use `_encode` and `_refine_in_blocks` instead.
     """
-    flags = np.ones(pm25.shape)
-    flags[:, hidden] = 0.0
-    series = make_node_series(*normalization.apply(wind, emissions, pm25), flags)
+    series = _series(normalization, wind, emissions, pm25, hidden)
     x_init, x_hat = model.full_forward(series, graph.diffusion, graph.advection)
     return normalization.to_physical(x_init), normalization.to_physical(x_hat)
+
+
+def _encode(model: KrigingModel, normalization: Normalization, wind: np.ndarray,
+            emissions: np.ndarray, pm25: np.ndarray,
+            hidden: np.ndarray | list[int]) -> np.ndarray:
+    """Per-node encodings (N, T, hidden) of raw inputs, `hidden` ids unobserved.
+
+    The encoder never mixes nodes, so the encodings of any node subset can
+    be taken on their own and joined later.
+    """
+    return model.encode(_series(normalization, wind, emissions, pm25, hidden)).data
+
+
+# hours that a forward-only pass refines at once; a validation window is
+# one block
+_BLOCK_HOURS = 48
+
+
+def _refine_in_blocks(model: KrigingModel, normalization: Normalization, graph: Graph,
+                      encodings: list[np.ndarray]) -> np.ndarray:
+    """Refined estimates, (N, T) in physical units, of a forward-only pass.
+
+    `encodings` are (N_k, T, hidden) arrays that, stacked in order, give
+    one row per node of `graph`.  The propagation stack and readout run
+    over _BLOCK_HOURS hours at a time, so no more than one block of
+    propagation state and advection operator is alive at once.  Each hour
+    is refined on its own, so the output is bitwise that of one
+    `full_forward` over the whole window; the initial readout is never
+    computed.
+    """
+    t_hours = len(graph.advection)
+    out = np.empty((sum(e.shape[0] for e in encodings), t_hours))
+    for lo in range(0, t_hours, _BLOCK_HOURS):
+        hi = min(lo + _BLOCK_HOURS, t_hours)
+        block = graph if hi - lo == t_hours else graph.window(lo, hi)
+        h = ad.Tensor(np.concatenate([e[:, lo:hi] for e in encodings]))
+        x_hat = model.refine(h, block.diffusion, block.advection)
+        out[:, lo:hi] = normalization.to_physical(x_hat).data
+    return out
 
 
 def _evaluate(model: KrigingModel, normalization: Normalization,
@@ -446,11 +491,12 @@ def _evaluate(model: KrigingModel, normalization: Normalization,
     model = model.detached()
     lo, hi = time_range
     graph = graph.window(lo, hi)
+    inputs = (view.wind[lo:hi], view.emissions[lo:hi], view.pm25[lo:hi])
     preds, truths = [], []
     for target in targets:
-        _, x_hat = predict(model, normalization, graph, view.wind[lo:hi],
-                           view.emissions[lo:hi], view.pm25[lo:hi], target)
-        preds.append(x_hat.data[target, :].ravel())
+        x_hat = _refine_in_blocks(model, normalization, graph,
+                                  [_encode(model, normalization, *inputs, target)])
+        preds.append(x_hat[target, :].ravel())
         truths.append(view.pm25[lo:hi].T[target, :].ravel())
     return score_pooled(np.concatenate(preds), np.concatenate(truths))
 
@@ -612,7 +658,10 @@ def infer_stations(model: KrigingModel, normalization: Normalization,
     """Predict full series at target stations from all remaining stations.
 
     Target nodes enter the graph with zeroed pollution channels and zero
-    observed flags, so their true values can never reach the output.
+    observed flags, so their true values can never reach the output.  Each
+    node is encoded once over the whole series, and the propagation stack
+    then refines the encodings one hour block at a time
+    (`_refine_in_blocks`).
 
     Args:
         model: trained (or fresh) model.
@@ -632,10 +681,13 @@ def infer_stations(model: KrigingModel, normalization: Normalization,
         raise ConfigError(f"unknown node ids {unknown}; dataset has 0..{dataset.n - 1}")
     if len(np.unique(target_ids)) != target_ids.size:
         raise ConfigError("target ids contain duplicates")
-    _, x_hat = predict(model.detached(), normalization,
-                       prepare_graph(dataset.nodes, dataset.wind, threshold_km),
-                       dataset.wind, dataset.emissions, dataset.pm25, target_ids)
-    return x_hat.data[target_ids, :].T.copy()
+    model = model.detached()
+    encodings = _encode(model, normalization, dataset.wind, dataset.emissions, dataset.pm25,
+                        target_ids)
+    x_hat = _refine_in_blocks(model, normalization,
+                              prepare_graph(dataset.nodes, dataset.wind, threshold_km),
+                              [encodings])
+    return x_hat[target_ids, :].T.copy()
 
 
 def infer_grid(model: KrigingModel, normalization: Normalization,
@@ -659,6 +711,12 @@ def infer_grid(model: KrigingModel, normalization: Normalization,
     position (y, then x) and then shuffled with a fixed seed, so a cell's
     prediction does not depend on the order of the rows of
     `grid_positions`; it does still depend on which other cells are given.
+
+    The encoder never mixes nodes, so the stations are encoded once for
+    every batch and each cell once, in its batch. Each batch's graph then
+    refines the joined encodings one hour block at a time
+    (`_refine_in_blocks`), which holds one block of propagation state and
+    advection operator at a time instead of the whole series.
 
     Args:
         model: trained model.
@@ -687,16 +745,17 @@ def infer_grid(model: KrigingModel, normalization: Normalization,
         raise ConfigError("grid meteorology or emissions contain non-finite values")
 
     model = model.detached()
+    stations = _encode(model, normalization, dataset.wind, dataset.emissions, dataset.pm25, [])
     station_lookup = {pos.tobytes(): k for k, pos in enumerate(dataset.nodes.positions)}
     node_of_cell = np.array([station_lookup.get(pos.tobytes(), -1) for pos in grid_positions],
                             dtype=np.int64)
     coincident = node_of_cell >= 0
     out = np.empty((t_hours, g_cells))
     if np.any(coincident):
-        _, x_hat = predict(model, normalization,
-                           prepare_graph(dataset.nodes, dataset.wind, threshold_km),
-                           dataset.wind, dataset.emissions, dataset.pm25, [])
-        out[:, coincident] = x_hat.data.T[:, node_of_cell[coincident]]
+        x_hat = _refine_in_blocks(model, normalization,
+                                  prepare_graph(dataset.nodes, dataset.wind, threshold_km),
+                                  [stations])
+        out[:, coincident] = x_hat.T[:, node_of_cell[coincident]]
 
     free = np.nonzero(~coincident)[0]
     free = free[np.lexsort((grid_positions[free, 0], grid_positions[free, 1]))]
@@ -708,12 +767,14 @@ def infer_grid(model: KrigingModel, normalization: Normalization,
     order = np.random.default_rng(0).permutation(free.size)
     for start in range(0, free.size, chunk):
         cells = free[order[start:start + chunk]]
+        # no name holds the chunk's operator or cell encodings, so both are
+        # freed before the next chunk builds its own
+        cell_wind = grid_wind[:, cells]
         nodes = NodeSet(np.concatenate([dataset.nodes.positions, grid_positions[cells]]))
-        wind = np.concatenate([dataset.wind, grid_wind[:, cells]], axis=1)
-        emissions = np.concatenate([dataset.emissions, grid_emissions[:, cells]], axis=1)
-        pm25 = np.zeros((t_hours, nodes.n))
-        pm25[:, :n_stations] = dataset.pm25
-        _, x_hat = predict(model, normalization, prepare_graph(nodes, wind, threshold_km),
-                           wind, emissions, pm25, np.arange(n_stations, nodes.n))
-        out[:, cells] = x_hat.data[n_stations:, :].T
+        x_hat = _refine_in_blocks(
+            model, normalization,
+            prepare_graph(nodes, np.concatenate([dataset.wind, cell_wind], axis=1), threshold_km),
+            [stations, _encode(model, normalization, cell_wind, grid_emissions[:, cells],
+                               np.zeros((t_hours, cells.size)), np.arange(cells.size))])
+        out[:, cells] = x_hat[n_stations:, :].T
     return out

@@ -8,7 +8,12 @@ that only these references use, plus the pgkrig.autodiff ops.
 
 The graph builders take their operators straight from one CSR-ordered pair
 list; the dense builders here go through an N x N weight matrix and COO
-triples instead, and must give the same bytes.
+triples instead, and must give the same bytes.  The advection builder takes
+its rates one wind component at a time; the reference sums a (T, E, 2)
+array over its last axis.
+
+Forward-only passes encode each node once and refine the encodings in hour
+blocks; the grid reference runs one whole-window forward per chunk.
 
 The conv kernel gradient is one einsum over a stack of delayed inputs; the
 reference runs one einsum per tap over strided slices.
@@ -26,6 +31,7 @@ from scipy.ndimage import gaussian_filter
 from pgkrig import autodiff as ad
 from pgkrig import graphs as g
 from pgkrig import testbed as tb
+from pgkrig import training as tr
 
 
 def sparse_matmul(matrix, x) -> ad.Tensor:
@@ -241,6 +247,19 @@ def coo_edges(geo):
     return np.stack([coo.row[keep], coo.col[keep]], axis=1)
 
 
+def pair_axis_rates(wind_series, rows, cols, geom):
+    """(T, E) advection rates from one (T, E, 2) array summed over its last axis.
+
+    The builder takes one wind component at a time instead; both add the
+    u and v terms of each rate in the same order.
+    """
+    wind_mid = wind_series[:, rows]
+    wind_mid += wind_series[:, cols]
+    wind_mid *= 0.5
+    wind_mid *= geom
+    return np.ascontiguousarray(3.6 * np.maximum(wind_mid.sum(axis=2), 0.0))
+
+
 def dense_advection_sequence(nodes, wind_series, threshold_xi):
     """The advection operator with its pairs taken from a dense mask."""
     dist, mask = _dense_mask(nodes, threshold_xi)
@@ -251,10 +270,49 @@ def dense_advection_sequence(nodes, wind_series, threshold_xi):
         raise g.GraphBuildError(
             f"nodes {cols[k]} and {rows[k]} are coincident: advection direction undefined")
     geom = (nodes.positions[rows] - nodes.positions[cols]) / (d * d)[:, None]
-    wind_mid = 0.5 * (wind_series[:, rows] + wind_series[:, cols]) * geom
-    rates = np.ascontiguousarray(3.6 * np.maximum(wind_mid.sum(axis=2), 0.0))
+    rates = pair_axis_rates(wind_series, rows, cols, geom)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nodes.n))])
     return g.AdvectionOperator(rates=rates, indices=cols, indptr=indptr)
+
+
+# -- grid inference ------------------------------------------------------
+
+
+def chunked_predict_grid(model, normalization, dataset, grid_positions, grid_wind,
+                         grid_emissions, threshold_km):
+    """`training.infer_grid` as one whole-window `predict` per pass.
+
+    Each pass concatenates the stations' and the chunk's inputs, encodes
+    them all and runs `full_forward` over every hour at once, initial
+    readout included.  The chunking and the shuffle are the program's.
+    """
+    model = model.detached()
+    t_hours, n_stations = dataset.t_hours, dataset.n
+    station_lookup = {pos.tobytes(): k for k, pos in enumerate(dataset.nodes.positions)}
+    node_of_cell = np.array([station_lookup.get(pos.tobytes(), -1) for pos in grid_positions],
+                            dtype=np.int64)
+    coincident = node_of_cell >= 0
+    out = np.empty((t_hours, grid_positions.shape[0]))
+    if np.any(coincident):
+        _, x_hat = tr.predict(model, normalization,
+                              tr.prepare_graph(dataset.nodes, dataset.wind, threshold_km),
+                              dataset.wind, dataset.emissions, dataset.pm25, [])
+        out[:, coincident] = x_hat.data.T[:, node_of_cell[coincident]]
+    free = np.nonzero(~coincident)[0]
+    free = free[np.lexsort((grid_positions[free, 0], grid_positions[free, 1]))]
+    chunk = max(1, n_stations)
+    order = np.random.default_rng(0).permutation(free.size)
+    for start in range(0, free.size, chunk):
+        cells = free[order[start:start + chunk]]
+        nodes = g.NodeSet(np.concatenate([dataset.nodes.positions, grid_positions[cells]]))
+        wind = np.concatenate([dataset.wind, grid_wind[:, cells]], axis=1)
+        emissions = np.concatenate([dataset.emissions, grid_emissions[:, cells]], axis=1)
+        pm25 = np.zeros((t_hours, nodes.n))
+        pm25[:, :n_stations] = dataset.pm25
+        _, x_hat = tr.predict(model, normalization, tr.prepare_graph(nodes, wind, threshold_km),
+                              wind, emissions, pm25, np.arange(n_stations, nodes.n))
+        out[:, cells] = x_hat.data[n_stations:, :].T
+    return out
 
 
 # -- testbed -------------------------------------------------------------

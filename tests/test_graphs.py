@@ -399,3 +399,31 @@ def test_builders_match_the_dense_reference():
             assert _csr_bytes(op.weights) == _csr_bytes(ref_op.weights)
             assert op.indices.tobytes() == ref_op.indices.tobytes()
             assert op.indptr.tobytes() == ref_op.indptr.tobytes()
+
+
+def _edge_case_winds(rng, t, n):
+    """Winds with exact zeros, -0.0, negative components and exactly cancelling pairs."""
+    normal = rng.normal(0.0, 3.0, size=(t, n, 2))
+    yield normal
+    yield np.where(rng.random((t, n, 2)) < 0.5, 0.0, normal)
+    yield np.where(rng.random((t, n, 2)) < 0.5, -0.0, -np.abs(normal))
+    yield np.full((t, n, 2), -0.0)
+    yield rng.integers(-2, 3, size=(t, n, 2)).astype(float)
+
+
+def test_rate_kernel_matches_the_pair_axis_expression():
+    # one wind component at a time gives the bytes of the (T, E, 2) sum in
+    # the reference, and C-ordered rates that `weights` reads without a copy
+    rng = np.random.default_rng(25)
+    for positions, xi in _parity_layouts():
+        ns = g.NodeSet(positions)
+        for t in (1, 5):
+            for wind in _edge_case_winds(rng, t, ns.n):
+                op = _outcome(g.advection_sequence, ns, wind, xi)
+                ref_op = _outcome(dense_advection_sequence, ns, wind, xi)
+                if isinstance(ref_op, tuple):
+                    assert op == ref_op
+                    continue
+                assert op.rates.flags.c_contiguous and op.rates.shape == ref_op.rates.shape
+                assert op.rates.tobytes() == ref_op.rates.tobytes()
+                assert op.rates.size == 0 or np.shares_memory(op.weights.data, op.rates)

@@ -17,6 +17,7 @@ from pgkrig.losses import LossWeights
 from pgkrig.network import KrigingModel, ModelConfig, make_node_series
 from pgkrig.testbed import AodSpec, EmissionSource, ScenarioSpec, run_scenario, \
     scenario_preset
+from reference_ops import chunked_predict_grid
 
 
 def toy_run(t_hours=60, stations=16, seed=5, cloud_fraction=0.2):
@@ -710,17 +711,27 @@ def test_infer_grid_shape_errors():
 
 
 def _record_forwards(monkeypatch):
-    """(model, outputs) of every full_forward call from here on."""
-    calls = []
-    original = KrigingModel.full_forward
+    """Every forward-only pass from here on, as (model, outputs): the model
+    `_refine_in_blocks` ran and the tensors that `encode` and `refine`
+    returned since the previous pass ended."""
+    passes, outputs = [], []
+    for name in ("encode", "refine"):
+        def recording(self, *args, _original=getattr(KrigingModel, name)):
+            out = _original(self, *args)
+            outputs.append(out)
+            return out
 
-    def recording(self, *args):
-        outputs = original(self, *args)
-        calls.append((self, outputs))
-        return outputs
+        monkeypatch.setattr(KrigingModel, name, recording)
+    refine_in_blocks = tr._refine_in_blocks
 
-    monkeypatch.setattr(KrigingModel, "full_forward", recording)
-    return calls
+    def recording_pass(model, *args):
+        estimates = refine_in_blocks(model, *args)
+        passes.append((model, outputs[:]))
+        outputs.clear()
+        return estimates
+
+    monkeypatch.setattr(tr, "_refine_in_blocks", recording_pass)
+    return passes
 
 
 def _forward_only_passes(dataset, result):
@@ -744,7 +755,8 @@ def test_forward_only_passes_match_the_tracked_forward_bitwise(monkeypatch):
     monkeypatch.setattr(KrigingModel, "detached", lambda self: self)
     forwards = _record_forwards(monkeypatch)
     t_stations, t_grid, t_scores = _forward_only_passes(dataset, result)
-    assert forwards and all(out._parents for _, outputs in forwards for out in outputs)
+    assert forwards and all(outputs and all(out._parents for out in outputs)
+                            for _, outputs in forwards)
     assert stations.tobytes() == t_stations.tobytes()
     assert grid.tobytes() == t_grid.tobytes()
     assert scores == t_scores
@@ -757,11 +769,39 @@ def test_forward_only_passes_record_no_tape(monkeypatch):
     # infer_stations, the station pass and one cell chunk of infer_grid, _evaluate
     assert len(forwards) == 4
     for model, outputs in forwards:
-        assert not any(p.requires_grad for p in model.params.values())
+        assert outputs and not any(p.requires_grad for p in model.params.values())
         for out in outputs:
             assert out._parents == () and out._backward is None and not out.requires_grad
     for p in result.model.params.values():
         assert p.requires_grad and p.grad is None
+
+
+@pytest.mark.parametrize("block", [1, 7, 60], ids=["hour", "seven", "window"])
+def test_refined_estimates_do_not_depend_on_the_block_size(monkeypatch, block):
+    """Each hour is refined on its own, so any block size gives the bytes of
+    one whole-window `full_forward`, with the encodings split as
+    `infer_grid` splits stations and cells."""
+    dataset, result = trained_toy()
+    model, norm = result.model.detached(), result.normalization
+    graph = tr.prepare_graph(dataset.nodes, dataset.wind, 10.0)
+    inputs = (dataset.wind, dataset.emissions, dataset.pm25, [2, 5, 9])
+    _, whole = tr.predict(model, norm, graph, *inputs)
+    monkeypatch.setattr(tr, "_BLOCK_HOURS", block)
+    encodings = tr._encode(model, norm, *inputs)
+    blocked = tr._refine_in_blocks(model, norm, graph, [encodings[:7], encodings[7:]])
+    assert blocked.tobytes() == whole.data.tobytes()
+
+
+@pytest.mark.parametrize("preset", ["s1-advection", "aod-ideal"])
+def test_infer_grid_matches_one_whole_window_forward_per_chunk(preset):
+    """100 hours, so the refinement runs over blocks of 48, 48 and 4."""
+    run = run_scenario(replace(scenario_preset(preset), t_hours=100), seed=0)
+    dataset = tr.dataset_from_scenario(run)
+    model = KrigingModel(ModelConfig(), seed=0)
+    norm = tr.Normalization.fit(dataset, (0, 100))
+    grid = (run.truth.cell_positions(), run.truth.wind, run.truth.emissions)
+    field = tr.infer_grid(model, norm, dataset, *grid, threshold_km=16.0)
+    assert field.tobytes() == chunked_predict_grid(model, norm, dataset, *grid, 16.0).tobytes()
 
 
 def test_no_batch_tape_outlives_its_step(monkeypatch):
@@ -784,8 +824,7 @@ def test_no_batch_tape_outlives_its_step(monkeypatch):
                 seen.add(id(node))
                 refs.append(weakref.ref(node.data))
                 stack.extend(node._parents)
-        if refs:  # validation runs forward-only and records nothing
-            tapes.append(refs)
+        tapes.append(refs)  # validation runs forward-only and never calls full_forward
         return outputs
 
     monkeypatch.setattr(KrigingModel, "full_forward", recording_forward)
