@@ -476,6 +476,8 @@ def _refine_in_blocks(model: KrigingModel, normalization: Normalization, graph: 
     out = np.empty((sum(e.shape[0] for e in encodings), t_hours))
     for lo in range(0, t_hours, _BLOCK_HOURS):
         hi = min(lo + _BLOCK_HOURS, t_hours)
+        # one block keeps the caller's graph, whose block matrix the
+        # validation partitions then build only once
         block = graph if hi - lo == t_hours else graph.window(lo, hi)
         h = ad.Tensor(np.concatenate([e[:, lo:hi] for e in encodings]))
         x_hat = model.refine(h, block.diffusion, block.advection)
