@@ -325,11 +325,32 @@ def take(x, key) -> Tensor:
 # -- linear algebra ----------------------------------------------------
 
 
+# BLAS rounds a row of a product by where it falls in the kernel's row
+# blocks.  OpenBLAS gives other bits than in a long product to a
+# one-column product at 117 of the row counts 1-199, and to a wider one at
+# one row.  Padded to a whole number of blocks, every row gets the bits of
+# a long product.
+_ROW_BLOCK = 16
+
+
+def _rows_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2-D arrays, each row's bits independent of a's row count.
+
+    The padding repeats a's last row, so it adds no value the real rows
+    lack (and no warning they would not raise).
+    """
+    m = a.shape[0]
+    if not m % _ROW_BLOCK:
+        return a @ b
+    return (np.pad(a, ((0, -m % _ROW_BLOCK), (0, 0)), mode="edge") @ b)[:m]
+
+
 def matmul(a, b) -> Tensor:
+    """a @ b for 2-D a and b, each row's bits independent of a's row count."""
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} are incompatible")
-    data = a.data @ b.data
+    data = _rows_product(a.data, b.data)
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
@@ -451,12 +472,16 @@ def conv1d_causal_dilated(x, weight, bias, dilation: int = 1) -> Tensor:
         raise ShapeError(f"conv1d: bias shape {bias.shape} vs kernel {weight.shape}")
 
     shifts = [(k - 1 - tap) * dilation for tap in range(k)]
+    # one product per tap over every (node, hour) row, so that no hour's
+    # bits depend on the series length
+    rows = x.data.reshape(n * t, c_in)
     data = np.zeros((n, t, c_out))
     for tap, shift in enumerate(shifts):
         if shift >= t:
             continue
         # x at time t - shift contributes through kernel tap `tap`
-        data[:, shift:, :] += x.data[:, : t - shift, :] @ weight.data[tap]
+        product = _rows_product(rows, weight.data[tap]).reshape(n, t, c_out)
+        data[:, shift:, :] += product[:, : t - shift]
     data += bias.data
 
     def backward(g: np.ndarray) -> None:

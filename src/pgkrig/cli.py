@@ -7,22 +7,23 @@ the data layer, never mutates its inputs, and is reproducible under
 Exit codes: 0 ok, 1 usage, 2 data error, 3 numeric failure.
 
 Each command imports the modules it runs when it runs, so `eval` and
-`render` start without scipy, PyYAML or the model.
+`render` start without scipy, PyYAML or the model, and only `simulate`
+loads the testbed.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import DataError, NumericFailure, dataio
+from . import PRESET_NAMES, DataError, NumericFailure, dataio
 from .graphs import DEFAULT_THRESHOLD_KM
-from .testbed import PRESET_NAMES
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -118,8 +119,11 @@ def _cmd_simulate(args) -> int:
     dataio.write_aod(out / "aod.csv", run.aod.values[:, cells],
                      run.aod.valid[:, cells])
     dataio.write_values(out / "truth.csv", run.truth.concentrations, "pm25")
-    dataio.write_values(out / "station_truth.csv",
-                        run.truth.concentrations[:, cells], "pm25")
+    station_truth = run.truth.concentrations[:, cells]
+    if station_truth.tobytes() == run.stations.pm25.tobytes():  # no observation noise
+        shutil.copyfile(out / "stations.csv", out / "station_truth.csv")
+    else:
+        dataio.write_values(out / "station_truth.csv", station_truth, "pm25")
     geometry = dataio.GridGeometry(nx=spec.nx, ny=spec.ny, cell_km=spec.cell_km)
     dataio.write_grid_nodes(out / "grid.csv", geometry)
     dataio.write_grid_inputs(out / "grid_inputs.csv", run.truth.wind,

@@ -15,6 +15,7 @@ import sys
 import types
 import warnings
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from itertools import chain, islice
 from pathlib import Path
 from typing import TYPE_CHECKING, get_args, get_origin, get_type_hints
 
@@ -56,12 +57,17 @@ def _err(path, line_no: int | None, message: str) -> SchemaError:
 
 _INT64_MAX = np.iinfo(np.int64).max
 
+# rows that the table reader parses, and the table writer formats, at once
+_BATCH_ROWS = 4096
+# characters that the table reader decodes at once
+_READ_CHARS = 1 << 16
 
-def _split_header(path, lines: list[str], header: str):
-    """Validate comments and the header row.
+
+def _split_header(path, lines, header: str):
+    """Validate comments and the header row, reading ``lines`` up to the header.
 
     Returns (comments, body_start): the (line_no, line) comment pairs and
-    the index into ``lines`` of the first data row.
+    the header's line number, which is the count of lines read.
     """
     comments: list[tuple[int, str]] = []
     for i, line in enumerate(lines, start=1):
@@ -133,10 +139,13 @@ def _load_rows(rows: list[str], dtype, kinds: str):
     lines and takes inf and nan, so it misses on those as on any fault.
     """
     try:
-        with warnings.catch_warnings():  # older numpy reads "1.0" as int 1, with a warning
+        with warnings.catch_warnings():
+            # older numpy reads "1.0" as int 1, with a warning; rows that are
+            # all blank give a warning and no data
             warnings.simplefilter("error", DeprecationWarning)
+            warnings.simplefilter("error", UserWarning)
             table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=1, dtype=dtype)
-    except (ValueError, DeprecationWarning):
+    except (ValueError, DeprecationWarning, UserWarning):
         return None
     if len(table) != len(rows):
         return None
@@ -148,31 +157,62 @@ def _load_rows(rows: list[str], dtype, kinds: str):
     return table
 
 
+def _line_lists(fh):
+    """The lines of a text file, split as ``str.splitlines`` splits the
+    whole text, in one list per _READ_CHARS characters read."""
+    tail = ""
+    while chunk := fh.read(_READ_CHARS):
+        text = tail + chunk
+        cut = text.rfind("\n") + 1
+        tail = text[cut:]
+        yield text[:cut].splitlines()
+    yield tail.splitlines()
+
+
 def _read_table(path, header: str, kinds: str):
     """Parse every data row under ``header`` into one array per column.
 
     ``kinds`` holds one code per header field: ``i`` a non-negative
-    integer and ``b`` a 0/1 bit (both int64), ``f`` a finite float. All
-    rows go through numpy's reader in one call; if it misses, they are
-    parsed again row by row, so the error names the first bad line in file
-    order. Returns (comments, first_line, columns), where data row r sits
-    on line ``first_line + r``.
+    integer and ``b`` a 0/1 bit (both int64), ``f`` a finite float. The
+    file is read and parsed _BATCH_ROWS rows at a time, so only the
+    parsed columns span the whole file. Each batch goes through numpy's
+    reader in one call; if it misses, the batch is parsed again row by
+    row, so the error names the first bad line in file order. Returns
+    (comments, first_line, columns), where data row r sits on line
+    ``first_line + r``.
     """
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
-    comments, body_start = _split_header(path, lines, header)
-    rows = lines[body_start:]
-    if rows and not rows[-1].strip():
-        rows.pop()  # a blank last line just ends the file
     names = header.split(",")
     dtype = [(name, np.float64 if kind == "f" else np.int64)
              for name, kind in zip(names, kinds)]
-    table = _load_rows(rows, dtype, kinds) if rows else np.empty(0, dtype)
-    if table is None:
-        table = np.array([tuple(_parse_row(path, body_start + 1 + r, line, names, kinds))
-                          for r, line in enumerate(rows)], dtype)
+    tables = []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = chain.from_iterable(_line_lists(fh))
+            comments, body_start = _split_header(path, lines, header)
+            line_no = body_start + 1
+            rows = list(islice(lines, _BATCH_ROWS))
+            while rows:
+                following = list(islice(lines, _BATCH_ROWS))
+                if not following and not rows[-1].strip():
+                    rows.pop()  # a blank last line just ends the file
+                table = _load_rows(rows, dtype, kinds) if rows else np.empty(0, dtype)
+                if table is None:
+                    table = np.array([tuple(_parse_row(path, line_no + r, line, names, kinds))
+                                      for r, line in enumerate(rows)], dtype)
+                tables.append(table)
+                line_no += len(rows)
+                rows = following
+    except OSError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError:
+        # the decoder counts bytes from the start of its chunk; decoding
+        # the whole file names the bad byte's place in the file
+        try:
+            Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise SchemaError(f"{path}: {exc}") from exc
+        raise
+    table = np.concatenate(tables) if tables else np.empty(0, dtype)
     return comments, body_start + 1, [table[name] for name in names]
 
 
@@ -183,14 +223,13 @@ def _first_repeat(keys: np.ndarray) -> int:
     return int(repeats.min()) if repeats.size else -1
 
 
-def _cells(column):
-    """The cell texts of one column (see `table_text`).
+def _cells(values: np.ndarray):
+    """The cell texts of one 1-D column (see `table_text`).
 
     A numeric column where most values repeat formats each distinct value
     once. Values are told apart by bit pattern, so -0.0 and 0.0 keep their
     own texts.
     """
-    values = np.asarray(column)
     if values.dtype == object:  # a float column with empty cells
         return ("" if v is None else _fmt(v) for v in values.tolist())
     distinct, where = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
@@ -200,6 +239,15 @@ def _cells(column):
     return texts[where].tolist()
 
 
+def _table_pieces(head: list[str], columns):
+    """The text of `table_text`, in pieces of at most _BATCH_ROWS rows."""
+    columns = [np.asarray(column) for column in columns]
+    yield "\n".join(head) + "\n"
+    for lo in range(0, len(columns[0]), _BATCH_ROWS):
+        cells = [_cells(column[lo:lo + _BATCH_ROWS]) for column in columns]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
 def table_text(head: list[str], columns) -> str:
     """``head`` lines, then one row per index of the 1-D ``columns``.
 
@@ -207,12 +255,13 @@ def table_text(head: list[str], columns) -> str:
     the shortest decimal that round-trips (``_fmt``), and None as an empty
     cell (an undefined R², or no validation MAE).
     """
-    cells = [_cells(column) for column in columns]
-    return "\n".join([*head, *map(",".join, zip(*cells))]) + "\n"
+    return "".join(_table_pieces(head, columns))
 
 
 def _write_table(path, head: list[str], columns) -> None:
-    Path(path).write_text(table_text(head, columns), encoding="utf-8")
+    """Write `table_text` to `path`, formatting _BATCH_ROWS rows at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_table_pieces(head, columns))
 
 
 def _record_columns(records, header: str) -> list[list]:

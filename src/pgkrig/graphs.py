@@ -9,9 +9,11 @@ Three operators drive the propagation model:
   transport rate in 1/hour at every hour of a window, on one sparsity
   pattern shared by all hours.
 
-One rule, in `_pairs`, connects two distinct nodes strictly closer than a
-positive threshold; it lists the pairs row-major, which is CSR order, and
-every operator is built straight from that list.
+One rule, in `node_pairs`, connects two distinct nodes strictly closer
+than a positive threshold; it lists the pairs row-major, which is CSR
+order, and every operator is built straight from that list.  A caller
+that builds several operators of one node set can list its pairs once and
+pass them to each builder.
 
 All builders are pure functions of their inputs and the returned
 structures are never mutated, so they are safe to share across threads.
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -149,15 +151,23 @@ class AdvectionOperator:
         return self.weights.T
 
 
-def _pairs(nodes: NodeSet, threshold_xi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, dist) of every ordered pair under the threshold, in CSR order."""
+class NodePairs(NamedTuple):
+    """Every ordered pair (row, col) of a node set under a threshold, in CSR order."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    dist: np.ndarray
+
+
+def node_pairs(nodes: NodeSet, threshold_xi: float) -> NodePairs:
+    """The pairs of distinct nodes strictly closer than `threshold_xi`, with their distances."""
     if not threshold_xi > 0:
         raise GraphBuildError(f"threshold_xi must be positive, got {threshold_xi}")
     dist = planar_distances(nodes.positions)
     near = dist < threshold_xi
     np.fill_diagonal(near, False)
     rows, cols = np.nonzero(near)
-    return rows, cols, dist[rows, cols]
+    return NodePairs(rows, cols, dist[rows, cols])
 
 
 def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
@@ -165,8 +175,8 @@ def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
 
 
-def build_geo_adjacency(nodes: NodeSet,
-                        threshold_xi: float = DEFAULT_THRESHOLD_KM) -> GeoAdjacency:
+def build_geo_adjacency(nodes: NodeSet, threshold_xi: float = DEFAULT_THRESHOLD_KM,
+                        pairs: NodePairs | None = None) -> GeoAdjacency:
     """Gaussian-kernel adjacency exp(-dist^2 / sigma^2), cut at threshold_xi.
 
     sigma^2 is the variance of the pairwise distances restricted to pairs
@@ -178,6 +188,7 @@ def build_geo_adjacency(nodes: NodeSet,
         nodes: sensor locations.
         threshold_xi: cutoff distance in km; pairs at or beyond it get
             weight 0.
+        pairs: ``node_pairs(nodes, threshold_xi)``, if the caller has it.
 
     Returns:
         GeoAdjacency with symmetric weights and zero diagonal.
@@ -187,7 +198,7 @@ def build_geo_adjacency(nodes: NodeSet,
     """
     import scipy.sparse as sp
 
-    rows, cols, dist = _pairs(nodes, threshold_xi)
+    rows, cols, dist = node_pairs(nodes, threshold_xi) if pairs is None else pairs
     if not rows.size:
         raise GraphBuildError(
             f"no node pair closer than threshold {threshold_xi} km: graph is fully isolated")
@@ -268,12 +279,16 @@ def _upwind_term(component: np.ndarray, rows: np.ndarray, cols: np.ndarray,
 
 
 def advection_sequence(nodes: NodeSet, wind_series: np.ndarray,
-                       threshold_xi: float = DEFAULT_THRESHOLD_KM) -> AdvectionOperator:
+                       threshold_xi: float = DEFAULT_THRESHOLD_KM,
+                       pairs: NodePairs | None = None) -> AdvectionOperator:
     """The advection operator over every hour of a (T, N, 2) wind series.
 
     The pair geometry is computed once and the (T, E) rates in one pass
     per wind component.  The pairs come in CSR order, and rates the ReLU
     clips to 0 stay stored, so every hour has the same sparsity pattern.
+    `pairs`, if given, is ``node_pairs(nodes, threshold_xi)``; each hour's
+    rates depend only on that hour's wind, so the operators of consecutive
+    windows of a series are that series' operator, window by window.
     """
     wind_series = np.asarray(wind_series, dtype=np.float64)
     if wind_series.ndim != 3 or wind_series.shape[0] < 1:
@@ -286,7 +301,7 @@ def advection_sequence(nodes: NodeSet, wind_series: np.ndarray,
     if not np.all(np.isfinite(wind_series)):
         raise GraphBuildError("wind_series contains non-finite values")
 
-    rows, cols, dist = _pairs(nodes, threshold_xi)
+    rows, cols, dist = node_pairs(nodes, threshold_xi) if pairs is None else pairs
     if np.any(dist == 0.0):
         k = int(np.argmax(dist == 0.0))
         raise GraphBuildError(

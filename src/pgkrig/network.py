@@ -284,7 +284,7 @@ class KrigingModel:
             raise ModelError(
                 f"advection operator over {len(advection)} hours for {series.t} timesteps")
         # training records the encoder output on the tape anyway; forward-only
-        # passes skip this method and refine encodings in hour blocks
-        # (training._refine_in_blocks)
+        # passes skip this method and the initial readout with it
+        # (training._forward_only)
         h = self.encode(series)
         return self.init_readout(h), self.refine(h, diffusion, advection)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import DataError
+from . import PRESET_NAMES, DataError
 from .graphs import NodeSet, grid_centers
 
 
@@ -513,7 +513,4 @@ def scenario_preset(name: str) -> ScenarioSpec:
         return replace(base, aod=replace(base.aod, **_AOD_PRESETS[name]))
     raise ScenarioError(
         f"unknown preset '{name}', expected one of {sorted(PRESET_NAMES)}")
-
-
-PRESET_NAMES = ("s1-advection", "aod-ideal", "aod-missing", "aod-conflict", "aod-biased")
 

@@ -11,18 +11,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import DataError, NumericFailure
 from . import autodiff as ad
-from .graphs import (DEFAULT_THRESHOLD_KM, AdvectionOperator, DiffusionOperator, NodeSet,
-                     advection_sequence, build_diffusion_operator, build_geo_adjacency)
+from .graphs import (DEFAULT_THRESHOLD_KM, AdvectionOperator, DiffusionOperator, NodePairs,
+                     NodeSet, advection_sequence, build_diffusion_operator,
+                     build_geo_adjacency, node_pairs)
 from .losses import (LossWeights, aod_gradient_loss, composite_loss,
                      count_valid_edge_terms, edges_from_adjacency, infer_loss, init_loss)
 from .metrics import NodeScore, score_pooled
 from .network import CHANNELS, KrigingModel, ModelConfig, NodeSeries, make_node_series
-from .testbed import ScenarioRun
+
+if TYPE_CHECKING:  # only `simulate` loads the testbed
+    from .testbed import ScenarioRun
 
 
 class ConfigError(DataError, ValueError):
@@ -416,10 +420,33 @@ class Graph:
 
 def prepare_graph(nodes: NodeSet, wind: np.ndarray, threshold_km: float) -> Graph:
     """Build the operators for `nodes` under a (T, N, 2) wind series."""
-    geo = build_geo_adjacency(nodes, threshold_km)
+    pairs = node_pairs(nodes, threshold_km)
+    geo = build_geo_adjacency(nodes, threshold_km, pairs)
     return Graph(diffusion=build_diffusion_operator(geo),
-                 advection=advection_sequence(nodes, wind, threshold_km),
+                 advection=advection_sequence(nodes, wind, threshold_km, pairs),
                  edges=edges_from_adjacency(geo))
+
+
+@dataclass(frozen=True)
+class _NodeGraph:
+    """What a forward-only pass keeps of one node set's graph across hour
+    blocks: the diffusion operator, and the pairs each block's advection
+    rates are built on."""
+
+    nodes: NodeSet
+    threshold_km: float
+    pairs: NodePairs
+    diffusion: DiffusionOperator
+
+    @classmethod
+    def build(cls, nodes: NodeSet, threshold_km: float) -> "_NodeGraph":
+        pairs = node_pairs(nodes, threshold_km)
+        return cls(nodes, threshold_km, pairs, build_diffusion_operator(
+            build_geo_adjacency(nodes, threshold_km, pairs)))
+
+    def advection(self, wind: np.ndarray) -> AdvectionOperator:
+        """The advection operator over the hours of a (T, N, 2) wind block."""
+        return advection_sequence(self.nodes, wind, self.threshold_km, self.pairs)
 
 
 def _series(normalization: Normalization, wind: np.ndarray, emissions: np.ndarray,
@@ -437,7 +464,7 @@ def predict(model: KrigingModel, normalization: Normalization, graph: Graph,
     """One tracked kriging forward on raw time-major inputs over `graph`'s nodes.
 
     Returns (initial, refined) estimates, each (N, T) in physical units.
-    Forward-only passes use `_encode` and `_refine_in_blocks` instead.
+    Forward-only passes use `_encode` and `_forward_only` instead.
     """
     series = _series(normalization, wind, emissions, pm25, hidden)
     x_init, x_hat = model.full_forward(series, graph.diffusion, graph.advection)
@@ -455,49 +482,62 @@ def _encode(model: KrigingModel, normalization: Normalization, wind: np.ndarray,
     return model.encode(_series(normalization, wind, emissions, pm25, hidden)).data
 
 
-# hours that a forward-only pass refines at once; a validation window is
-# one block
-_BLOCK_HOURS = 48
-
-
-def _refine_in_blocks(model: KrigingModel, normalization: Normalization, graph: Graph,
-                      encodings: list[np.ndarray]) -> np.ndarray:
+def _forward_only(model: KrigingModel, normalization: Normalization,
+                  diffusion: DiffusionOperator, advection: AdvectionOperator,
+                  encodings: list[np.ndarray]) -> np.ndarray:
     """Refined estimates, (N, T) in physical units, of a forward-only pass.
 
     `encodings` are (N_k, T, hidden) arrays that, stacked in order, give
-    one row per node of `graph`.  The propagation stack and readout run
-    over _BLOCK_HOURS hours at a time, so no more than one block of
-    propagation state and advection operator is alive at once.  Each hour
-    is refined on its own, so the output is bitwise that of one
-    `full_forward` over the whole window; the initial readout is never
-    computed.
+    one row per node of the operators.  Each hour is refined on its own,
+    so the output is bitwise those hours of one `full_forward` over a
+    longer window; the initial readout is never computed.
     """
-    t_hours = len(graph.advection)
-    out = np.empty((sum(e.shape[0] for e in encodings), t_hours))
-    for lo in range(0, t_hours, _BLOCK_HOURS):
-        hi = min(lo + _BLOCK_HOURS, t_hours)
-        # one block keeps the caller's graph, whose block matrix the
-        # validation partitions then build only once
-        block = graph if hi - lo == t_hours else graph.window(lo, hi)
-        h = ad.Tensor(np.concatenate([e[:, lo:hi] for e in encodings]))
-        x_hat = model.refine(h, block.diffusion, block.advection)
-        out[:, lo:hi] = normalization.to_physical(x_hat).data
-    return out
+    h = ad.Tensor(np.concatenate(encodings))
+    return normalization.to_physical(model.refine(h, diffusion, advection)).data
+
+
+# hours that an inference pass encodes and refines at once
+_BLOCK_HOURS = 48
+
+
+def _station_blocks(model: KrigingModel, normalization: Normalization,
+                    dataset: StationDataset, hidden: np.ndarray | list[int]):
+    """The block loop of inference: (context, lo, hi, encodings) per block.
+
+    The blocks [lo, hi) cover the series _BLOCK_HOURS hours at a time, and
+    `encodings` are the stations' (N, hi - lo, hidden) encodings of the
+    block, the `hidden` ids unobserved.  The encoder is causal and reads
+    receptive_field hours up to and including the hour it encodes, so the
+    encodings are taken from the inputs over [context, hi), with context
+    receptive_field - 1 hours before lo (clipped at 0), and each hour gets
+    the bits of one encoding of the whole series.
+    """
+    history = model.config.receptive_field - 1
+    for lo in range(0, dataset.t_hours, _BLOCK_HOURS):
+        hi = min(lo + _BLOCK_HOURS, dataset.t_hours)
+        context = max(0, lo - history)
+        encodings = _encode(model, normalization, dataset.wind[context:hi],
+                            dataset.emissions[context:hi], dataset.pm25[context:hi], hidden)
+        yield context, lo, hi, encodings[:, lo - context:]
 
 
 def _evaluate(model: KrigingModel, normalization: Normalization,
               view: StationDataset, graph: Graph,
               targets: list[np.ndarray],
               time_range: tuple[int, int]) -> NodeScore:
-    """Pooled masked-reconstruction score over fixed target sets of a range."""
+    """Pooled masked-reconstruction score over fixed target sets of a range.
+
+    Each target set is one forward-only pass over the whole range, encoded
+    from the range's first hour on, as in training.
+    """
     model = model.detached()
     lo, hi = time_range
     graph = graph.window(lo, hi)
     inputs = (view.wind[lo:hi], view.emissions[lo:hi], view.pm25[lo:hi])
     preds, truths = [], []
     for target in targets:
-        x_hat = _refine_in_blocks(model, normalization, graph,
-                                  [_encode(model, normalization, *inputs, target)])
+        x_hat = _forward_only(model, normalization, graph.diffusion, graph.advection,
+                              [_encode(model, normalization, *inputs, target)])
         preds.append(x_hat[target, :].ravel())
         truths.append(view.pm25[lo:hi].T[target, :].ravel())
     return score_pooled(np.concatenate(preds), np.concatenate(truths))
@@ -660,10 +700,11 @@ def infer_stations(model: KrigingModel, normalization: Normalization,
     """Predict full series at target stations from all remaining stations.
 
     Target nodes enter the graph with zeroed pollution channels and zero
-    observed flags, so their true values can never reach the output.  Each
-    node is encoded once over the whole series, and the propagation stack
-    then refines the encodings one hour block at a time
-    (`_refine_in_blocks`).
+    observed flags, so their true values can never reach the output.  The
+    graph's pairs and diffusion operator are built once; then each hour
+    block is encoded, given its advection rates and refined on its own
+    (`_station_blocks`), so no intermediate spans more than one block and
+    the output is bitwise that of one `full_forward` over the whole series.
 
     Args:
         model: trained (or fresh) model.
@@ -684,12 +725,13 @@ def infer_stations(model: KrigingModel, normalization: Normalization,
     if len(np.unique(target_ids)) != target_ids.size:
         raise ConfigError("target ids contain duplicates")
     model = model.detached()
-    encodings = _encode(model, normalization, dataset.wind, dataset.emissions, dataset.pm25,
-                        target_ids)
-    x_hat = _refine_in_blocks(model, normalization,
-                              prepare_graph(dataset.nodes, dataset.wind, threshold_km),
-                              [encodings])
-    return x_hat[target_ids, :].T.copy()
+    graph = _NodeGraph.build(dataset.nodes, threshold_km)
+    out = np.empty((dataset.t_hours, target_ids.size))
+    for _, lo, hi, encodings in _station_blocks(model, normalization, dataset, target_ids):
+        x_hat = _forward_only(model, normalization, graph.diffusion,
+                              graph.advection(dataset.wind[lo:hi]), [encodings])
+        out[lo:hi] = x_hat[target_ids].T
+    return out
 
 
 def infer_grid(model: KrigingModel, normalization: Normalization,
@@ -714,11 +756,15 @@ def infer_grid(model: KrigingModel, normalization: Normalization,
     prediction does not depend on the order of the rows of
     `grid_positions`; it does still depend on which other cells are given.
 
-    The encoder never mixes nodes, so the stations are encoded once for
-    every batch and each cell once, in its batch. Each batch's graph then
-    refines the joined encodings one hour block at a time
-    (`_refine_in_blocks`), which holds one block of propagation state and
-    advection operator at a time instead of the whole series.
+    Each batch's pairs and diffusion operator are built once. The hours
+    then run one block at a time (`_station_blocks`): the stations are
+    encoded once per block, and each batch encodes its cells over the same
+    hours, builds the block's advection rates and refines the joined
+    encodings. So apart from the inputs and the output, nothing spans more
+    than one block, and memory stays flat in the number of hours; the
+    output is bitwise that of one `full_forward` per batch over the whole
+    series. The encoder never mixes nodes, so the stations' encodings can
+    be shared by every batch.
 
     Args:
         model: trained model.
@@ -747,17 +793,11 @@ def infer_grid(model: KrigingModel, normalization: Normalization,
         raise ConfigError("grid meteorology or emissions contain non-finite values")
 
     model = model.detached()
-    stations = _encode(model, normalization, dataset.wind, dataset.emissions, dataset.pm25, [])
     station_lookup = {pos.tobytes(): k for k, pos in enumerate(dataset.nodes.positions)}
     node_of_cell = np.array([station_lookup.get(pos.tobytes(), -1) for pos in grid_positions],
                             dtype=np.int64)
     coincident = node_of_cell >= 0
-    out = np.empty((t_hours, g_cells))
-    if np.any(coincident):
-        x_hat = _refine_in_blocks(model, normalization,
-                                  prepare_graph(dataset.nodes, dataset.wind, threshold_km),
-                                  [stations])
-        out[:, coincident] = x_hat.T[:, node_of_cell[coincident]]
+    station_graph = _NodeGraph.build(dataset.nodes, threshold_km) if coincident.any() else None
 
     free = np.nonzero(~coincident)[0]
     free = free[np.lexsort((grid_positions[free, 0], grid_positions[free, 1]))]
@@ -767,16 +807,24 @@ def infer_grid(model: KrigingModel, normalization: Normalization,
     # stronger short-range transport edges than any station pair seen in
     # training
     order = np.random.default_rng(0).permutation(free.size)
-    for start in range(0, free.size, chunk):
-        cells = free[order[start:start + chunk]]
-        # no name holds the chunk's operator or cell encodings, so both are
-        # freed before the next chunk builds its own
-        cell_wind = grid_wind[:, cells]
-        nodes = NodeSet(np.concatenate([dataset.nodes.positions, grid_positions[cells]]))
-        x_hat = _refine_in_blocks(
-            model, normalization,
-            prepare_graph(nodes, np.concatenate([dataset.wind, cell_wind], axis=1), threshold_km),
-            [stations, _encode(model, normalization, cell_wind, grid_emissions[:, cells],
-                               np.zeros((t_hours, cells.size)), np.arange(cells.size))])
-        out[:, cells] = x_hat[n_stations:, :].T
+    chunks = [free[order[start:start + chunk]] for start in range(0, free.size, chunk)]
+    graphs = [_NodeGraph.build(NodeSet(np.concatenate([dataset.nodes.positions,
+                                                       grid_positions[cells]])), threshold_km)
+              for cells in chunks]
+
+    out = np.empty((t_hours, g_cells))
+    for context, lo, hi, stations in _station_blocks(model, normalization, dataset, []):
+        if station_graph is not None:
+            x_hat = _forward_only(model, normalization, station_graph.diffusion,
+                                  station_graph.advection(dataset.wind[lo:hi]), [stations])
+            out[lo:hi, coincident] = x_hat.T[:, node_of_cell[coincident]]
+        for cells, graph in zip(chunks, graphs):
+            cell_wind = grid_wind[context:hi, cells]
+            cell_encodings = _encode(model, normalization, cell_wind,
+                                     grid_emissions[context:hi, cells],
+                                     np.zeros((hi - context, cells.size)), np.arange(cells.size))
+            wind = np.concatenate([dataset.wind[lo:hi], cell_wind[lo - context:]], axis=1)
+            x_hat = _forward_only(model, normalization, graph.diffusion, graph.advection(wind),
+                                  [stations, cell_encodings[:, lo - context:]])
+            out[lo:hi, cells] = x_hat[n_stations:].T
     return out

@@ -1007,7 +1007,7 @@ def _packages(modules: set, *names) -> set:
 
 
 def test_each_command_imports_only_what_it_runs(pipeline, tmp_path):
-    _, scen, _, data, ckpt = pipeline
+    _, scen, cfg, data, ckpt = pipeline
     modules = _modules_after("simulate", "--scenario", scen, "--out", tmp_path / "sim")
     assert "pgkrig.testbed" in modules and not _packages(modules, "scipy"), "simulate"
     for argv, needed in (
@@ -1018,8 +1018,30 @@ def test_each_command_imports_only_what_it_runs(pipeline, tmp_path):
         modules = _modules_after(*argv)
         assert needed in modules
         assert not _packages(modules, "scipy", "yaml"), argv[0]
-        assert not modules & _MODEL_MODULES, argv[0]
+        assert not modules & (_MODEL_MODULES | {"pgkrig.testbed"}), argv[0]
     modules = _modules_after("infer", "--ckpt", ckpt, "--data", data, "--targets", "0",
                              "--out", tmp_path / "p.csv")
     assert "pgkrig.training" in modules and not _packages(modules, "yaml")
-    assert not _packages(_modules_after("--help"), "scipy")
+    assert "pgkrig.testbed" not in modules, "infer"
+    modules = _modules_after("train", "--config", cfg, "--data", data,
+                             "--out", tmp_path / "m.ckpt")
+    assert "pgkrig.training" in modules and "pgkrig.testbed" not in modules, "train"
+    modules = _modules_after("--help")
+    assert not _packages(modules, "scipy") and "pgkrig.testbed" not in modules
+
+
+def test_simulate_copies_station_truth_when_it_equals_the_observations(tmp_path, monkeypatch):
+    """Without observation noise the two tables hold the same values, and
+    the second file is a copy of the first, not formatted again."""
+    written = []
+    write_values = dataio.write_values
+
+    def recording(path, *args, **kwargs):
+        written.append(Path(path).name)
+        write_values(path, *args, **kwargs)
+
+    monkeypatch.setattr(dataio, "write_values", recording)
+    scen = tmp_path / "scen.yaml"
+    scen.write_text(SCENARIO_YAML, encoding="utf-8")
+    assert run_cli("simulate", "--scenario", scen, "--out", tmp_path / "sim") == 0
+    assert "stations.csv" in written and "station_truth.csv" not in written

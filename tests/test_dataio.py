@@ -772,6 +772,81 @@ def test_error_near_block_boundary_names_its_line(tmp_path, row):
         dataio.read_values(path, "pm25")
 
 
+_PAST_BATCH = dataio._BATCH_ROWS + 904  # a data row in the reader's second batch
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x", f"vals.csv:{3 + _PAST_BATCH}: column pm25: 'x' is not a number"),
+    ("inf", f"vals.csv:{3 + _PAST_BATCH}: column pm25: inf is not finite"),
+    ("", f"vals.csv:{3 + _PAST_BATCH}: blank line inside data"),
+], ids=["field", "inf", "blank"])
+def test_batched_reader_names_a_fault_past_the_first_batch(tmp_path, text, message):
+    path = tmp_path / "vals.csv"
+    dataio.write_values(path, np.ones((2 * dataio._BATCH_ROWS, 1)), "pm25")
+    lines = path.read_text().splitlines()
+    lines[2 + _PAST_BATCH] = f"{_PAST_BATCH},0,{text}" if text else ""
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError) as info:
+        dataio.read_values(path, "pm25")
+    assert str(info.value).endswith(message)
+
+
+@pytest.mark.parametrize("rows", [dataio._BATCH_ROWS - 1, dataio._BATCH_ROWS,
+                                  dataio._BATCH_ROWS + 1, _PAST_BATCH])
+def test_batched_reader_takes_a_trailing_blank_line_in_any_batch(tmp_path, rows):
+    """The blank line after the last row lands last in a batch, alone in a
+    batch of its own, or inside the last batch."""
+    path = tmp_path / "vals.csv"
+    values = np.arange(rows, dtype=np.float64)[:, None]
+    dataio.write_values(path, values, "pm25")
+    path.write_text(path.read_text() + "\n")
+    assert dataio.read_values(path, "pm25")[1].tobytes() == values.tobytes()
+    path.write_text(path.read_text() + "\n")
+    with pytest.raises(SchemaError, match=rf"vals.csv:{3 + rows}: blank line inside data"):
+        dataio.read_values(path, "pm25")
+
+
+def test_batched_reader_splits_lines_as_splitlines_does(tmp_path):
+    """A chunk of text can end inside a line or between the two characters
+    of a CRLF ending; the lines are those of the whole text."""
+    path = tmp_path / "vals.csv"
+    rows = 3 * dataio._READ_CHARS // 10
+    dataio.write_values(path, np.full((rows, 1), 1.5), "pm25")
+    text = path.read_text().replace("\n", "\r\n")
+    path.write_bytes(text.encode("utf-8"))
+    assert dataio.read_values(path, "pm25")[1].shape == (rows, 1)
+    lines = text.splitlines()
+    lines[2 + rows - 7] = "1.5\x0c"  # a form feed ends a line for splitlines
+    path.write_bytes("\r\n".join(lines).encode("utf-8"))
+    with pytest.raises(SchemaError, match=rf"vals.csv:{rows - 4}: expected 3 fields, got 1"):
+        dataio.read_values(path, "pm25")
+
+
+def test_decode_error_past_the_first_chunk_names_its_byte_in_the_file(tmp_path):
+    path = tmp_path / "vals.csv"
+    dataio.write_values(path, np.ones((dataio._READ_CHARS // 5, 1)), "pm25")
+    raw = path.read_bytes()
+    at = len(raw) - 3
+    path.write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
+    with pytest.raises(SchemaError, match=rf"vals.csv: 'utf-8' codec can't decode byte "
+                                          rf"0xff in position {at}:"):
+        dataio.read_values(path, "pm25")
+
+
+@pytest.mark.parametrize("rows", [0, 1, dataio._BATCH_ROWS - 1, dataio._BATCH_ROWS,
+                                  dataio._BATCH_ROWS + 1])
+def test_batched_writer_matches_the_whole_table_text(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    maybe = rng.normal(size=rows)
+    columns = [np.arange(rows) % 7, rng.normal(size=rows),
+               [None if v < 0 else float(v) for v in maybe], (maybe > 0).astype(np.int64)]
+    head = [dataio.version_line("test"), "c0,c1,c2,c3"]
+    path = tmp_path / "t.csv"
+    dataio._write_table(path, head, columns)
+    assert path.read_bytes() == repr_table_text(head, columns).encode("utf-8")
+    assert path.read_text() == dataio.table_text(head, columns)
+
+
 @pytest.mark.parametrize("bad, message", [
     ({5: "5,0,x", 9: "-1,0,1.0"}, "vals.csv:8: column pm25: 'x' is not a number"),
     ({5: "-1,0,1.0", 9: "9,0,inf"}, "vals.csv:8: column time: -1 is negative"),

@@ -263,7 +263,7 @@ class TestAdvectionSequence:
         dist = g.planar_distances(pos)
         near = (dist < xi) & ~np.eye(ns.n, dtype=bool)
         d_sq = np.where(near, dist * dist, 1.0)
-        rows, cols, d = g._pairs(ns, xi)
+        rows, cols, d = g.node_pairs(ns, xi)
         geom = (pos[rows] - pos[cols]) / (d * d)[:, None]
         for step, op in enumerate(ops):
             w = wind[step]

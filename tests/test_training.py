@@ -713,8 +713,8 @@ def test_infer_grid_shape_errors():
 
 def _record_forwards(monkeypatch):
     """Every forward-only pass from here on, as (model, outputs): the model
-    `_refine_in_blocks` ran and the tensors that `encode` and `refine`
-    returned since the previous pass ended."""
+    `_forward_only` ran and the tensors that `encode` and `refine` returned
+    since the previous pass ended."""
     passes, outputs = [], []
     for name in ("encode", "refine"):
         def recording(self, *args, _original=getattr(KrigingModel, name)):
@@ -723,15 +723,15 @@ def _record_forwards(monkeypatch):
             return out
 
         monkeypatch.setattr(KrigingModel, name, recording)
-    refine_in_blocks = tr._refine_in_blocks
+    forward_only = tr._forward_only
 
     def recording_pass(model, *args):
-        estimates = refine_in_blocks(model, *args)
+        estimates = forward_only(model, *args)
         passes.append((model, outputs[:]))
         outputs.clear()
         return estimates
 
-    monkeypatch.setattr(tr, "_refine_in_blocks", recording_pass)
+    monkeypatch.setattr(tr, "_forward_only", recording_pass)
     return passes
 
 
@@ -767,8 +767,9 @@ def test_forward_only_passes_record_no_tape(monkeypatch):
     dataset, result = trained_toy()
     forwards = _record_forwards(monkeypatch)
     _forward_only_passes(dataset, result)
-    # infer_stations, the station pass and one cell chunk of infer_grid, _evaluate
-    assert len(forwards) == 4
+    # over the two hour blocks of the 60-h series: infer_stations once, and
+    # infer_grid's station pass and one cell chunk; then _evaluate once
+    assert len(forwards) == 2 + 2 * 2 + 1
     for model, outputs in forwards:
         assert outputs and not any(p.requires_grad for p in model.params.values())
         for out in outputs:
@@ -777,20 +778,46 @@ def test_forward_only_passes_record_no_tape(monkeypatch):
         assert p.requires_grad and p.grad is None
 
 
+def _whole_window_stations(model, norm, dataset, targets, threshold_km):
+    """`infer_stations` as one tracked `full_forward` over every hour."""
+    graph = tr.prepare_graph(dataset.nodes, dataset.wind, threshold_km)
+    _, whole = tr.predict(model.detached(), norm, graph, dataset.wind, dataset.emissions,
+                          dataset.pm25, targets)
+    return whole.data[targets].T.copy()
+
+
 @pytest.mark.parametrize("block", [1, 7, 60], ids=["hour", "seven", "window"])
 def test_refined_estimates_do_not_depend_on_the_block_size(monkeypatch, block):
-    """Each hour is refined on its own, so any block size gives the bytes of
-    one whole-window `full_forward`, with the encodings split as
-    `infer_grid` splits stations and cells."""
+    """Each block is encoded from the hours before it and each hour is
+    refined on its own, so any block size gives the bytes of one
+    whole-window `full_forward`."""
     dataset, result = trained_toy()
-    model, norm = result.model.detached(), result.normalization
-    graph = tr.prepare_graph(dataset.nodes, dataset.wind, 10.0)
-    inputs = (dataset.wind, dataset.emissions, dataset.pm25, [2, 5, 9])
-    _, whole = tr.predict(model, norm, graph, *inputs)
+    model, norm = result.model, result.normalization
+    whole = _whole_window_stations(model, norm, dataset, [2, 5, 9], 10.0)
     monkeypatch.setattr(tr, "_BLOCK_HOURS", block)
-    encodings = tr._encode(model, norm, *inputs)
-    blocked = tr._refine_in_blocks(model, norm, graph, [encodings[:7], encodings[7:]])
-    assert blocked.tobytes() == whole.data.tobytes()
+    blocked = tr.infer_stations(model, norm, dataset, [2, 5, 9], threshold_km=10.0)
+    assert blocked.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("n_nodes", [7, 41])
+@pytest.mark.parametrize("block", [1, 5, 7])
+def test_block_size_invariance_holds_for_any_node_count(monkeypatch, n_nodes, block):
+    """The readout's one-column product gave some rows other bits at node
+    counts such as 7 and 41, where N * hours leaves a partial BLAS block.
+    Every node is a target, so that every row is compared."""
+    rng = np.random.default_rng(n_nodes)
+    t = 30
+    dataset = tr.StationDataset(nodes=NodeSet(rng.uniform(0.0, 20.0, size=(n_nodes, 2))),
+                                wind=rng.normal(0.0, 3.0, size=(t, n_nodes, 2)),
+                                emissions=rng.uniform(size=(t, n_nodes)),
+                                pm25=rng.uniform(5.0, 40.0, size=(t, n_nodes)))
+    model = KrigingModel(ModelConfig(), seed=0)
+    norm = tr.Normalization.fit(dataset, (0, t))
+    targets = np.arange(n_nodes)
+    whole = _whole_window_stations(model, norm, dataset, targets, 8.0)
+    monkeypatch.setattr(tr, "_BLOCK_HOURS", block)
+    blocked = tr.infer_stations(model, norm, dataset, targets, threshold_km=8.0)
+    assert blocked.tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("preset", ["s1-advection", "aod-ideal"])
@@ -805,24 +832,65 @@ def test_infer_grid_matches_one_whole_window_forward_per_chunk(preset):
     assert field.tobytes() == chunked_predict_grid(model, norm, dataset, *grid, 16.0).tobytes()
 
 
+@pytest.mark.parametrize("hours", [100, 50])
+def test_inference_matches_the_whole_window_forward(hours):
+    """Blocks of 48, 48 and 4 hours, or of 48 and 2: the last block is then
+    shorter than the encoder's receptive field of 15 hours."""
+    run = run_scenario(replace(scenario_preset("s1-advection"), t_hours=hours), seed=0)
+    dataset = tr.dataset_from_scenario(run)
+    model = KrigingModel(ModelConfig(), seed=0)
+    norm = tr.Normalization.fit(dataset, (0, hours))
+    targets = [3, 11, 20, 36]
+    stations = tr.infer_stations(model, norm, dataset, targets, threshold_km=16.0)
+    assert stations.tobytes() == _whole_window_stations(model, norm, dataset, targets,
+                                                         16.0).tobytes()
+    grid = (run.truth.cell_positions(), run.truth.wind, run.truth.emissions)
+    field = tr.infer_grid(model, norm, dataset, *grid, threshold_km=16.0)
+    assert field.tobytes() == chunked_predict_grid(model, norm, dataset, *grid, 16.0).tobytes()
+
+
+def _heap_peak(infer, *args) -> int:
+    """The tracemalloc peak of one call, with scipy.sparse loaded beforehand:
+    its import is not the call's memory."""
+    import scipy.sparse  # noqa: F401
+
+    tracemalloc.start()
+    try:
+        infer(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_infer_grid_heap_peak_is_flat_in_the_number_of_hours():
+    """On s1-advection (400 cells) the tracemalloc peak of `infer_grid` was
+    7.9 MiB over 240 h and 10.1 MiB over 960 h, 2.9 MiB of it the output,
+    with numpy 2.4. Encoding every node over the whole series and refining
+    in hour blocks gave 14.9 and 59.1 MiB."""
+    run = run_scenario(replace(scenario_preset("s1-advection"), t_hours=960), seed=0)
+    model = KrigingModel(ModelConfig(), seed=0)
+    peaks = []
+    for hours in (240, 960):
+        dataset = tr.dataset_from_scenario(run)
+        dataset = replace(dataset, wind=dataset.wind[:hours], emissions=dataset.emissions[:hours],
+                          pm25=dataset.pm25[:hours], aod_values=None, aod_valid=None)
+        norm = tr.Normalization.fit(dataset, (0, hours))
+        peaks.append(_heap_peak(tr.infer_grid, model, norm, dataset, run.truth.cell_positions(),
+                                run.truth.wind[:hours], run.truth.emissions[:hours], 16.0))
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
 def test_infer_grid_heap_peak_stays_well_below_the_whole_window_path():
     """On s1-advection (240 h, 400 cells) the tracemalloc peak of `infer_grid`
-    was 0.53 of the whole-window reference's with numpy 2.4. Binding each
-    chunk's operator and cell encodings to names, so that they live into
-    the next chunk, raised it to 0.74."""
+    was 0.28 of the whole-window reference's with numpy 2.4. Encoding every
+    node over the whole series and refining in hour blocks gave 0.53."""
     run = run_scenario(scenario_preset("s1-advection"), seed=0)
     dataset = tr.dataset_from_scenario(run)
     model = KrigingModel(ModelConfig(), seed=0)
     norm = tr.Normalization.fit(dataset, (0, dataset.t_hours))
     grid = (run.truth.cell_positions(), run.truth.wind, run.truth.emissions)
-    peaks = []
-    for infer in (tr.infer_grid, chunked_predict_grid):
-        tracemalloc.start()
-        try:
-            infer(model, norm, dataset, *grid, 16.0)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [_heap_peak(infer, model, norm, dataset, *grid, 16.0)
+             for infer in (tr.infer_grid, chunked_predict_grid)]
     assert peaks[0] <= 0.65 * peaks[1]
 
 
