@@ -328,21 +328,27 @@ def take(x, key) -> Tensor:
 # BLAS rounds a row of a product by where it falls in the kernel's row
 # blocks.  OpenBLAS gives other bits than in a long product to a
 # one-column product at 117 of the row counts 1-199, and to a wider one at
-# one row.  Padded to a whole number of blocks, every row gets the bits of
-# a long product.
+# one row.  In a whole number of blocks, every row gets the bits of a long
+# product.
 _ROW_BLOCK = 16
 
 
 def _rows_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for 2-D arrays, each row's bits independent of a's row count.
 
-    The padding repeats a's last row, so it adds no value the real rows
-    lack (and no warning they would not raise).
+    The rows past the last whole block are multiplied as one block, padded
+    with copies of a's last row, so the padding adds no value the real
+    rows lack (and no warning they would not raise).
     """
     m = a.shape[0]
-    if not m % _ROW_BLOCK:
+    cut = m - m % _ROW_BLOCK
+    if cut == m:
         return a @ b
-    return (np.pad(a, ((0, -m % _ROW_BLOCK), (0, 0)), mode="edge") @ b)[:m]
+    out = np.empty((m, b.shape[1]))
+    np.matmul(a[:cut], b, out=out[:cut])
+    tail = np.pad(a[cut:], ((0, cut + _ROW_BLOCK - m), (0, 0)), mode="edge")
+    out[cut:] = (tail @ b)[: m - cut]
+    return out
 
 
 def matmul(a, b) -> Tensor:
@@ -472,16 +478,16 @@ def conv1d_causal_dilated(x, weight, bias, dilation: int = 1) -> Tensor:
         raise ShapeError(f"conv1d: bias shape {bias.shape} vs kernel {weight.shape}")
 
     shifts = [(k - 1 - tap) * dilation for tap in range(k)]
-    # one product per tap over every (node, hour) row, so that no hour's
-    # bits depend on the series length
-    rows = x.data.reshape(n * t, c_in)
     data = np.zeros((n, t, c_out))
     for tap, shift in enumerate(shifts):
         if shift >= t:
             continue
-        # x at time t - shift contributes through kernel tap `tap`
-        product = _rows_product(rows, weight.data[tap]).reshape(n, t, c_out)
-        data[:, shift:, :] += product[:, : t - shift]
+        # x at time t - shift contributes through kernel tap `tap`.  Each
+        # node's product has t - shift rows; BLAS rounds a one-row product
+        # differently, so a single hour is taken across the nodes instead
+        taps = x.data[:, : t - shift, :]
+        data[:, shift:, :] += (taps @ weight.data[tap] if t - shift > 1
+                               else _rows_product(taps[:, 0], weight.data[tap])[:, None])
     data += bias.data
 
     def backward(g: np.ndarray) -> None:

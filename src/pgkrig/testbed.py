@@ -513,4 +513,3 @@ def scenario_preset(name: str) -> ScenarioSpec:
         return replace(base, aod=replace(base.aod, **_AOD_PRESETS[name]))
     raise ScenarioError(
         f"unknown preset '{name}', expected one of {sorted(PRESET_NAMES)}")
-
