@@ -204,14 +204,14 @@ def _read_table(path, header: str, kinds: str):
                 rows = following
     except OSError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
-    except UnicodeDecodeError:
+    except UnicodeDecodeError as exc:
         # the decoder counts bytes from the start of its chunk; decoding
         # the whole file names the bad byte's place in the file
         try:
             Path(path).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise SchemaError(f"{path}: {exc}") from exc
-        raise
+        except (OSError, UnicodeDecodeError) as whole:
+            raise SchemaError(f"{path}: {whole}") from whole
+        raise SchemaError(f"{path}: {exc}") from exc
     table = np.concatenate(tables) if tables else np.empty(0, dtype)
     return comments, body_start + 1, [table[name] for name in names]
 
