@@ -174,8 +174,9 @@ def _read_table(path, header: str, kinds: str):
 
     ``kinds`` holds one code per header field: ``i`` a non-negative
     integer and ``b`` a 0/1 bit (both int64), ``f`` a finite float. The
-    file is read and parsed _BATCH_ROWS rows at a time, so only the
-    parsed columns span the whole file. Each batch goes through numpy's
+    file is read and parsed _BATCH_ROWS rows at a time, and each batch is
+    kept as one copy per column, so only the parsed columns span the whole
+    file. Each batch goes through numpy's
     reader in one call; if it misses, the batch is parsed again row by
     row, so the error names the first bad line in file order. Returns
     (comments, first_line, columns), where data row r sits on line
@@ -184,7 +185,7 @@ def _read_table(path, header: str, kinds: str):
     names = header.split(",")
     dtype = [(name, np.float64 if kind == "f" else np.int64)
              for name, kind in zip(names, kinds)]
-    tables = []
+    parts: list[list[np.ndarray]] = [[] for _ in names]
     try:
         with open(path, encoding="utf-8") as fh:
             lines = chain.from_iterable(_line_lists(fh))
@@ -199,7 +200,8 @@ def _read_table(path, header: str, kinds: str):
                 if table is None:
                     table = np.array([tuple(_parse_row(path, line_no + r, line, names, kinds))
                                       for r, line in enumerate(rows)], dtype)
-                tables.append(table)
+                for part, name in zip(parts, names):
+                    part.append(table[name].copy())
                 line_no += len(rows)
                 rows = following
     except OSError as exc:
@@ -212,14 +214,20 @@ def _read_table(path, header: str, kinds: str):
         except (OSError, UnicodeDecodeError) as whole:
             raise SchemaError(f"{path}: {whole}") from whole
         raise SchemaError(f"{path}: {exc}") from exc
-    table = np.concatenate(tables) if tables else np.empty(0, dtype)
-    return comments, body_start + 1, [table[name] for name in names]
+    # each column's batches are freed once it is joined, so at most one
+    # column is held twice
+    columns = []
+    for part, (_, column_type) in zip(parts, dtype):
+        columns.append(np.concatenate(part) if part else np.empty(0, column_type))
+        part.clear()
+    return comments, body_start + 1, columns
 
 
 def _first_repeat(keys: np.ndarray) -> int:
     """Index of the first entry equal to an earlier one, or -1."""
     order = np.argsort(keys, kind="stable")
-    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    ordered = keys[order]
+    repeats = order[1:][ordered[1:] == ordered[:-1]]
     return int(repeats.min()) if repeats.size else -1
 
 
@@ -312,17 +320,21 @@ def _assemble(path, times: np.ndarray, nodes: np.ndarray, *value_columns):
     t_count = np.unique(times).size
     if times.max() != t_count - 1:
         raise _err(path, None, f"times must be contiguous 0..{t_count - 1}")
-    ids, k = np.unique(nodes, return_inverse=True)
-    key = times * ids.size + k
+    ids = np.unique(nodes)
+    key = np.searchsorted(ids, nodes)
+    key += times * ids.size
     r = _first_repeat(key)
     if r >= 0:
         raise _err(path, None, f"duplicate row for time {times[r]}, node {nodes[r]}")
-    present = np.bincount(key, minlength=t_count * ids.size)
-    if not present.all():
+    # the keys are distinct and below t_count * ids.size, so a shortfall is
+    # a missing row
+    if key.size < t_count * ids.size:
+        present = np.bincount(key, minlength=t_count * ids.size)
         t, k = divmod(int(np.argmin(present)), ids.size)
         raise _err(path, None, f"missing row for time {t}, node {ids[k]}")
     values = np.empty((t_count * ids.size, len(value_columns)))
-    values[key] = np.column_stack(value_columns)
+    for j, column in enumerate(value_columns):
+        values[key, j] = column
     return ids, values.reshape(t_count, ids.size, -1)
 
 
@@ -448,9 +460,13 @@ def write_grid_inputs(path, wind: np.ndarray, emissions: np.ndarray) -> None:
 
 
 def read_grid_inputs(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read grid dynamics; cell ids must be dense. Returns (wind, emissions)."""
-    _, _, columns = _read_table(path, "time,cell_id,u_ms,v_ms,emission", "iifff")
-    ids, values = _assemble(path, *columns)
+    """Read grid dynamics; cell ids must be dense. Returns (wind, emissions).
+
+    The parsed columns are dropped once assembled, before the two
+    contiguous outputs are copied out of the assembled values.
+    """
+    ids, values = _assemble(path, *_read_table(path, "time,cell_id,u_ms,v_ms,emission",
+                                               "iifff")[2])
     if not np.array_equal(ids, np.arange(len(ids))):
         raise _err(path, None, f"cell_ids must be dense 0..{len(ids) - 1}")
     return values[:, :, :2].copy(), values[:, :, 2].copy()

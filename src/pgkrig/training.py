@@ -496,21 +496,27 @@ def _forward_only(model: KrigingModel, normalization: Normalization,
     return normalization.to_physical(model.refine(h, diffusion, advection)).data
 
 
-# hours that an inference pass encodes and refines at once
-_BLOCK_HOURS = 48
+# hours that an inference pass encodes and refines at once; a block's
+# encodings, advection rates and refinement are inference's working set, so
+# this sets its size (the cost is re-encoding receptive_field - 1 hours of
+# context per block)
+_BLOCK_HOURS = 12
 
 
 def _station_blocks(model: KrigingModel, normalization: Normalization,
                     dataset: StationDataset, hidden: np.ndarray | list[int]):
     """The block loop of inference: (context, lo, hi, encodings) per block.
 
-    The blocks [lo, hi) cover the series _BLOCK_HOURS hours at a time, and
-    `encodings` are the stations' (N, hi - lo, hidden) encodings of the
-    block, the `hidden` ids unobserved.  The encoder is causal and reads
-    receptive_field hours up to and including the hour it encodes, so the
-    encodings are taken from the inputs over [context, hi), with context
-    receptive_field - 1 hours before lo (clipped at 0), and each hour gets
-    the bits of one encoding of the whole series.
+    The blocks [lo, hi) cover the series _BLOCK_HOURS (12) hours at a
+    time, and `encodings` are the stations' (N, hi - lo, hidden) encodings
+    of the block, the `hidden` ids unobserved.  The encoder is causal and
+    reads receptive_field hours up to and including the hour it encodes, so
+    the encodings are taken from the inputs over [context, hi), with
+    context receptive_field - 1 hours before lo (clipped at 0), and each
+    hour gets the bits of one encoding of the whole series.  With the
+    default 15-hour receptive field a 12-hour block is encoded over 26
+    hours; the block size trades that re-encoded context for a smaller
+    working set, and any size gives the same bits.
     """
     history = model.config.receptive_field - 1
     for lo in range(0, dataset.t_hours, _BLOCK_HOURS):
@@ -701,7 +707,7 @@ def infer_stations(model: KrigingModel, normalization: Normalization,
 
     Target nodes enter the graph with zeroed pollution channels and zero
     observed flags, so their true values can never reach the output.  The
-    graph's pairs and diffusion operator are built once; then each hour
+    graph's pairs and diffusion operator are built once; then each 12-hour
     block is encoded, given its advection rates and refined on its own
     (`_station_blocks`), so no intermediate spans more than one block and
     the output is bitwise that of one `full_forward` over the whole series.
@@ -757,9 +763,9 @@ def infer_grid(model: KrigingModel, normalization: Normalization,
     `grid_positions`; it does still depend on which other cells are given.
 
     Each batch's pairs and diffusion operator are built once. The hours
-    then run one block at a time (`_station_blocks`): the stations are
-    encoded once per block, and each batch encodes its cells over the same
-    hours, builds the block's advection rates and refines the joined
+    then run one 12-hour block at a time (`_station_blocks`): the stations
+    are encoded once per block, and each batch encodes its cells over the
+    same hours, builds the block's advection rates and refines the joined
     encodings. So apart from the inputs and the output, nothing spans more
     than one block, and memory stays flat in the number of hours; the
     output is bitwise that of one `full_forward` per batch over the whole
