@@ -472,14 +472,15 @@ def predict(model: KrigingModel, normalization: Normalization, graph: Graph,
 
 
 def _encode(model: KrigingModel, normalization: Normalization, wind: np.ndarray,
-            emissions: np.ndarray, pm25: np.ndarray,
-            hidden: np.ndarray | list[int]) -> np.ndarray:
-    """Per-node encodings (N, T, hidden) of raw inputs, `hidden` ids unobserved.
+            emissions: np.ndarray, pm25: np.ndarray, hidden: np.ndarray | list[int],
+            hours: int | None = None) -> np.ndarray:
+    """Per-node encodings (N, T, hidden) of raw inputs, `hidden` ids unobserved,
+    or of their last `hours` hours only (`KrigingModel.encode`).
 
     The encoder never mixes nodes, so the encodings of any node subset can
     be taken on their own and joined later.
     """
-    return model.encode(_series(normalization, wind, emissions, pm25, hidden)).data
+    return model.encode(_series(normalization, wind, emissions, pm25, hidden), hours).data
 
 
 def _forward_only(model: KrigingModel, normalization: Normalization,
@@ -513,18 +514,20 @@ def _station_blocks(model: KrigingModel, normalization: Normalization,
     reads receptive_field hours up to and including the hour it encodes, so
     the encodings are taken from the inputs over [context, hi), with
     context receptive_field - 1 hours before lo (clipped at 0), and each
-    hour gets the bits of one encoding of the whole series.  With the
-    default 15-hour receptive field a 12-hour block is encoded over 26
-    hours; the block size trades that re-encoded context for a smaller
-    working set, and any size gives the same bits.
+    hour gets the bits of one encoding of the whole series.  Each encoder
+    layer runs only over the hours that the layers after it read, so a
+    12-hour block with its 14 hours of context runs the default encoder's
+    three layers over 26, 24 and 20 hours.  The block size trades that
+    re-encoded context for a smaller working set, and any size gives the
+    same bits.
     """
     history = model.config.receptive_field - 1
     for lo in range(0, dataset.t_hours, _BLOCK_HOURS):
         hi = min(lo + _BLOCK_HOURS, dataset.t_hours)
         context = max(0, lo - history)
-        encodings = _encode(model, normalization, dataset.wind[context:hi],
-                            dataset.emissions[context:hi], dataset.pm25[context:hi], hidden)
-        yield context, lo, hi, encodings[:, lo - context:]
+        yield context, lo, hi, _encode(model, normalization, dataset.wind[context:hi],
+                                       dataset.emissions[context:hi], dataset.pm25[context:hi],
+                                       hidden, hi - lo)
 
 
 def _evaluate(model: KrigingModel, normalization: Normalization,
@@ -828,9 +831,10 @@ def infer_grid(model: KrigingModel, normalization: Normalization,
             cell_wind = grid_wind[context:hi, cells]
             cell_encodings = _encode(model, normalization, cell_wind,
                                      grid_emissions[context:hi, cells],
-                                     np.zeros((hi - context, cells.size)), np.arange(cells.size))
+                                     np.zeros((hi - context, cells.size)), np.arange(cells.size),
+                                     hi - lo)
             wind = np.concatenate([dataset.wind[lo:hi], cell_wind[lo - context:]], axis=1)
             x_hat = _forward_only(model, normalization, graph.diffusion, graph.advection(wind),
-                                  [stations, cell_encodings[:, lo - context:]])
+                                  [stations, cell_encodings])
             out[lo:hi, cells] = x_hat[n_stations:].T
     return out

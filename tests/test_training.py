@@ -876,8 +876,8 @@ def _heap_peak(infer, *args) -> int:
 def test_infer_grid_heap_peak_is_flat_in_the_number_of_hours():
     """The tracemalloc peak of `infer_grid` less its (T, G) output, which
     is allocated first and lives throughout, is flat in T. On s1-advection
-    (400 cells) with numpy 2.4 the peak was 3.3 MiB over 240 h and 5.5 MiB
-    over 960 h, of which the output is 0.7 and 2.9 MiB, so 2.6 MiB besides
+    (400 cells) with numpy 2.4 the peak was 3.0 MiB over 240 h and 5.3 MiB
+    over 960 h, of which the output is 0.7 and 2.9 MiB, so 2.3 MiB besides
     at both lengths (48-hour blocks: 7.9 and 10.1 MiB). Encoding every
     node over the whole series and refining in hour blocks gave 14.9 and
     59.1 MiB."""
@@ -897,7 +897,7 @@ def test_infer_grid_heap_peak_is_flat_in_the_number_of_hours():
 
 def test_infer_grid_heap_peak_stays_well_below_the_whole_window_path():
     """On s1-advection (240 h, 400 cells) the tracemalloc peak of `infer_grid`
-    was 0.115 of the whole-window reference's with numpy 2.4 (3.2 of 28.0
+    was 0.106 of the whole-window reference's with numpy 2.4 (3.0 of 28.0
     MiB), and 0.28 with 48-hour blocks. Encoding every node over the whole
     series and refining in hour blocks gave 0.53."""
     run = run_scenario(scenario_preset("s1-advection"), seed=0)
