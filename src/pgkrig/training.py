@@ -497,10 +497,8 @@ def _forward_only(model: KrigingModel, normalization: Normalization,
     return normalization.to_physical(model.refine(h, diffusion, advection)).data
 
 
-# hours that an inference pass encodes and refines at once; a block's
-# encodings, advection rates and refinement are inference's working set, so
-# this sets its size (the cost is re-encoding receptive_field - 1 hours of
-# context per block)
+# hours that an inference pass encodes and refines at once: a block's
+# encodings, advection rates and refinement are inference's working set
 _BLOCK_HOURS = 12
 
 
