@@ -176,16 +176,15 @@ def _read_table(path, header: str, kinds: str):
     integer and ``b`` a 0/1 bit (both int64), ``f`` a finite float. The
     file is read and parsed _BATCH_ROWS rows at a time, and each batch is
     kept as one copy per column, so only the parsed columns span the whole
-    file. Each batch goes through numpy's
-    reader in one call; if it misses, the batch is parsed again row by
-    row, so the error names the first bad line in file order. Returns
-    (comments, first_line, columns), where data row r sits on line
-    ``first_line + r``.
+    file. Each batch goes through numpy's reader in one call; if it
+    misses, the batch is parsed again row by row, so the error names the
+    first bad line in file order. Returns (comments, first_line, columns),
+    where data row r sits on line ``first_line + r``.
     """
     names = header.split(",")
     dtype = [(name, np.float64 if kind == "f" else np.int64)
              for name, kind in zip(names, kinds)]
-    parts: list[list[np.ndarray]] = [[] for _ in names]
+    parts = [[np.empty(0, column_type)] for _, column_type in dtype]
     try:
         with open(path, encoding="utf-8") as fh:
             lines = chain.from_iterable(_line_lists(fh))
@@ -217,8 +216,8 @@ def _read_table(path, header: str, kinds: str):
     # each column's batches are freed once it is joined, so at most one
     # column is held twice
     columns = []
-    for part, (_, column_type) in zip(parts, dtype):
-        columns.append(np.concatenate(part) if part else np.empty(0, column_type))
+    for part in parts:
+        columns.append(np.concatenate(part))
         part.clear()
     return comments, body_start + 1, columns
 
