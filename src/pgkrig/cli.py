@@ -462,8 +462,8 @@ def main(argv=None) -> int:
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DataError, OSError, MemoryError) as exc:  # MemoryError: inputs or model too large
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -12,8 +12,8 @@ Three operators drive the propagation model:
 One rule, in `node_pairs`, connects two distinct nodes strictly closer
 than a positive threshold; it lists the pairs row-major, which is CSR
 order, and every operator is built straight from that list.  A caller
-that builds several operators of one node set can list its pairs once and
-pass them to each builder.
+that builds several operators of one node set, or advection over several
+hour blocks, can list its pairs once and pass them to each builder.
 
 All builders are pure functions of their inputs and the returned
 structures are never mutated, so they are safe to share across threads.
@@ -131,10 +131,6 @@ class AdvectionOperator:
     def __len__(self) -> int:
         return self.rates.shape[0]
 
-    def window(self, lo: int, hi: int) -> "AdvectionOperator":
-        """The same operator over hours [lo, hi)."""
-        return AdvectionOperator(self.rates[lo:hi], self.indices, self.indptr)
-
     @cached_property
     def weights(self) -> sp.csr_matrix:
         import scipy.sparse as sp
@@ -157,6 +153,7 @@ class NodePairs(NamedTuple):
     rows: np.ndarray
     cols: np.ndarray
     dist: np.ndarray
+    geom: np.ndarray | None  # (E, 2) (p_row - p_col) / dist^2; None if two nodes coincide
 
 
 def node_pairs(nodes: NodeSet, threshold_xi: float) -> NodePairs:
@@ -167,7 +164,20 @@ def node_pairs(nodes: NodeSet, threshold_xi: float) -> NodePairs:
     near = dist < threshold_xi
     np.fill_diagonal(near, False)
     rows, cols = np.nonzero(near)
-    return NodePairs(rows, cols, dist[rows, cols])
+    dist, offset = dist[rows, cols], nodes.positions[rows] - nodes.positions[cols]
+    # a pair's rate is 3.6 * relu(wind_mid . geom): geom folds the upwind
+    # cosine and the 1/distance decay into one factor
+    geom = None if np.any(dist == 0.0) else offset / (dist * dist)[:, None]
+    return NodePairs(rows, cols, dist, geom)
+
+
+def pair_geometry(pairs: NodePairs) -> np.ndarray:
+    """The pairs' advection geometry; GraphBuildError where two nodes coincide."""
+    if pairs.geom is None:
+        k = int(np.argmax(pairs.dist == 0.0))
+        raise GraphBuildError(f"nodes {pairs.cols[k]} and {pairs.rows[k]} are coincident: "
+                              "advection direction undefined")
+    return pairs.geom
 
 
 def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
@@ -198,7 +208,7 @@ def build_geo_adjacency(nodes: NodeSet, threshold_xi: float = DEFAULT_THRESHOLD_
     """
     import scipy.sparse as sp
 
-    rows, cols, dist = node_pairs(nodes, threshold_xi) if pairs is None else pairs
+    rows, cols, dist, _ = node_pairs(nodes, threshold_xi) if pairs is None else pairs
     if not rows.size:
         raise GraphBuildError(
             f"no node pair closer than threshold {threshold_xi} km: graph is fully isolated")
@@ -261,10 +271,7 @@ def build_advection_operator(nodes: NodeSet, wind: np.ndarray,
         GraphBuildError: bad wind shape, non-finite wind, or a coincident
             node pair (transport direction undefined).
     """
-    wind = np.asarray(wind, dtype=np.float64)
-    if wind.shape != (nodes.n, 2):
-        raise GraphBuildError(f"wind must be ({nodes.n}, 2), got {wind.shape}")
-    return advection_sequence(nodes, wind[None], threshold_xi)
+    return advection_sequence(nodes, np.asarray(wind)[None], threshold_xi)
 
 
 def _upwind_term(component: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -283,12 +290,11 @@ def advection_sequence(nodes: NodeSet, wind_series: np.ndarray,
                        pairs: NodePairs | None = None) -> AdvectionOperator:
     """The advection operator over every hour of a (T, N, 2) wind series.
 
-    The pair geometry is computed once and the (T, E) rates in one pass
-    per wind component.  The pairs come in CSR order, and rates the ReLU
-    clips to 0 stay stored, so every hour has the same sparsity pattern.
-    `pairs`, if given, is ``node_pairs(nodes, threshold_xi)``; each hour's
-    rates depend only on that hour's wind, so the operators of consecutive
-    windows of a series are that series' operator, window by window.
+    The (T, E) rates take one pass per wind component over the geometry of
+    `pairs` (``node_pairs(nodes, threshold_xi)`` if not given), in CSR
+    order; rates the ReLU clips to 0 stay stored, so every hour has the
+    same sparsity pattern.  Each hour's rates depend only on its wind, so
+    the operator of any hours is those hours of the whole series', bitwise.
     """
     wind_series = np.asarray(wind_series, dtype=np.float64)
     if wind_series.ndim != 3 or wind_series.shape[0] < 1:
@@ -301,17 +307,11 @@ def advection_sequence(nodes: NodeSet, wind_series: np.ndarray,
     if not np.all(np.isfinite(wind_series)):
         raise GraphBuildError("wind_series contains non-finite values")
 
-    rows, cols, dist = node_pairs(nodes, threshold_xi) if pairs is None else pairs
-    if np.any(dist == 0.0):
-        k = int(np.argmax(dist == 0.0))
-        raise GraphBuildError(
-            f"nodes {cols[k]} and {rows[k]} are coincident: advection direction undefined")
-    # weight = 3.6 * relu(wind_mid . geom): the dot product folds the upwind
-    # cosine and the 1/distance decay into one step, taken one wind
-    # component at a time.  np.take keeps each (T, E) term in C order (a
-    # fancy index on axis 1 comes back in F order), so a window's rows are
-    # the data of its ``weights`` without a copy.
-    geom = (nodes.positions[rows] - nodes.positions[cols]) / (dist * dist)[:, None]
+    pairs = node_pairs(nodes, threshold_xi) if pairs is None else pairs
+    rows, cols, geom = pairs.rows, pairs.cols, pair_geometry(pairs)
+    # one wind component at a time: np.take keeps each (T, E) term in C
+    # order (a fancy index on axis 1 comes back in F order), so the rates
+    # are the data of ``weights`` without a copy
     rates, v_term = (_upwind_term(wind_series[:, :, c], rows, cols, geom[:, c]) for c in (0, 1))
     rates += v_term
     np.maximum(rates, 0.0, out=rates)

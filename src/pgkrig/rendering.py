@@ -68,6 +68,9 @@ def render_pgm(frame: np.ndarray, vmin: float | None = None,
     if span == 0.0:
         pixels = np.zeros(frame.shape, dtype=np.int64)
     else:
+        frame = np.clip(frame, lo, hi)  # beyond the bounds the pixels saturate anyway
+        if np.isinf(span):  # halve every term, so frame - lo cannot overflow either
+            frame, lo, span = frame / 2, lo / 2, hi / 2 - lo / 2
         pixels = np.clip(np.rint((frame - lo) / span * _MAX_GRAY), 0, _MAX_GRAY)
         pixels = pixels.astype(np.int64)
     ny, nx = frame.shape

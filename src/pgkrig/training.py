@@ -19,7 +19,7 @@ from . import DataError, NumericFailure
 from . import autodiff as ad
 from .graphs import (DEFAULT_THRESHOLD_KM, AdvectionOperator, DiffusionOperator, NodePairs,
                      NodeSet, advection_sequence, build_diffusion_operator,
-                     build_geo_adjacency, node_pairs)
+                     build_geo_adjacency, node_pairs, pair_geometry)
 from .losses import (LossWeights, aod_gradient_loss, composite_loss,
                      count_valid_edge_terms, edges_from_adjacency, infer_loss, init_loss)
 from .metrics import NodeScore, score_pooled
@@ -407,42 +407,40 @@ class TrainResult:
 
 @dataclass(frozen=True)
 class Graph:
-    """The operators of one node set: what every kriging forward runs on."""
-
-    diffusion: DiffusionOperator
-    advection: AdvectionOperator  # over every hour
-    edges: np.ndarray  # (E, 2) undirected adjacency pairs, i < j
-
-    def window(self, lo: int, hi: int) -> "Graph":
-        """The same graph over hours [lo, hi); only advection depends on time."""
-        return Graph(self.diffusion, self.advection.window(lo, hi), self.edges)
-
-
-def prepare_graph(nodes: NodeSet, wind: np.ndarray, threshold_km: float) -> Graph:
-    """Build the operators for `nodes` under a (T, N, 2) wind series."""
-    pairs = node_pairs(nodes, threshold_km)
-    geo = build_geo_adjacency(nodes, threshold_km, pairs)
-    return Graph(diffusion=build_diffusion_operator(geo),
-                 advection=advection_sequence(nodes, wind, threshold_km, pairs),
-                 edges=edges_from_adjacency(geo))
-
-
-@dataclass(frozen=True)
-class _NodeGraph:
-    """What a forward-only pass keeps of one node set's graph across hour
-    blocks: the diffusion operator, and the pairs each block's advection
-    rates are built on."""
+    """One node set's pairs, diffusion operator and proxy-loss edges: what
+    every kriging forward runs on.  Only advection depends on time, and
+    `advection` builds it for any hours from the pairs' geometry."""
 
     nodes: NodeSet
     threshold_km: float
     pairs: NodePairs
+    sigma_sq: float
     diffusion: DiffusionOperator
+    edges: np.ndarray  # (E, 2) undirected adjacency pairs, i < j
 
     @classmethod
-    def build(cls, nodes: NodeSet, threshold_km: float) -> "_NodeGraph":
-        pairs = node_pairs(nodes, threshold_km)
-        return cls(nodes, threshold_km, pairs, build_diffusion_operator(
-            build_geo_adjacency(nodes, threshold_km, pairs)))
+    def build(cls, nodes: NodeSet, threshold_km: float) -> "Graph":
+        """The graph of `nodes`; refused where two nodes coincide, as their advection would be."""
+        return cls._of_pairs(nodes, threshold_km, node_pairs(nodes, threshold_km))
+
+    @classmethod
+    def _of_pairs(cls, nodes: NodeSet, threshold_km: float, pairs: NodePairs) -> "Graph":
+        pair_geometry(pairs)
+        geo = build_geo_adjacency(nodes, threshold_km, pairs)
+        return cls(nodes, threshold_km, pairs, geo.sigma_sq, build_diffusion_operator(geo),
+                   edges_from_adjacency(geo))
+
+    def subset(self, keep: np.ndarray) -> "Graph":
+        """The graph of the sorted node ids `keep`, renumbered 0..K-1: bitwise
+        `build`'s on those nodes, from this graph's pairs between them."""
+        if keep.size == self.nodes.n:
+            return self
+        new_id = np.full(self.nodes.n, -1)
+        new_id[keep] = np.arange(keep.size)
+        rows, cols = new_id[self.pairs.rows], new_id[self.pairs.cols]
+        kept = (rows >= 0) & (cols >= 0)
+        return Graph._of_pairs(NodeSet(self.nodes.positions[keep]), self.threshold_km, NodePairs(
+            rows[kept], cols[kept], self.pairs.dist[kept], self.pairs.geom[kept]))
 
     def advection(self, wind: np.ndarray) -> AdvectionOperator:
         """The advection operator over the hours of a (T, N, 2) wind block."""
@@ -467,7 +465,7 @@ def predict(model: KrigingModel, normalization: Normalization, graph: Graph,
     Forward-only passes use `_encode` and `_forward_only` instead.
     """
     series = _series(normalization, wind, emissions, pm25, hidden)
-    x_init, x_hat = model.full_forward(series, graph.diffusion, graph.advection)
+    x_init, x_hat = model.full_forward(series, graph.diffusion, graph.advection(wind))
     return normalization.to_physical(x_init), normalization.to_physical(x_hat)
 
 
@@ -539,11 +537,11 @@ def _evaluate(model: KrigingModel, normalization: Normalization,
     """
     model = model.detached()
     lo, hi = time_range
-    graph = graph.window(lo, hi)
     inputs = (view.wind[lo:hi], view.emissions[lo:hi], view.pm25[lo:hi])
+    advection = graph.advection(view.wind[lo:hi])
     preds, truths = [], []
     for target in targets:
-        x_hat = _forward_only(model, normalization, graph.diffusion, graph.advection,
+        x_hat = _forward_only(model, normalization, graph.diffusion, advection,
                               [_encode(model, normalization, *inputs, target)])
         preds.append(x_hat[target, :].ravel())
         truths.append(view.pm25[lo:hi].T[target, :].ravel())
@@ -559,8 +557,8 @@ def train(dataset: StationDataset, model_config: ModelConfig, config: TrainConfi
     absent from the training graph, the standardization statistics, and
     every loss term. Within each batch a fresh partition of the training
     stations is masked and reconstructed; with `station_dropout` set, each
-    batch additionally rebuilds the graph on a random station subset so the
-    learned fill-in map is not tied to one node layout.
+    batch additionally runs on the training graph's subset of random
+    stations, so the learned fill-in map is not tied to one node layout.
 
     Args:
         dataset: full station bundle (including stations to hold out).
@@ -589,7 +587,7 @@ def train(dataset: StationDataset, model_config: ModelConfig, config: TrainConfi
 
     train_ids, heldout_ids = holdout_split(dataset.n, split.holdout_fraction, split.seed)
     view = dataset.subset(train_ids)
-    graph = prepare_graph(view.nodes, view.wind, threshold_km)
+    graph = Graph.build(view.nodes, threshold_km)
     normalization = Normalization.fit(view, split.train_range)
 
     model = KrigingModel(model_config, seed=config.seed)
@@ -645,12 +643,10 @@ def train(dataset: StationDataset, model_config: ModelConfig, config: TrainConfi
             ratio = config.mask_ratio
             if config.mask_jitter > 0.0:
                 ratio = jittered_ratio(ratio, config.mask_jitter, n_kept, rng)
+            keep = station_ids
             if config.station_dropout > 0.0:
                 keep = np.sort(rng.permutation(view.n)[:n_kept])
-                b_graph = prepare_graph(NodeSet(view.nodes.positions[keep]),
-                                        view.wind[t0:t1][:, keep], threshold_km)
-            else:
-                keep, b_graph = station_ids, graph.window(t0, t1)
+            b_graph = graph.subset(keep)
             target = sample_partition(np.arange(n_kept), ratio, rng)
             try:
                 x_init, x_hat = predict(
@@ -708,10 +704,10 @@ def infer_stations(model: KrigingModel, normalization: Normalization,
 
     Target nodes enter the graph with zeroed pollution channels and zero
     observed flags, so their true values can never reach the output.  The
-    graph's pairs and diffusion operator are built once; then each 12-hour
-    block is encoded, given its advection rates and refined on its own
-    (`_station_blocks`), so no intermediate spans more than one block and
-    the output is bitwise that of one `full_forward` over the whole series.
+    graph is built once; then each 12-hour block is encoded, given its
+    advection rates and refined on its own (`_station_blocks`), so no
+    intermediate spans more than one block and the output is bitwise that
+    of one `full_forward` over the whole series.
 
     Args:
         model: trained (or fresh) model.
@@ -732,7 +728,7 @@ def infer_stations(model: KrigingModel, normalization: Normalization,
     if len(np.unique(target_ids)) != target_ids.size:
         raise ConfigError("target ids contain duplicates")
     model = model.detached()
-    graph = _NodeGraph.build(dataset.nodes, threshold_km)
+    graph = Graph.build(dataset.nodes, threshold_km)
     out = np.empty((dataset.t_hours, target_ids.size))
     for _, lo, hi, encodings in _station_blocks(model, normalization, dataset, target_ids):
         x_hat = _forward_only(model, normalization, graph.diffusion,
@@ -763,7 +759,7 @@ def infer_grid(model: KrigingModel, normalization: Normalization,
     prediction does not depend on the order of the rows of
     `grid_positions`; it does still depend on which other cells are given.
 
-    Each batch's pairs and diffusion operator are built once. The hours
+    Each batch's graph is built once. The hours
     then run one 12-hour block at a time (`_station_blocks`): the stations
     are encoded once per block, and each batch encodes its cells over the
     same hours, builds the block's advection rates and refines the joined
@@ -804,7 +800,7 @@ def infer_grid(model: KrigingModel, normalization: Normalization,
     node_of_cell = np.array([station_lookup.get(pos.tobytes(), -1) for pos in grid_positions],
                             dtype=np.int64)
     coincident = node_of_cell >= 0
-    station_graph = _NodeGraph.build(dataset.nodes, threshold_km) if coincident.any() else None
+    station_graph = Graph.build(dataset.nodes, threshold_km) if coincident.any() else None
 
     free = np.nonzero(~coincident)[0]
     free = free[np.lexsort((grid_positions[free, 0], grid_positions[free, 1]))]
@@ -815,8 +811,8 @@ def infer_grid(model: KrigingModel, normalization: Normalization,
     # training
     order = np.random.default_rng(0).permutation(free.size)
     chunks = [free[order[start:start + chunk]] for start in range(0, free.size, chunk)]
-    graphs = [_NodeGraph.build(NodeSet(np.concatenate([dataset.nodes.positions,
-                                                       grid_positions[cells]])), threshold_km)
+    graphs = [Graph.build(NodeSet(np.concatenate([dataset.nodes.positions,
+                                                  grid_positions[cells]])), threshold_km)
               for cells in chunks]
 
     out = np.empty((t_hours, g_cells))

@@ -111,6 +111,12 @@ def stack_hours(steps):
     return ad._make(data, "stack", steps, backward)
 
 
+def hour_operator(advection, hour):
+    """The N x N advection operator of one hour of a window's operator."""
+    return g.AdvectionOperator(advection.rates[hour:hour + 1], advection.indices,
+                               advection.indptr)
+
+
 def per_hour_layer(x, diffusion, advection, weights, bias, activation):
     """One propagation layer at one hour, as primitive ops on (N, F) features."""
     diff_msg = sparse_matmul(diffusion.weights, x)
@@ -127,12 +133,12 @@ def per_hour_propagation(x, diffusion, advection, layers, activation):
     """The propagation stack run hour after hour on (N, T, F) x, then stacked.
 
     ``layers`` holds one (weights, bias) pair per layer.  Hour t takes its
-    slice of x and runs every layer on ``advection.window(t, t + 1)``.
+    slice of x and runs every layer on ``hour_operator(advection, t)``.
     """
     steps = []
     for hour in range(x.shape[1]):
         h = ad.take(x, (slice(None), hour, slice(None)))
-        operator = advection.window(hour, hour + 1)
+        operator = hour_operator(advection, hour)
         for weights, bias in layers:
             h = per_hour_layer(h, diffusion, operator, weights, bias, activation)
         steps.append(h)
@@ -141,7 +147,7 @@ def per_hour_propagation(x, diffusion, advection, layers, activation):
 
 def per_hour_forward(model, series, diffusion, advection):
     """full_forward as the per-hour loop ran it: hour t's slice of the encoder
-    output goes through every layer on advection.window(t, t + 1), and the
+    output goes through every layer on hour_operator(advection, t), and the
     hours are stacked before the readout."""
     h0 = model.encode(series)
     x_init = model.init_readout(h0)
@@ -294,8 +300,7 @@ def chunked_predict_grid(model, normalization, dataset, grid_positions, grid_win
     coincident = node_of_cell >= 0
     out = np.empty((t_hours, grid_positions.shape[0]))
     if np.any(coincident):
-        _, x_hat = tr.predict(model, normalization,
-                              tr.prepare_graph(dataset.nodes, dataset.wind, threshold_km),
+        _, x_hat = tr.predict(model, normalization, tr.Graph.build(dataset.nodes, threshold_km),
                               dataset.wind, dataset.emissions, dataset.pm25, [])
         out[:, coincident] = x_hat.data.T[:, node_of_cell[coincident]]
     free = np.nonzero(~coincident)[0]
@@ -309,7 +314,7 @@ def chunked_predict_grid(model, normalization, dataset, grid_positions, grid_win
         emissions = np.concatenate([dataset.emissions, grid_emissions[:, cells]], axis=1)
         pm25 = np.zeros((t_hours, nodes.n))
         pm25[:, :n_stations] = dataset.pm25
-        _, x_hat = tr.predict(model, normalization, tr.prepare_graph(nodes, wind, threshold_km),
+        _, x_hat = tr.predict(model, normalization, tr.Graph.build(nodes, threshold_km),
                               wind, emissions, pm25, np.arange(n_stations, nodes.n))
         out[:, cells] = x_hat.data[n_stations:, :].T
     return out

@@ -56,10 +56,13 @@ def test_advection_step_count_is_window_length():
     assert counter(ops, (nodes, wind)) == {"graphs.advection_steps": 7}
 
 
-def test_prepare_graph_runs_each_traced_builder_once():
+def test_graph_and_one_block_advection_run_each_traced_builder_once():
     # `graphs.build_s` times the three builders through the bindings the
     # tracer patches; a graph built any other way would read 0 s
     import pgkrig.training
+
+    def graph_and_advection(nodes, wind):
+        return pgkrig.training.Graph.build(nodes, 10.0).advection(wind)
 
     spans = load_spans()
     tracer = spans.Tracer()
@@ -67,7 +70,7 @@ def test_prepare_graph_runs_each_traced_builder_once():
     try:
         nodes = NodeSet(np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]]))
         wind = np.random.default_rng(0).normal(0.0, 2.0, size=(5, 3, 2))
-        tracer.run_stage("prepare", pgkrig.training.prepare_graph, nodes, wind, 10.0)
+        tracer.run_stage("graph", graph_and_advection, nodes, wind)
     finally:
         tracer.uninstall()
     builds = {name: count for name, count in tracer.counts.items()

@@ -513,6 +513,18 @@ def test_train_config_fault_names_its_section_before_reading_data(tmp_path, caps
     assert capsys.readouterr().err == f"error: section {message}\n"
 
 
+def test_train_model_too_large_for_memory_is_data_error(pipeline, tmp_path, capsys):
+    # numpy refuses the first parameter's allocation at once
+    _, _, _, data, _ = pipeline
+    cfg = tmp_path / "huge.yaml"
+    cfg.write_text("model: {hidden_dim: 1000000000000}\n", encoding="utf-8")
+    assert run_cli("train", "--config", cfg, "--data", data,
+                   "--out", tmp_path / "x.ckpt") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+    assert not (tmp_path / "x.ckpt").exists()
+
+
 def test_train_without_data_dir_or_env_is_usage_error(pipeline, monkeypatch):
     _, _, cfg, _, _ = pipeline
     monkeypatch.delenv(cli.DATA_DIR_ENV, raising=False)
@@ -857,6 +869,21 @@ def test_render_fixed_bounds_and_time(pipeline, tmp_path):
     frame = truth[30].reshape(6, 8)
     expect = np.clip(np.rint((frame - 0.0) / 3.0 * 255.0), 0, 255)
     assert np.array_equal(pixels[::-1], expect.astype(np.int64))
+
+
+def test_render_field_beyond_the_float_range(pipeline, tmp_path, capsys):
+    # hi - lo overflows to inf; the pixels must still be a valid graymap
+    _, _, _, data, _ = pipeline
+    values = np.zeros((2, CELLS))
+    values[1, 0], values[1, 1] = 1e308, -1e308
+    field = tmp_path / "huge.csv"
+    dataio.write_values(field, values, "pm25")
+    out = tmp_path / "huge.pgm"
+    assert run_cli("render", "--field", field, "--grid", data / "grid.csv",
+                   "--out", out, "--time", 1) == 0
+    assert capsys.readouterr().err == ""
+    pixels = parse_pgm(out.read_text())[::-1].ravel()
+    assert (pixels[0], pixels[1]) == (255, 0) and np.all(pixels[2:] == 128)
 
 
 def test_render_time_out_of_range_is_data_error(pipeline, tmp_path):

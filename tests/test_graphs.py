@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from pgkrig import graphs as g
 from pgkrig.losses import edges_from_adjacency
 from reference_ops import (coo_diffusion_operator, coo_edges, dense_advection_sequence,
-                           dense_geo_adjacency)
+                           dense_geo_adjacency, hour_operator)
 
 
 def random_nodeset(rng, n=None):
@@ -215,9 +215,9 @@ class TestAdvectionSequence:
         series = np.tile(np.array([[1.0, 2.0]]), (5, 3, 1))
         op = g.advection_sequence(ns, series, threshold_xi=10.0)
         assert len(op) == 5
-        first = op.window(0, 1).weights.toarray()
+        first = hour_operator(op, 0).weights.toarray()
         for step in range(1, 5):
-            np.testing.assert_array_equal(op.window(step, step + 1).weights.toarray(), first)
+            np.testing.assert_array_equal(hour_operator(op, step).weights.toarray(), first)
 
     def test_zero_wind_all_zero(self):
         ns = g.NodeSet(np.array([[0.0, 0.0], [3.0, 0.0]]))
@@ -233,8 +233,8 @@ class TestAdvectionSequence:
         series = np.broadcast_to(series, (t, ns.n, 2))
         op = g.advection_sequence(ns, series, threshold_xi=80.0)
         for step in range(t):
-            a = op.window(step, step + 1).weights.toarray()
-            b = op.window(t - 1 - step, t - step).weights.toarray()
+            a = hour_operator(op, step).weights.toarray()
+            b = hour_operator(op, t - 1 - step).weights.toarray()
             np.testing.assert_allclose(a, b.T, atol=1e-12)
 
     def test_matches_single_step_builder(self):
@@ -245,7 +245,7 @@ class TestAdvectionSequence:
         for step in range(3):
             single = g.build_advection_operator(ns, series[step], threshold_xi=70.0)
             np.testing.assert_array_equal(
-                op.window(step, step + 1).weights.toarray(), single.weights.toarray())
+                hour_operator(op, step).weights.toarray(), single.weights.toarray())
 
     def test_spatially_varying_wind_uses_edge_midpoints(self):
         # every testbed preset blows uniform wind, so only this test gives
@@ -256,14 +256,14 @@ class TestAdvectionSequence:
         wind = rng.normal(0.0, 3.0, size=(t, ns.n, 2))
         ops = g.advection_sequence(ns, wind, threshold_xi=xi)
         assert len(ops) == t
-        ops = [ops.window(step, step + 1) for step in range(t)]
+        ops = [hour_operator(ops, step) for step in range(t)]
 
         pos = ns.positions
         offset = pos[:, None, :] - pos[None, :, :]  # p_i - p_j
         dist = g.planar_distances(pos)
         near = (dist < xi) & ~np.eye(ns.n, dtype=bool)
         d_sq = np.where(near, dist * dist, 1.0)
-        rows, cols, d = g.node_pairs(ns, xi)
+        rows, cols, d, _ = g.node_pairs(ns, xi)
         geom = (pos[rows] - pos[cols]) / (d * d)[:, None]
         for step, op in enumerate(ops):
             w = wind[step]
@@ -331,16 +331,14 @@ def test_window_operator_places_each_hour_in_its_block():
     expected = np.zeros((ns.n * t, ns.n * t))
     for hour in range(t):
         expected[hour * ns.n:(hour + 1) * ns.n, hour::t] = (
-            op.window(hour, hour + 1).weights.toarray())
+            hour_operator(op, hour).weights.toarray())
     np.testing.assert_array_equal(op.weights.toarray(), expected)
 
     x = rng.normal(size=(ns.n, t, 3))
     messages = (op.weights @ x.reshape(ns.n * t, 3)).reshape(t, ns.n, 3)
     for hour in range(t):
-        single = op.window(hour, hour + 1).weights @ np.ascontiguousarray(x[:, hour, :])
+        single = hour_operator(op, hour).weights @ np.ascontiguousarray(x[:, hour, :])
         assert messages[hour].tobytes() == single.tobytes()
-    late = op.window(2, 5)
-    assert len(late) == 3 and late.window(1, 2).rates.tobytes() == op.rates[3:4].tobytes()
 
 
 def _parity_layouts():

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from reference_ops import per_hour_forward
+from reference_ops import hour_operator, per_hour_forward
 
 from pgkrig import autodiff as ad
 from pgkrig import graphs as g
@@ -50,7 +50,7 @@ def advection_from_dense(dense):
 
 def hourly_dense(advection):
     """(T, N, N): hour t's operator as a dense matrix."""
-    return np.stack([advection.window(hour, hour + 1).weights.toarray()
+    return np.stack([hour_operator(advection, hour).weights.toarray()
                      for hour in range(len(advection))])
 
 
@@ -309,7 +309,8 @@ class TestFullForward:
         series, diffusion, advection = toy_inputs(rng, t=8)
         model = nw.KrigingModel(small_config(), seed=0)
         with pytest.raises(nw.ModelError):
-            model.full_forward(series, diffusion, advection.window(0, 7))
+            model.full_forward(series, diffusion, g.AdvectionOperator(
+                advection.rates[:7], advection.indices, advection.indptr))
 
     def test_every_parameter_gets_gradient(self):
         rng = np.random.default_rng(15)

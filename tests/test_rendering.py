@@ -100,3 +100,33 @@ def test_field_frame_hour_bounds():
     geometry = GridGeometry(nx=2, ny=2, cell_km=1.0)
     with pytest.raises(RenderError, match="outside"):
         field_frame(np.zeros((3, 4)), geometry, hour=3)
+
+
+@pytest.mark.parametrize("frame, vmin, vmax, expect", [
+    ([[1e308, -1e308]], None, None, [255, 0]),
+    ([[0.0, 1e308, -1e308]], None, None, [128, 255, 0]),
+    ([[-1.7e308, 1.7e308, 0.0]], None, None, [0, 255, 128]),
+    ([[0.0, 5.0]], -1e308, 1e308, [128, 128]),
+    ([[1e308, -1e308]], -1.0, 1.0, [255, 0]),
+    ([[1e308, -1e308, 0.5]], 0.0, 1.0, [255, 0, 128]),
+    ([[1.7e308]], -1.7e308, 0.0, [255]),
+])
+def test_scale_beyond_the_float_range_gives_valid_pixels(frame, vmin, vmax, expect):
+    # hi - lo, or a value's distance from lo, overflows to inf
+    pixels = parse_pgm(render_pgm(np.array(frame), vmin, vmax))
+    assert list(pixels[0]) == expect
+
+
+def test_pixels_within_the_float_range_are_unchanged():
+    # the form the scaling took before bounds beyond the float range were handled
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        frame = rng.normal(0.0, 10.0 ** rng.integers(-3, 300), size=(3, 4))
+        lo, hi = np.sort(rng.normal(0.0, 10.0 ** rng.integers(-3, 300), size=2))
+        for vmin, vmax in ((None, None), (lo, hi)):
+            a = frame.min() if vmin is None else vmin
+            b = frame.max() if vmax is None else vmax
+            with np.errstate(over="ignore"):
+                scaled = np.rint((frame - a) / (b - a) * 255)
+            expect = np.clip(scaled, 0, 255).astype(np.int64)
+            assert np.array_equal(parse_pgm(render_pgm(frame, vmin, vmax))[::-1], expect)

@@ -12,8 +12,8 @@ import pytest
 from pgkrig import autodiff as ad
 from pgkrig import training as tr
 from pgkrig.dataio import SchemaError, from_mapping
-from pgkrig.graphs import NodeSet, build_diffusion_operator, build_geo_adjacency, \
-    advection_sequence
+from pgkrig.graphs import GraphBuildError, NodeSet, build_diffusion_operator, \
+    build_geo_adjacency, advection_sequence
 from pgkrig.losses import LossWeights
 from pgkrig.network import KrigingModel, ModelConfig, make_node_series
 from pgkrig.testbed import AodSpec, EmissionSource, ScenarioSpec, run_scenario, \
@@ -502,29 +502,77 @@ def _csr_bytes(matrix):
     return tuple(getattr(matrix, a).tobytes() for a in ("data", "indices", "indptr"))
 
 
-def test_graph_window_equals_graph_of_the_window_bitwise():
-    # training slices one graph per window, and _evaluate the validation
-    # hours, instead of building the operators for those hours
+def test_advection_of_any_hours_is_those_hours_of_the_whole_series_bitwise():
+    # training batches, _evaluate and every inference block build the rates
+    # of their own hours only, from the pairs the graph holds
     rng = np.random.default_rng(11)
     nodes = NodeSet(rng.uniform(0.0, 40.0, size=(12, 2)))
     wind = rng.normal(0.0, 3.0, size=(30, nodes.n, 2))  # varies by node and hour
-    full = tr.prepare_graph(nodes, wind, 15.0)
-    assert len(full.advection) == 30 and full.edges.shape[0] > 0
+    graph = tr.Graph.build(nodes, 15.0)
+    whole = graph.advection(wind)
+    assert len(whole) == 30 and graph.edges.shape[0] > 0
     for lo, hi in ((0, 30), (4, 17), (29, 30)):
-        window = full.window(lo, hi)
-        direct = tr.prepare_graph(nodes, wind[lo:hi], 15.0)
-        a, b = window.advection, direct.advection
-        assert len(a) == len(b) == hi - lo
-        assert a.rates.tobytes() == b.rates.tobytes()
+        part = graph.advection(wind[lo:hi])
+        direct = advection_sequence(nodes, wind[lo:hi], 15.0)
+        assert len(part) == hi - lo
+        assert part.rates.tobytes() == whole.rates[lo:hi].tobytes() == direct.rates.tobytes()
+        for op in (whole, direct):
+            assert part.indices.tobytes() == op.indices.tobytes()
+            assert part.indptr.tobytes() == op.indptr.tobytes()
+        assert _csr_bytes(part.weights) == _csr_bytes(direct.weights)
+        assert _csr_bytes(part.transpose) == _csr_bytes(direct.transpose)
+
+
+@pytest.fixture(scope="module")
+def s1_training_view():
+    """The training stations of s1-advection at seed 0 over its first 48 h."""
+    dataset = tr.dataset_from_scenario(
+        run_scenario(replace(scenario_preset("s1-advection"), t_hours=48), seed=0))
+    train_ids, _ = tr.holdout_split(dataset.n, 0.3, 0)
+    return dataset.subset(train_ids)
+
+
+def _graph_outcome(build):
+    try:
+        return build()
+    except GraphBuildError as exc:
+        return str(exc)
+
+
+def test_subset_graph_is_the_graph_built_on_the_subset_bitwise(s1_training_view):
+    view = s1_training_view
+    graph = tr.Graph.build(view.nodes, 16.0)
+    assert graph.subset(np.arange(view.n)) is graph
+    rng = np.random.default_rng(12)
+    built = 0
+    for _ in range(60):
+        keep = np.sort(rng.permutation(view.n)[:int(rng.integers(2, view.n))])
+        wind = view.wind[10:34][:, keep]
+        sub = _graph_outcome(lambda: graph.subset(keep))
+        direct = _graph_outcome(lambda: tr.Graph.build(NodeSet(view.nodes.positions[keep]), 16.0))
+        if isinstance(direct, str):
+            assert sub == direct
+            continue
+        built += 1
+        assert sub.nodes.positions.tobytes() == direct.nodes.positions.tobytes()
+        assert sub.threshold_km == direct.threshold_km
+        for a, b in zip(sub.pairs, direct.pairs):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert sub.sigma_sq == direct.sigma_sq
+        assert _csr_bytes(sub.diffusion.weights) == _csr_bytes(direct.diffusion.weights)
+        assert sub.edges.dtype == direct.edges.dtype
+        assert sub.edges.tobytes() == direct.edges.tobytes()
+        a, b = sub.advection(wind), direct.advection(wind)
+        assert len(a) == 24 and a.rates.tobytes() == b.rates.tobytes()
         assert _csr_bytes(a.weights) == _csr_bytes(b.weights)
-        assert _csr_bytes(a.transpose) == _csr_bytes(b.transpose)
-        for hour in range(hi - lo):
-            assert (_csr_bytes(a.window(hour, hour + 1).weights)
-                    == _csr_bytes(b.window(hour, hour + 1).weights))
-        assert _csr_bytes(window.diffusion.weights) == _csr_bytes(direct.diffusion.weights)
-        assert _csr_bytes(window.diffusion.transpose) == _csr_bytes(direct.diffusion.transpose)
-        assert window.edges.dtype == direct.edges.dtype
-        assert window.edges.tobytes() == direct.edges.tobytes()
+    assert built >= 50
+
+
+def test_graph_of_coincident_nodes_is_refused():
+    # advection over it has no direction, and every graph runs advection
+    nodes = NodeSet(np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 0.0]]))
+    with pytest.raises(GraphBuildError, match="nodes 2 and 0 are coincident"):
+        tr.Graph.build(nodes, 10.0)
 
 
 def test_infer_grid_coincident_cell_reuses_station_node():
@@ -580,7 +628,7 @@ def test_infer_grid_is_equivariant_to_cell_order():
 def test_station_ids_are_labels():
     """Relabelling the stations (their positions, wind, emissions and pm25
     columns permuted, the targets mapped) moves no prediction of
-    infer_stations or infer_grid beyond rounding: prepare_graph, where the
+    infer_stations or infer_grid beyond rounding: Graph.build, where the
     kernel width and the degrees are computed, sees a set of stations."""
     run = toy_run()
     dataset = tr.dataset_from_scenario(run)
@@ -743,7 +791,7 @@ def _forward_only_passes(dataset, result):
     positions = dataset.nodes.positions[cells] + np.array([[0.0, 0.0]] + [[0.37, 0.41]] * 3)
     grid = tr.infer_grid(model, norm, dataset, positions, dataset.wind[:, cells],
                          dataset.emissions[:, cells], threshold_km=10.0)
-    graph = tr.prepare_graph(dataset.nodes, dataset.wind, 10.0)
+    graph = tr.Graph.build(dataset.nodes, 10.0)
     targets = [tr.sample_partition(np.arange(dataset.n), 0.5, np.random.default_rng(1))]
     scores = tr._evaluate(model, norm, dataset, graph, targets, (40, 60))
     return stations, grid, scores
@@ -781,7 +829,7 @@ def test_forward_only_passes_record_no_tape(monkeypatch):
 
 def _whole_window_stations(model, norm, dataset, targets, threshold_km):
     """`infer_stations` as one tracked `full_forward` over every hour."""
-    graph = tr.prepare_graph(dataset.nodes, dataset.wind, threshold_km)
+    graph = tr.Graph.build(dataset.nodes, threshold_km)
     _, whole = tr.predict(model.detached(), norm, graph, dataset.wind, dataset.emissions,
                           dataset.pm25, targets)
     return whole.data[targets].T.copy()
