@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from . import PRESET_NAMES, DataError, NumericFailure, dataio
-from .graphs import DEFAULT_THRESHOLD_KM
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,17 +48,6 @@ def _seed(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
     return int(text)
-
-
-def _threshold_km(text: str) -> float:
-    """The `--threshold-km` type: a positive, finite distance."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = None
-    if value is None or not 0.0 < value < float("inf"):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite distance")
-    return value
 
 
 def _resolve_data_dir(value) -> Path:
@@ -267,9 +255,10 @@ def _cmd_infer(args) -> int:
     out = _output_file(args.out)
     ckpt = dataio.load_checkpoint(args.ckpt)
     normalization = Normalization(mean=ckpt.norm_mean, std=ckpt.norm_std)
-    threshold = args.threshold_km
-    if threshold is None:
-        threshold = float(ckpt.meta.get("threshold_km", DEFAULT_THRESHOLD_KM))
+    if "threshold_km" not in ckpt.meta:
+        raise dataio.SchemaError(f"{args.ckpt}: meta has no threshold_km, the edge cutoff "
+                                 "the model was trained with")
+    threshold = float(ckpt.meta["threshold_km"])
     data_dir = _resolve_data_dir(args.data)
 
     if args.grid:
@@ -327,8 +316,7 @@ def _cmd_eval(args) -> int:
             f"hour range [{lo}, {hi}) is not inside [0, {pred.shape[0]})")
     pred, aligned = pred[lo:hi], aligned[lo:hi]
 
-    scores = [replace(s, node_id=int(pred_ids[i]))
-              for i, s in enumerate(score_per_node(pred, aligned))]
+    scores = score_per_node(pred, aligned, pred_ids)
     pooled = score_pooled(pred, aligned)
     sys.stdout.write(dataio.report_text(scores, pooled))
     if out:
@@ -408,8 +396,6 @@ def build_parser() -> _Parser:
     inf.add_argument("--grid", action="store_true",
                      help="reconstruct the full grid from grid.csv/grid_inputs.csv")
     inf.add_argument("--out", required=True, help="prediction CSV path")
-    inf.add_argument("--threshold-km", type=_threshold_km, default=None,
-                     help="edge cutoff override (default: from the checkpoint)")
     inf.set_defaults(func=_cmd_infer)
 
     ev = sub.add_parser("eval", help="score predictions against truth")

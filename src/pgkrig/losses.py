@@ -17,7 +17,7 @@ import numpy as np
 
 from . import DataError
 from . import autodiff as ad
-from .graphs import GeoAdjacency
+from .graphs import DiffusionOperator, GeoAdjacency
 
 
 class LossError(DataError, ValueError):
@@ -190,8 +190,9 @@ def validate_edges(edges: np.ndarray, n: int) -> np.ndarray:
     return edges
 
 
-def edges_from_adjacency(geo: GeoAdjacency) -> np.ndarray:
-    """Each undirected adjacency pair once, as (E, 2) with i < j."""
+def edges_from_adjacency(geo: GeoAdjacency | DiffusionOperator) -> np.ndarray:
+    """Each undirected adjacency pair once, as (E, 2) with i < j; an
+    operator built from the adjacency has its pattern, so gives the same."""
     w = geo.weights
     rows = np.repeat(np.arange(w.shape[0], dtype=w.indices.dtype), np.diff(w.indptr))
     keep = rows < w.indices

@@ -58,39 +58,55 @@ class NodeScore:
     r2: float | None  # None when the node's truth is constant
 
 
-def score_per_node(pred: np.ndarray, truth: np.ndarray) -> list[NodeScore]:
+def _score(node_id: int, pred: np.ndarray, truth: np.ndarray) -> NodeScore:
+    """The scores of one node's elements (the pooled row's at node_id -1).
+
+    Raises:
+        MetricError: a score overflows float64; the message names the node.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            node_mae, node_rmse = mae(pred, truth), rmse(pred, truth)
+            try:
+                node_r2: float | None = r2(pred, truth)
+            except MetricError:  # past `mae`, only zero-variance truth is left
+                node_r2 = None
+    except FloatingPointError as exc:
+        where = "pooled row" if node_id == -1 else f"node {node_id}"
+        raise MetricError(f"{where}: scores overflow float64 ({exc})") from None
+    return NodeScore(node_id=node_id, mae=node_mae, rmse=node_rmse, r2=node_r2)
+
+
+def score_per_node(pred: np.ndarray, truth: np.ndarray,
+                   node_ids: np.ndarray | list[int]) -> list[NodeScore]:
     """Score a (T, N) prediction node by node.
 
     Args:
         pred: (T, N) estimates.
         truth: (T, N) reference values.
+        node_ids: the N ids of the columns, in order.
 
     Returns:
-        One NodeScore per node, ordered by node id.  A node's r2 is None
+        One NodeScore per column, in column order.  A node's r2 is None
         when its truth is constant over the scored steps.
+
+    Raises:
+        MetricError: mismatched or empty arrays, or a node whose scores
+            overflow float64.
     """
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
-    if pred.ndim != 2 or pred.shape != truth.shape or not pred.size:
-        raise MetricError(
-            f"expected matching non-empty (T, N) arrays, got {pred.shape} and {truth.shape}")
-    scores = []
-    for node in range(pred.shape[1]):
-        node_mae = mae(pred[:, node], truth[:, node])
-        node_rmse = rmse(pred[:, node], truth[:, node])
-        try:
-            node_r2 = r2(pred[:, node], truth[:, node])
-        except MetricError:
-            node_r2 = None
-        scores.append(NodeScore(node_id=node, mae=node_mae, rmse=node_rmse, r2=node_r2))
-    return scores
+    if (pred.ndim != 2 or pred.shape != truth.shape or not pred.size
+            or len(node_ids) != pred.shape[1]):
+        raise MetricError(f"expected matching non-empty (T, N) arrays and N ids, got "
+                          f"{pred.shape}, {truth.shape} and {len(node_ids)} ids")
+    return [_score(int(node), pred[:, k], truth[:, k]) for k, node in enumerate(node_ids)]
 
 
 def score_pooled(pred: np.ndarray, truth: np.ndarray) -> NodeScore:
-    """Pool every element into one score (node_id -1); r2 is None for constant truth."""
-    pooled_mae = mae(pred, truth)  # raises on mismatched shapes and empty input
-    try:
-        pooled_r2: float | None = r2(pred, truth)
-    except MetricError:  # past `mae`, only zero-variance truth is left
-        pooled_r2 = None
-    return NodeScore(node_id=-1, mae=pooled_mae, rmse=rmse(pred, truth), r2=pooled_r2)
+    """Pool every element into one score (node_id -1); r2 is None for constant truth.
+
+    Raises:
+        MetricError: mismatched or empty arrays, or scores that overflow float64.
+    """
+    return _score(-1, pred, truth)

@@ -10,7 +10,8 @@ model has never seen because no parameter depends on the node count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -407,16 +408,15 @@ class TrainResult:
 
 @dataclass(frozen=True)
 class Graph:
-    """One node set's pairs, diffusion operator and proxy-loss edges: what
-    every kriging forward runs on.  Only advection depends on time, and
-    `advection` builds it for any hours from the pairs' geometry."""
+    """One node set's pairs and diffusion operator: what every kriging
+    forward runs on.  Only advection depends on time, and `advection`
+    builds it for any hours from the pairs' geometry."""
 
     nodes: NodeSet
     threshold_km: float
     pairs: NodePairs
     sigma_sq: float
     diffusion: DiffusionOperator
-    edges: np.ndarray  # (E, 2) undirected adjacency pairs, i < j
 
     @classmethod
     def build(cls, nodes: NodeSet, threshold_km: float) -> "Graph":
@@ -427,8 +427,7 @@ class Graph:
     def _of_pairs(cls, nodes: NodeSet, threshold_km: float, pairs: NodePairs) -> "Graph":
         pair_geometry(pairs)
         geo = build_geo_adjacency(nodes, threshold_km, pairs)
-        return cls(nodes, threshold_km, pairs, geo.sigma_sq, build_diffusion_operator(geo),
-                   edges_from_adjacency(geo))
+        return cls(nodes, threshold_km, pairs, geo.sigma_sq, build_diffusion_operator(geo))
 
     def subset(self, keep: np.ndarray) -> "Graph":
         """The graph of the sorted node ids `keep`, renumbered 0..K-1: bitwise
@@ -441,6 +440,12 @@ class Graph:
         kept = (rows >= 0) & (cols >= 0)
         return Graph._of_pairs(NodeSet(self.nodes.positions[keep]), self.threshold_km, NodePairs(
             rows[kept], cols[kept], self.pairs.dist[kept], self.pairs.geom[kept]))
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """The proxy loss's (E, 2) undirected adjacency pairs, i < j, built on
+        first use: the diffusion operator has the adjacency's pattern."""
+        return edges_from_adjacency(self.diffusion)
 
     def advection(self, wind: np.ndarray) -> AdvectionOperator:
         """The advection operator over the hours of a (T, N, 2) wind block."""
@@ -527,10 +532,11 @@ def _station_blocks(model: KrigingModel, normalization: Normalization,
 
 
 def _evaluate(model: KrigingModel, normalization: Normalization,
-              view: StationDataset, graph: Graph,
+              view: StationDataset, graph: Graph, advection: AdvectionOperator,
               targets: list[np.ndarray],
               time_range: tuple[int, int]) -> NodeScore:
-    """Pooled masked-reconstruction score over fixed target sets of a range.
+    """Pooled masked-reconstruction score over fixed target sets of a range,
+    whose advection operator is `advection`.
 
     Each target set is one forward-only pass over the whole range, encoded
     from the range's first hour on, as in training.
@@ -538,7 +544,6 @@ def _evaluate(model: KrigingModel, normalization: Normalization,
     model = model.detached()
     lo, hi = time_range
     inputs = (view.wind[lo:hi], view.emissions[lo:hi], view.pm25[lo:hi])
-    advection = graph.advection(view.wind[lo:hi])
     preds, truths = [], []
     for target in targets:
         x_hat = _forward_only(model, normalization, graph.diffusion, advection,
@@ -592,27 +597,11 @@ def train(dataset: StationDataset, model_config: ModelConfig, config: TrainConfi
 
     model = KrigingModel(model_config, seed=config.seed)
     aod_active = view.aod_values is not None
-    meta = {
-        "seed": int(config.seed),
-        "threshold_km": float(threshold_km),
-        "window": int(config.window),
-        "mask_ratio": float(config.mask_ratio),
-        "learning_rate": float(config.learning_rate),
-        "batches_per_epoch": int(config.batches_per_epoch),
-        "patience": int(config.patience),
-        "station_dropout": float(config.station_dropout),
-        "mask_jitter": float(config.mask_jitter),
-        "lambda1": float(weights.lambda1),
-        "lambda2": float(weights.lambda2),
-        "aod_loss_active": bool(aod_active),
-        "holdout_fraction": float(split.holdout_fraction),
-        "split_seed": int(split.seed),
-        "train_range": list(split.train_range),
-        "val_range": list(split.val_range),
-        "test_range": list(split.test_range),
-        "train_ids": [int(i) for i in train_ids],
-        "heldout_ids": [int(i) for i in heldout_ids],
-    }
+    meta = {**asdict(config), **asdict(weights), "threshold_km": threshold_km,
+            "aod_loss_active": aod_active, "holdout_fraction": split.holdout_fraction,
+            "split_seed": split.seed, "train_range": list(split.train_range),
+            "val_range": list(split.val_range), "test_range": list(split.test_range),
+            "train_ids": train_ids.tolist(), "heldout_ids": heldout_ids.tolist()}
     if config.epochs == 0:
         return TrainResult(model=model, normalization=normalization, log=(),
                            best_epoch=-1, best_val_mae=None, train_ids=train_ids,
@@ -628,6 +617,8 @@ def train(dataset: StationDataset, model_config: ModelConfig, config: TrainConfi
             f"{view.n} stations; at least 2 are needed")
     val_targets = [sample_partition(station_ids, config.mask_ratio, rng)
                    for _ in range(config.val_partitions)]
+    val_lo, val_hi = split.val_range
+    val_advection = graph.advection(view.wind[val_lo:val_hi])
     optimizer = ad.Adam(model.params, lr=config.learning_rate)
 
     log: list[EpochRecord] = []
@@ -671,7 +662,8 @@ def train(dataset: StationDataset, model_config: ModelConfig, config: TrainConfi
                 raise TrainError(
                     f"non-finite value at epoch {epoch}, batch {batch}: {exc}") from exc
             batch_losses.append(float(loss.data))
-        val = _evaluate(model, normalization, view, graph, val_targets, split.val_range)
+        val = _evaluate(model, normalization, view, graph, val_advection, val_targets,
+                        split.val_range)
         log.append(EpochRecord(epoch=epoch, train_loss=float(np.mean(batch_losses)),
                                val_mae=val.mae, val_rmse=val.rmse, val_r2=val.r2))
         if val.mae < best_mae:
@@ -699,7 +691,7 @@ def train(dataset: StationDataset, model_config: ModelConfig, config: TrainConfi
 
 def infer_stations(model: KrigingModel, normalization: Normalization,
                    dataset: StationDataset, target_ids: np.ndarray,
-                   threshold_km: float = DEFAULT_THRESHOLD_KM) -> np.ndarray:
+                   threshold_km: float) -> np.ndarray:
     """Predict full series at target stations from all remaining stations.
 
     Target nodes enter the graph with zeroed pollution channels and zero
@@ -714,7 +706,7 @@ def infer_stations(model: KrigingModel, normalization: Normalization,
         normalization: channel statistics from the checkpoint.
         dataset: all stations, including the targets.
         target_ids: station ids to reconstruct; may be empty.
-        threshold_km: adjacency cutoff.
+        threshold_km: adjacency cutoff the model was trained with.
 
     Returns:
         (T, len(target_ids)) physical predictions, columns in target order.
@@ -740,7 +732,7 @@ def infer_stations(model: KrigingModel, normalization: Normalization,
 def infer_grid(model: KrigingModel, normalization: Normalization,
                dataset: StationDataset, grid_positions: np.ndarray,
                grid_wind: np.ndarray, grid_emissions: np.ndarray,
-               threshold_km: float = DEFAULT_THRESHOLD_KM) -> np.ndarray:
+               threshold_km: float) -> np.ndarray:
     """Reconstruct a full raster by treating every cell as an unseen node.
 
     All stations are observed; grid cells join the graph with zeroed
@@ -776,7 +768,7 @@ def infer_grid(model: KrigingModel, normalization: Normalization,
         grid_positions: (G, 2) cell centers in km.
         grid_wind: (T, G, 2) per-cell wind.
         grid_emissions: (T, G) per-cell emission rates.
-        threshold_km: adjacency cutoff for the combined graph.
+        threshold_km: adjacency cutoff the model was trained with.
 
     Returns:
         (T, G) physical predictions covering every cell.

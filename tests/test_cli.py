@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from pgkrig import cli, dataio, testbed
 from pgkrig.rendering import parse_pgm
 from pgkrig.testbed import ScenarioSpec
+from pgkrig.training import RunConfig, TrainConfig
 
 SCENARIO_YAML = """\
 nx: 8
@@ -344,6 +346,16 @@ def test_train_checkpoint_reloads_with_meta(pipeline):
     assert loaded.meta["threshold_km"] == 8.0
     assert loaded.meta["seed"] == 1
     assert loaded.model.config.hidden_dim == 10
+
+
+def test_train_checkpoint_meta_holds_every_train_and_loss_setting(pipeline):
+    _, _, cfg, _, ckpt = pipeline
+    run = dataio.from_mapping(RunConfig, dataio.load_config(cfg), "config")
+    settings = {**asdict(replace(run.train, seed=1)), **asdict(run.loss)}
+    assert set(settings) == {f.name for f in fields(TrainConfig)} | {"lambda1", "lambda2"}
+    meta = dataio.load_checkpoint(ckpt).meta
+    assert {key: meta.get(key) for key in settings} == settings
+    assert (meta["epochs"], meta["val_partitions"], meta["lambda2"]) == (3, 2, 0.1)
 
 
 def test_train_writes_metrics_log(pipeline):
@@ -719,25 +731,29 @@ def test_infer_grid_mode_shapes(pipeline, tmp_path):
     assert np.all(np.isfinite(values))
 
 
-def test_infer_threshold_override_changes_output(pipeline, tmp_path):
+@pytest.mark.parametrize("mode", [("--targets", "0"), ("--grid",)])
+def test_infer_on_checkpoint_without_threshold_is_data_error(pipeline, tmp_path, capsys, mode):
+    # the edge cutoff is part of what the model learned: no default stands in
     _, _, _, data, ckpt = pipeline
-    base = tmp_path / "base.csv"
-    wide = tmp_path / "wide.csv"
-    assert run_cli("infer", "--ckpt", ckpt, "--data", data,
-                   "--targets", "0", "--out", base) == 0
-    assert run_cli("infer", "--ckpt", ckpt, "--data", data,
-                   "--targets", "0", "--out", wide, "--threshold-km", 20.0) == 0
-    assert base.read_bytes() != wide.read_bytes()
-
-
-@pytest.mark.parametrize("value", ["0", "-5", "nan", "inf", "abc"])
-def test_infer_threshold_flag_must_be_positive_and_finite(tmp_path, monkeypatch, capsys, value):
-    monkeypatch.chdir(tmp_path)
-    assert run_cli("infer", "--ckpt", "x.ckpt", "--targets", "0", "--out", "x.csv",
-                   "--threshold-km", value) == 1
+    loaded = dataio.load_checkpoint(ckpt)
+    old = tmp_path / "old.ckpt"
+    dataio.save_checkpoint(old, loaded.model, loaded.norm_mean, loaded.norm_std,
+                           {k: v for k, v in loaded.meta.items() if k != "threshold_km"})
+    out = tmp_path / "preds.csv"
+    assert run_cli("infer", "--ckpt", old, "--data", data, *mode, "--out", out) == 2
     err = capsys.readouterr().err
-    assert f"--threshold-km: {value!r} is not a positive finite distance" in err
-    assert "Traceback" not in err and not any(tmp_path.iterdir())
+    assert err == (f"error: {old}: meta has no threshold_km, the edge cutoff "
+                   "the model was trained with\n")
+    assert not out.exists()
+
+
+def test_infer_takes_no_threshold_flag(pipeline, tmp_path, capsys):
+    _, _, _, data, ckpt = pipeline
+    out = tmp_path / "preds.csv"
+    assert run_cli("infer", "--ckpt", ckpt, "--data", data, "--targets", "0",
+                   "--out", out, "--threshold-km", 20.0) == 1
+    assert "unrecognized arguments: --threshold-km 20.0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_infer_needs_exactly_one_mode(pipeline, tmp_path):
@@ -818,6 +834,21 @@ def test_eval_unknown_pred_node_is_data_error(pipeline, tmp_path, capsys):
     assert run_cli("eval", "--pred", pred_path,
                    "--truth", data / "station_truth.csv") == 2
     assert "999" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pred, truth, where", [
+    ([[1e308], [-1e308]], [[-1e308], [1e308]], "node 0"),  # the errors overflow
+    ([[1.3e154, 1.3e154]], [[0.0, 0.0]], "pooled row"),  # only the pooled squares' sum
+])
+def test_eval_overflowing_scores_are_data_error(tmp_path, capsys, pred, truth, where):
+    pred_path, truth_path = tmp_path / "pred.csv", tmp_path / "truth.csv"
+    dataio.write_values(pred_path, np.array(pred), "pm25")
+    dataio.write_values(truth_path, np.array(truth), "pm25")
+    report = tmp_path / "report.csv"
+    assert run_cli("eval", "--pred", pred_path, "--truth", truth_path, "--out", report) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {where}: scores overflow")
+    assert captured.err.count("\n") == 1 and not report.exists()
 
 
 def test_eval_bad_hour_range_is_usage_error(pipeline, capsys):

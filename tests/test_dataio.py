@@ -470,7 +470,7 @@ def test_infer_on_misshapen_norm_checkpoint_is_data_error(tmp_path, capsys):
     model = _small_model()
     good = tmp_path / "good.ckpt"
     bad = tmp_path / "bad.ckpt"
-    dataio.save_checkpoint(good, model, np.zeros(5), np.ones(5), {})
+    dataio.save_checkpoint(good, model, np.zeros(5), np.ones(5), {"threshold_km": 12.0})
     dataio.save_checkpoint(bad, model, np.zeros(5), np.ones((5, 1)), {})
     argv = ["infer", "--data", str(data), "--targets", "0", "--out", str(tmp_path / "p.csv")]
     assert cli.main(argv + ["--ckpt", str(good)]) == 0

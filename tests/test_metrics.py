@@ -66,8 +66,8 @@ class TestPerNode:
     def test_per_node_scores(self):
         truth = np.array([[0.0, 10.0], [2.0, 10.0], [4.0, 10.0]])
         pred = truth + np.array([[1.0, -2.0]] * 3)
-        scores = m.score_per_node(pred, truth)
-        assert [s.node_id for s in scores] == [0, 1]
+        scores = m.score_per_node(pred, truth, [7, 3])
+        assert [s.node_id for s in scores] == [7, 3]
         assert scores[0].mae == 1.0
         assert scores[1].mae == 2.0
         # node 1 truth is constant: r2 undefined, reported as None
@@ -91,13 +91,46 @@ class TestPerNode:
         gathered = np.concatenate([truth, truth], axis=1)[:, list(range(12))]
         assert not gathered.flags.c_contiguous
         assert m.score_pooled(pred, gathered) == m.score_pooled(pred, truth)
-        assert m.score_per_node(pred, gathered) == m.score_per_node(pred, truth)
+        ids = list(range(12))
+        assert m.score_per_node(pred, gathered, ids) == m.score_per_node(pred, truth, ids)
 
     def test_per_node_empty_input_errors(self):
         for shape in ((0, 2), (2, 0)):
             with pytest.raises(m.MetricError):
-                m.score_per_node(np.ones(shape), np.ones(shape))
+                m.score_per_node(np.ones(shape), np.ones(shape), list(range(shape[1])))
 
     def test_per_node_rejects_non_matrix(self):
         with pytest.raises(m.MetricError):
-            m.score_per_node(np.ones(3), np.ones(3))
+            m.score_per_node(np.ones(3), np.ones(3), [0])
+
+    def test_per_node_needs_one_id_per_column(self):
+        with pytest.raises(m.MetricError, match="and 1 ids"):
+            m.score_per_node(np.ones((3, 2)), np.ones((3, 2)), [0])
+
+
+class TestOverflow:
+    """A score that overflows float64 is an error naming its row, never inf or a warning."""
+
+    def test_overflowing_error_names_the_node(self):
+        pred = np.array([[0.0, 1e308], [0.0, -1e308]])
+        truth = np.array([[1.0, -1e308], [2.0, 1e308]])
+        with pytest.raises(m.MetricError, match="^node 9: scores overflow float64"):
+            m.score_per_node(pred, truth, [4, 9])
+        with pytest.raises(m.MetricError, match="^pooled row: scores overflow float64"):
+            m.score_pooled(pred, truth)
+
+    def test_overflowing_square_names_the_node(self):
+        # the error itself is finite; its square is not
+        with pytest.raises(m.MetricError, match="^node 2: scores overflow float64"):
+            m.score_per_node(np.array([[2e154], [0.0]]), np.zeros((2, 1)), [2])
+
+    def test_overflowing_pooled_sum_names_the_pooled_row(self):
+        pred, truth = np.full((1, 2), 1.3e154), np.zeros((1, 2))
+        assert [s.rmse for s in m.score_per_node(pred, truth, [0, 1])] == [1.3e154] * 2
+        with pytest.raises(m.MetricError, match="^pooled row: scores overflow float64"):
+            m.score_pooled(pred, truth)
+
+    def test_scores_near_the_float_range_stay_finite(self):
+        truth = np.array([[1e150], [-1e150]])  # squared deviations 1e300
+        (score,) = m.score_per_node(truth + 1e149, truth, [0])
+        assert score.rmse == pytest.approx(1e149) and score.r2 == pytest.approx(0.99)

@@ -14,7 +14,7 @@ from pgkrig import training as tr
 from pgkrig.dataio import SchemaError, from_mapping
 from pgkrig.graphs import GraphBuildError, NodeSet, build_diffusion_operator, \
     build_geo_adjacency, advection_sequence
-from pgkrig.losses import LossWeights
+from pgkrig.losses import LossWeights, edges_from_adjacency
 from pgkrig.network import KrigingModel, ModelConfig, make_node_series
 from pgkrig.testbed import AodSpec, EmissionSource, ScenarioSpec, run_scenario, \
     scenario_preset
@@ -560,12 +560,45 @@ def test_subset_graph_is_the_graph_built_on_the_subset_bitwise(s1_training_view)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert sub.sigma_sq == direct.sigma_sq
         assert _csr_bytes(sub.diffusion.weights) == _csr_bytes(direct.diffusion.weights)
-        assert sub.edges.dtype == direct.edges.dtype
-        assert sub.edges.tobytes() == direct.edges.tobytes()
+        # the edges come from the diffusion pattern, which is the adjacency's
+        edges = edges_from_adjacency(build_geo_adjacency(direct.nodes, 16.0))
+        assert sub.edges.dtype == edges.dtype and sub.edges.tobytes() == edges.tobytes()
         a, b = sub.advection(wind), direct.advection(wind)
         assert len(a) == 24 and a.rates.tobytes() == b.rates.tobytes()
         assert _csr_bytes(a.weights) == _csr_bytes(b.weights)
     assert built >= 50
+
+
+def test_inference_never_builds_proxy_loss_edges(monkeypatch):
+    dataset, result = trained_toy(epochs=1)
+
+    def refused(_):
+        raise AssertionError("inference read a graph's proxy-loss edges")
+
+    monkeypatch.setattr(tr, "edges_from_adjacency", refused)
+    tr.infer_stations(result.model, result.normalization, dataset, result.heldout_ids,
+                      threshold_km=10.0)
+    cells = [5, 0, 3]
+    positions = dataset.nodes.positions[cells] + np.array([[0.0, 0.0]] + [[0.37, 0.41]] * 2)
+    tr.infer_grid(result.model, result.normalization, dataset, positions,
+                  dataset.wind[:, cells], dataset.emissions[:, cells], threshold_km=10.0)
+
+
+def test_train_builds_the_validation_rates_once(monkeypatch):
+    hours = []
+    build = tr.advection_sequence
+
+    def counted(nodes, wind, *args):
+        hours.append(wind.shape[0])
+        return build(nodes, wind, *args)
+
+    monkeypatch.setattr(tr, "advection_sequence", counted)
+    split = tr.split_from_fractions(60)
+    result = tr.train(tr.dataset_from_scenario(toy_run()), small_model_config(),
+                      fast_config(), split, threshold_km=10.0)
+    assert len(result.log) == 3 and split.val_range == (42, 51)
+    # the 9 validation hours once, then one 12-hour window per batch
+    assert hours == [9] + [12] * 12
 
 
 def test_graph_of_coincident_nodes_is_refused():
@@ -793,7 +826,8 @@ def _forward_only_passes(dataset, result):
                          dataset.emissions[:, cells], threshold_km=10.0)
     graph = tr.Graph.build(dataset.nodes, 10.0)
     targets = [tr.sample_partition(np.arange(dataset.n), 0.5, np.random.default_rng(1))]
-    scores = tr._evaluate(model, norm, dataset, graph, targets, (40, 60))
+    scores = tr._evaluate(model, norm, dataset, graph, graph.advection(dataset.wind[40:60]),
+                          targets, (40, 60))
     return stations, grid, scores
 
 
