@@ -378,8 +378,9 @@ def propagate(x, diffusion, advection, weights: tuple, bias, activation: str) ->
     ``weights`` is (W,) for act((D x_t + A_t x_t) W + b) or (W_d, W_a) for
     act(D x_t W_d + A_t x_t W_a + b), at every hour t.  D is a constant
     N x N operator; A is the window's advection operator, whose ``weights``
-    map the node-major (N*T, F) state to time-major (T*N, F) messages.  Both
-    supply ``transpose``, which only backward reads.
+    map the node-major (N*T, F) state to time-major (T*N, F) messages.
+    Backward multiplies by D itself, which is bitwise symmetric, and by
+    A's ``weights.T``.
 
     Values and gradients are bitwise those of ``per_hour_propagation`` in
     tests/reference_ops.py, the composition sparse_matmul, add, matmul,
@@ -437,8 +438,8 @@ def propagate(x, diffusion, advection, weights: tuple, bias, activation: str) ->
             return
         g_diff = np.matmul(g_hours, w_diff.data.T)  # time-major
         g_adv = g_diff if w_adv is None else np.matmul(g_hours, w_adv.data.T)
-        g_x = diffusion.transpose @ np.ascontiguousarray(_swap_hours(g_diff)).reshape(n, t * f)
-        g_x += (advection.transpose @ g_adv.reshape(t * n, f)).reshape(n, t * f)
+        g_x = diffusion.weights @ np.ascontiguousarray(_swap_hours(g_diff)).reshape(n, t * f)
+        g_x += (advection.weights.T @ g_adv.reshape(t * n, f)).reshape(n, t * f)
         x._accumulate(g_x.reshape(n, t, f))
 
     return _make(data, "propagate", (x, *weights, bias), backward)

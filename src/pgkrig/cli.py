@@ -60,13 +60,28 @@ def _resolve_data_dir(value) -> Path:
     raise _UsageError(f"no data directory given and {DATA_DIR_ENV} is not set")
 
 
-def _output_file(path) -> Path:
-    """An output file path in an existing directory; checked before a command reads anything."""
+# the tables of a data directory that every station reader reads, and
+# those that only grid inference reads
+_STATION_TABLES = ("nodes.csv", "wind.csv", "emissions.csv", "stations.csv")
+_GRID_TABLES = ("grid.csv", "grid_inputs.csv")
+
+
+def _output_file(path, inputs=()) -> Path:
+    """An output file path in an existing directory that is none of `inputs`,
+    the files the command reads and its other outputs, whether they exist
+    yet or not; checked before a command reads anything."""
     path = Path(path)
     if not path.parent.is_dir():
         raise DataError(f"{path}: no such directory {path.parent}")
     if path.is_dir():
         raise DataError(f"{path}: is a directory")
+    for other in map(Path, inputs):
+        try:
+            same = path.samefile(other)
+        except OSError:  # one of them does not exist yet
+            same = path.resolve() == other.resolve()
+        if same:
+            raise DataError(f"{path}: output would replace {other}")
     return path
 
 
@@ -176,6 +191,13 @@ def _read_stations(data_dir: Path, targets=(), with_aod: bool = False):
                           aod_values=aod_values, aod_valid=aod_valid)
 
 
+def _train_input_files(args) -> list:
+    """The files `train` and `sweep` read: the config and the station tables."""
+    data_dir = _resolve_data_dir(args.data)
+    tables = _STATION_TABLES if args.no_aod else (*_STATION_TABLES, "aod.csv")
+    return [*([args.config] if args.config else []), *(data_dir / name for name in tables)]
+
+
 def _train_inputs(args):
     """Shared train/sweep plumbing: dataset plus validated configuration."""
     from .training import RunConfig
@@ -194,8 +216,9 @@ def _train_inputs(args):
 def _cmd_train(args) -> int:
     from .training import train
 
-    out = _output_file(args.out)
-    log_path = _output_file(args.log if args.log else str(args.out) + ".log.csv")
+    inputs = _train_input_files(args)
+    out = _output_file(args.out, inputs)
+    log_path = _output_file(args.log if args.log else str(args.out) + ".log.csv", [*inputs, out])
     dataset, model_cfg, train_cfg, split, weights, threshold = _train_inputs(args)
     result = train(dataset, model_cfg, train_cfg, split, weights=weights,
                    threshold_km=threshold)
@@ -217,7 +240,7 @@ def _cmd_sweep(args) -> int:
         raise _UsageError(f"--values must be comma-separated numbers: {exc}")
     if not values:
         raise _UsageError("--values is empty")
-    out = _output_file(args.out) if args.out else None
+    out = _output_file(args.out, _train_input_files(args)) if args.out else None
     dataset, model_cfg, train_cfg, split, weights, threshold = _train_inputs(args)
     results = [train(dataset, model_cfg, train_cfg, split,
                      weights=replace(weights, **{args.param: value}), threshold_km=threshold)
@@ -252,14 +275,15 @@ def _cmd_infer(args) -> int:
         raise _UsageError("exactly one of --targets or --grid is required")
     from .training import Normalization, infer_grid, infer_stations
 
-    out = _output_file(args.out)
+    data_dir = _resolve_data_dir(args.data)
+    tables = (*_STATION_TABLES, *_GRID_TABLES) if args.grid else _STATION_TABLES
+    out = _output_file(args.out, [args.ckpt, *(data_dir / name for name in tables)])
     ckpt = dataio.load_checkpoint(args.ckpt)
     normalization = Normalization(mean=ckpt.norm_mean, std=ckpt.norm_std)
     if "threshold_km" not in ckpt.meta:
         raise dataio.SchemaError(f"{args.ckpt}: meta has no threshold_km, the edge cutoff "
                                  "the model was trained with")
     threshold = float(ckpt.meta["threshold_km"])
-    data_dir = _resolve_data_dir(args.data)
 
     if args.grid:
         dataset = _read_stations(data_dir)
@@ -296,7 +320,7 @@ def _cmd_infer(args) -> int:
 def _cmd_eval(args) -> int:
     from .metrics import score_per_node, score_pooled
 
-    out = _output_file(args.out) if args.out else None
+    out = _output_file(args.out, [args.pred, args.truth]) if args.out else None
     pred_ids, pred = dataio.read_values(args.pred, "pm25")
     truth_ids, truth = dataio.read_values(args.truth, "pm25")
     lookup = {int(k): i for i, k in enumerate(truth_ids)}
@@ -331,7 +355,7 @@ def _cmd_eval(args) -> int:
 def _cmd_render(args) -> int:
     from .rendering import RenderError, field_frame, render_pgm
 
-    out = _output_file(args.out)
+    out = _output_file(args.out, [args.field, args.grid])
     geometry = dataio.read_grid_nodes(args.grid)
     ids, values = dataio.read_values(args.field, "pm25")
     if not np.array_equal(ids, np.arange(geometry.n_cells)):

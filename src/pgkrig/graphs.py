@@ -15,10 +15,13 @@ order, and every operator is built straight from that list.  A caller
 that builds several operators of one node set, or advection over several
 hour blocks, can list its pairs once and pass them to each builder.
 
+A node set with no pair under the threshold gets empty operators: all
+its nodes are isolated, and nothing passes between them.
+
 All builders are pure functions of their inputs and the returned
 structures are never mutated, so they are safe to share across threads.
-(An advection operator builds its block matrix and transpose on first
-use; every thread builds the same ones.)
+(An advection operator builds its block matrix on first use; every
+thread builds the same one.)
 """
 
 from __future__ import annotations
@@ -33,9 +36,6 @@ from . import DataError
 
 if TYPE_CHECKING:  # scipy.sparse loads on the first operator build, not on import
     import scipy.sparse as sp
-
-DEFAULT_THRESHOLD_KM = 200.0
-
 
 class GraphBuildError(DataError, ValueError):
     """Inputs cannot produce a valid graph operator."""
@@ -103,10 +103,6 @@ class DiffusionOperator:
 
     weights: sp.csr_matrix
 
-    @property
-    def transpose(self) -> sp.csr_matrix:
-        return self.weights
-
 
 @dataclass(frozen=True)
 class AdvectionOperator:
@@ -121,7 +117,6 @@ class AdvectionOperator:
     column j*T + t is node j at hour t (the node-major state) and whose row
     t*N + i is the message to node i at hour t (time-major).  Its data is a
     view of ``rates``.  At T = 1 it is the plain N x N operator.
-    ``transpose`` is its CSC view; only backward uses it.
     """
 
     rates: np.ndarray  # (T, E)
@@ -141,10 +136,6 @@ class AdvectionOperator:
         indices = (self.indices * t + hours).ravel()
         indptr = np.concatenate([[0], (self.indptr[1:] + e * hours).ravel()])
         return sp.csr_matrix((self.rates.reshape(-1), indices, indptr), shape=(size, size))
-
-    @cached_property
-    def transpose(self) -> sp.csc_matrix:
-        return self.weights.T
 
 
 class NodePairs(NamedTuple):
@@ -185,14 +176,15 @@ def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
 
 
-def build_geo_adjacency(nodes: NodeSet, threshold_xi: float = DEFAULT_THRESHOLD_KM,
+def build_geo_adjacency(nodes: NodeSet, threshold_xi: float,
                         pairs: NodePairs | None = None) -> GeoAdjacency:
     """Gaussian-kernel adjacency exp(-dist^2 / sigma^2), cut at threshold_xi.
 
     sigma^2 is the variance of the pairwise distances restricted to pairs
     under the threshold.  Degenerate layouts (all those distances equal)
     fall back to their mean squared distance, then to 1.0, so the kernel
-    stays defined on regular grids.
+    stays defined on regular grids; with no pair under the threshold it is
+    1.0 and the adjacency is empty.
 
     Args:
         nodes: sensor locations.
@@ -204,21 +196,15 @@ def build_geo_adjacency(nodes: NodeSet, threshold_xi: float = DEFAULT_THRESHOLD_
         GeoAdjacency with symmetric weights and zero diagonal.
 
     Raises:
-        GraphBuildError: non-positive threshold, or no pair under it.
+        GraphBuildError: non-positive threshold.
     """
     import scipy.sparse as sp
 
     rows, cols, dist, _ = node_pairs(nodes, threshold_xi) if pairs is None else pairs
-    if not rows.size:
-        raise GraphBuildError(
-            f"no node pair closer than threshold {threshold_xi} km: graph is fully isolated")
-
     edge_d = dist[rows < cols]  # each pair once, in upper-triangle order
-    sigma_sq = float(np.var(edge_d))
-    if sigma_sq == 0.0:
-        sigma_sq = float(np.mean(edge_d * edge_d))
-    if sigma_sq == 0.0:
-        sigma_sq = 1.0
+    sigma_sq = 1.0
+    if edge_d.size:
+        sigma_sq = float(np.var(edge_d)) or float(np.mean(edge_d * edge_d)) or 1.0
 
     weights = np.exp(-(dist * dist) / sigma_sq)
     keep = weights >= np.finfo(float).tiny  # else 1/sqrt(degree) can overflow
@@ -252,7 +238,7 @@ _MS_PER_KM_TO_PER_HOUR = 3.6
 
 
 def build_advection_operator(nodes: NodeSet, wind: np.ndarray,
-                             threshold_xi: float = DEFAULT_THRESHOLD_KM) -> AdvectionOperator:
+                             threshold_xi: float) -> AdvectionOperator:
     """Upwind transport operator for one timestep.
 
     For each directed pair j -> i under the threshold, the weight is
@@ -285,8 +271,7 @@ def _upwind_term(component: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     return term
 
 
-def advection_sequence(nodes: NodeSet, wind_series: np.ndarray,
-                       threshold_xi: float = DEFAULT_THRESHOLD_KM,
+def advection_sequence(nodes: NodeSet, wind_series: np.ndarray, threshold_xi: float,
                        pairs: NodePairs | None = None) -> AdvectionOperator:
     """The advection operator over every hour of a (T, N, 2) wind series.
 

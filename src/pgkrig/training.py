@@ -18,7 +18,7 @@ import numpy as np
 
 from . import DataError, NumericFailure
 from . import autodiff as ad
-from .graphs import (DEFAULT_THRESHOLD_KM, AdvectionOperator, DiffusionOperator, NodePairs,
+from .graphs import (AdvectionOperator, DiffusionOperator, GraphBuildError, NodePairs,
                      NodeSet, advection_sequence, build_diffusion_operator,
                      build_geo_adjacency, node_pairs, pair_geometry)
 from .losses import (LossWeights, aod_gradient_loss, composite_loss,
@@ -361,7 +361,7 @@ class SplitConfig:
 class GraphConfig:
     """The `graph` section: the station graph's edge cutoff."""
 
-    threshold_km: float = DEFAULT_THRESHOLD_KM
+    threshold_km: float = 200.0
 
     def __post_init__(self):
         if not self.threshold_km > 0:
@@ -420,26 +420,21 @@ class Graph:
 
     @classmethod
     def build(cls, nodes: NodeSet, threshold_km: float) -> "Graph":
-        """The graph of `nodes`; refused where two nodes coincide, as their advection would be."""
-        return cls._of_pairs(nodes, threshold_km, node_pairs(nodes, threshold_km))
-
-    @classmethod
-    def _of_pairs(cls, nodes: NodeSet, threshold_km: float, pairs: NodePairs) -> "Graph":
+        """The graph of `nodes`; refused where two nodes coincide, as their
+        advection would be.  With no pair under the cutoff every operator
+        is empty."""
+        pairs = node_pairs(nodes, threshold_km)
         pair_geometry(pairs)
         geo = build_geo_adjacency(nodes, threshold_km, pairs)
         return cls(nodes, threshold_km, pairs, geo.sigma_sq, build_diffusion_operator(geo))
 
-    def subset(self, keep: np.ndarray) -> "Graph":
-        """The graph of the sorted node ids `keep`, renumbered 0..K-1: bitwise
-        `build`'s on those nodes, from this graph's pairs between them."""
-        if keep.size == self.nodes.n:
-            return self
-        new_id = np.full(self.nodes.n, -1)
-        new_id[keep] = np.arange(keep.size)
-        rows, cols = new_id[self.pairs.rows], new_id[self.pairs.cols]
-        kept = (rows >= 0) & (cols >= 0)
-        return Graph._of_pairs(NodeSet(self.nodes.positions[keep]), self.threshold_km, NodePairs(
-            rows[kept], cols[kept], self.pairs.dist[kept], self.pairs.geom[kept]))
+    def refuse_isolated(self) -> "Graph":
+        """This graph, refused if no pair of its nodes is under the cutoff:
+        a station set like that passes nothing between its stations."""
+        if not self.pairs.rows.size:
+            raise GraphBuildError(f"no node pair closer than threshold {self.threshold_km} km: "
+                                  "graph is fully isolated")
+        return self
 
     @cached_property
     def edges(self) -> np.ndarray:
@@ -554,16 +549,18 @@ def _evaluate(model: KrigingModel, normalization: Normalization,
 
 
 def train(dataset: StationDataset, model_config: ModelConfig, config: TrainConfig,
-          split: SplitSpec, weights: LossWeights | None = None,
-          threshold_km: float = DEFAULT_THRESHOLD_KM) -> TrainResult:
+          split: SplitSpec, weights: LossWeights | None = None, *,
+          threshold_km: float) -> TrainResult:
     """Run the masked-node training loop and return the best checkpoint.
 
     Held-out stations are removed before anything else happens: they are
     absent from the training graph, the standardization statistics, and
     every loss term. Within each batch a fresh partition of the training
     stations is masked and reconstructed; with `station_dropout` set, each
-    batch additionally runs on the training graph's subset of random
-    stations, so the learned fill-in map is not tied to one node layout.
+    batch additionally runs on the graph built on a random subset of them,
+    so the learned fill-in map is not tied to one node layout.  A subset
+    with no pair under the cutoff trains without transport; training
+    stations with none are refused with a GraphBuildError.
 
     Args:
         dataset: full station bundle (including stations to hold out).
@@ -592,7 +589,7 @@ def train(dataset: StationDataset, model_config: ModelConfig, config: TrainConfi
 
     train_ids, heldout_ids = holdout_split(dataset.n, split.holdout_fraction, split.seed)
     view = dataset.subset(train_ids)
-    graph = Graph.build(view.nodes, threshold_km)
+    graph = Graph.build(view.nodes, threshold_km).refuse_isolated()
     normalization = Normalization.fit(view, split.train_range)
 
     model = KrigingModel(model_config, seed=config.seed)
@@ -634,10 +631,10 @@ def train(dataset: StationDataset, model_config: ModelConfig, config: TrainConfi
             ratio = config.mask_ratio
             if config.mask_jitter > 0.0:
                 ratio = jittered_ratio(ratio, config.mask_jitter, n_kept, rng)
-            keep = station_ids
+            keep, b_graph = station_ids, graph
             if config.station_dropout > 0.0:
                 keep = np.sort(rng.permutation(view.n)[:n_kept])
-            b_graph = graph.subset(keep)
+                b_graph = Graph.build(NodeSet(view.nodes.positions[keep]), threshold_km)
             target = sample_partition(np.arange(n_kept), ratio, rng)
             try:
                 x_init, x_hat = predict(
@@ -695,8 +692,9 @@ def infer_stations(model: KrigingModel, normalization: Normalization,
     """Predict full series at target stations from all remaining stations.
 
     Target nodes enter the graph with zeroed pollution channels and zero
-    observed flags, so their true values can never reach the output.  The
-    graph is built once; then each 12-hour block is encoded, given its
+    observed flags, so their true values can never reach the output.  A
+    station set with no pair under the cutoff is refused, as in `train`.
+    The graph is built once; then each 12-hour block is encoded, given its
     advection rates and refined on its own (`_station_blocks`), so no
     intermediate spans more than one block and the output is bitwise that
     of one `full_forward` over the whole series.
@@ -720,7 +718,7 @@ def infer_stations(model: KrigingModel, normalization: Normalization,
     if len(np.unique(target_ids)) != target_ids.size:
         raise ConfigError("target ids contain duplicates")
     model = model.detached()
-    graph = Graph.build(dataset.nodes, threshold_km)
+    graph = Graph.build(dataset.nodes, threshold_km).refuse_isolated()
     out = np.empty((dataset.t_hours, target_ids.size))
     for _, lo, hi, encodings in _station_blocks(model, normalization, dataset, target_ids):
         x_hat = _forward_only(model, normalization, graph.diffusion,
@@ -738,7 +736,8 @@ def infer_grid(model: KrigingModel, normalization: Normalization,
     All stations are observed; grid cells join the graph with zeroed
     pollution. A cell exactly coincident with a station reuses that
     station's node (zero-distance pairs have no defined wind direction),
-    so its prediction is the model's output at the station.
+    so its prediction is the model's output at the station.  Stations with
+    no pair under the cutoff are refused, as in `train`.
 
     Cells are appended in batches of at most the station count rather than
     all at once: unobserved cells carry no pollution signal for each other,
@@ -792,7 +791,7 @@ def infer_grid(model: KrigingModel, normalization: Normalization,
     node_of_cell = np.array([station_lookup.get(pos.tobytes(), -1) for pos in grid_positions],
                             dtype=np.int64)
     coincident = node_of_cell >= 0
-    station_graph = Graph.build(dataset.nodes, threshold_km) if coincident.any() else None
+    station_graph = Graph.build(dataset.nodes, threshold_km).refuse_isolated()
 
     free = np.nonzero(~coincident)[0]
     free = free[np.lexsort((grid_positions[free, 0], grid_positions[free, 1]))]
@@ -809,7 +808,7 @@ def infer_grid(model: KrigingModel, normalization: Normalization,
 
     out = np.empty((t_hours, g_cells))
     for context, lo, hi, stations in _station_blocks(model, normalization, dataset, []):
-        if station_graph is not None:
+        if coincident.any():
             x_hat = _forward_only(model, normalization, station_graph.diffusion,
                                   station_graph.advection(dataset.wind[lo:hi]), [stations])
             out[lo:hi, coincident] = x_hat.T[:, node_of_cell[coincident]]

@@ -219,16 +219,15 @@ def _dense_mask(nodes, threshold_xi):
 def dense_geo_adjacency(nodes, threshold_xi):
     """The geo adjacency through a dense weight matrix and `csr_matrix(dense)`."""
     dist, mask = _dense_mask(nodes, threshold_xi)
-    if not mask.any():
-        raise g.GraphBuildError(
-            f"no node pair closer than threshold {threshold_xi} km: graph is fully isolated")
     iu, ju = np.triu_indices(nodes.n, k=1)
     edge_d = dist[iu, ju][mask[iu, ju]]
-    sigma_sq = float(np.var(edge_d))
-    if sigma_sq == 0.0:
-        sigma_sq = float(np.mean(edge_d * edge_d))
-    if sigma_sq == 0.0:
-        sigma_sq = 1.0
+    sigma_sq = 1.0  # with no pair the weights are all zero
+    if edge_d.size:
+        sigma_sq = float(np.var(edge_d))
+        if sigma_sq == 0.0:
+            sigma_sq = float(np.mean(edge_d * edge_d))
+        if sigma_sq == 0.0:
+            sigma_sq = 1.0
     weights = np.where(mask, np.exp(-(dist * dist) / sigma_sq), 0.0)
     weights[weights < np.finfo(float).tiny] = 0.0
     return g.GeoAdjacency(weights=sp.csr_matrix(weights), sigma_sq=sigma_sq)

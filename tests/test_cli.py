@@ -985,6 +985,95 @@ def test_commands_do_not_mutate_inputs(pipeline, tmp_path):
     assert dir_digest(data) == before
 
 
+def _refused_replacing(capsys, argv, output, replaced, files) -> None:
+    """`argv` exits 2 naming `output` and the file it would replace, and leaves `files` as they were."""
+    before = {f: f.read_bytes() if f.exists() else None for f in files}
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {output}: output would replace {replaced}\n"
+    assert {f: f.read_bytes() if f.exists() else None for f in files} == before
+
+
+def test_train_refuses_an_output_that_replaces_an_input_or_the_other_output(
+        pipeline, tmp_path, capsys):
+    # copies, since a write that got through would break the module's pipeline
+    _, _, config, data, _ = pipeline
+    data = _copy_data(data, tmp_path)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_bytes(config.read_bytes())
+    files = [cfg, *sorted(data.iterdir())]
+    ckpt = tmp_path / "m.ckpt"
+    _refused_replacing(capsys, ("train", "--config", cfg, "--data", data, "--out", ckpt,
+                                "--log", ckpt), ckpt, ckpt, [ckpt, *files])
+    _refused_replacing(capsys, ("train", "--config", cfg, "--data", data, "--out", cfg),
+                       cfg, cfg, files)
+    stations = data / "stations.csv"
+    _refused_replacing(capsys, ("train", "--config", cfg, "--data", data, "--out", ckpt,
+                                "--log", stations), stations, stations, [ckpt, *files])
+    aod = data / "aod.csv"
+    _refused_replacing(capsys, ("sweep", "--config", cfg, "--data", data, "--values", "0",
+                                "--out", aod), aod, aod, files)
+    assert not ckpt.exists()
+
+
+def test_infer_refuses_an_output_that_replaces_an_input(pipeline, tmp_path, capsys):
+    _, _, _, data, checkpoint = pipeline
+    data = _copy_data(data, tmp_path)
+    ckpt = tmp_path / "m.ckpt"
+    ckpt.write_bytes(checkpoint.read_bytes())
+    files = [ckpt, *sorted(data.iterdir())]
+    _refused_replacing(capsys, ("infer", "--ckpt", ckpt, "--data", data, "--targets", "0",
+                                "--out", ckpt), ckpt, ckpt, files)
+    stations = data / "stations.csv"
+    _refused_replacing(capsys, ("infer", "--ckpt", ckpt, "--data", data, "--targets", "0",
+                                "--out", stations), stations, stations, files)
+    grid = data / "grid_inputs.csv"
+    _refused_replacing(capsys, ("infer", "--ckpt", ckpt, "--data", data, "--grid",
+                                "--out", grid), grid, grid, files)
+    # another spelling of the same file is the same file
+    alias = data / ".." / data.name / "wind.csv"
+    _refused_replacing(capsys, ("infer", "--ckpt", ckpt, "--data", data, "--grid",
+                                "--out", alias), alias, data / "wind.csv", files)
+
+
+def test_eval_refuses_an_output_that_replaces_an_input(pipeline, tmp_path, capsys):
+    _, _, _, data, _ = pipeline
+    pred = tmp_path / "p.csv"
+    pred.write_bytes((data / "station_truth.csv").read_bytes())
+    _refused_replacing(capsys, ("eval", "--pred", pred, "--truth", data / "station_truth.csv",
+                                "--out", pred), pred, pred, [pred])
+
+
+def test_render_refuses_an_output_that_replaces_an_input(pipeline, tmp_path, capsys):
+    _, _, _, data, _ = pipeline
+    field = tmp_path / "f.csv"
+    field.write_bytes((data / "truth.csv").read_bytes())
+    _refused_replacing(capsys, ("render", "--field", field, "--grid", data / "grid.csv",
+                                "--out", field), field, field, [field])
+
+
+ISOLATED = "no node pair closer than threshold 1.0 km: graph is fully isolated"
+
+
+def test_fully_isolated_station_set_exits_2(pipeline, tmp_path, capsys):
+    # the stations sit on distinct 2 km cells, so none is under 1 km of another
+    _, _, _, data, ckpt = pipeline
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(CONFIG_YAML.replace("threshold_km: 8.0", "threshold_km: 1.0"),
+                   encoding="utf-8")
+    loaded = dataio.load_checkpoint(ckpt)
+    near = tmp_path / "near.ckpt"
+    dataio.save_checkpoint(near, loaded.model, loaded.norm_mean, loaded.norm_std,
+                           {**loaded.meta, "threshold_km": 1.0})
+    out = tmp_path / "out.csv"
+    for argv in (("train", "--config", cfg, "--data", data, "--out", out),
+                 ("infer", "--ckpt", near, "--data", data, "--targets", "0,5", "--out", out),
+                 ("infer", "--ckpt", near, "--data", data, "--grid", "--out", out)):
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"error: {ISOLATED}\n"
+        assert not out.exists()
+
+
 def _error_classes():
     from pgkrig import (DataError, NumericFailure, autodiff, baselines, graphs, losses,
                         metrics, network, rendering, training)

@@ -14,7 +14,7 @@ from pgkrig import training as tr
 from pgkrig.dataio import SchemaError, from_mapping
 from pgkrig.graphs import GraphBuildError, NodeSet, build_diffusion_operator, \
     build_geo_adjacency, advection_sequence
-from pgkrig.losses import LossWeights, edges_from_adjacency
+from pgkrig.losses import LossWeights, aod_gradient_loss, count_valid_edge_terms
 from pgkrig.network import KrigingModel, ModelConfig, make_node_series
 from pgkrig.testbed import AodSpec, EmissionSource, ScenarioSpec, run_scenario, \
     scenario_preset
@@ -520,53 +520,65 @@ def test_advection_of_any_hours_is_those_hours_of_the_whole_series_bitwise():
             assert part.indices.tobytes() == op.indices.tobytes()
             assert part.indptr.tobytes() == op.indptr.tobytes()
         assert _csr_bytes(part.weights) == _csr_bytes(direct.weights)
-        assert _csr_bytes(part.transpose) == _csr_bytes(direct.transpose)
 
 
-@pytest.fixture(scope="module")
-def s1_training_view():
-    """The training stations of s1-advection at seed 0 over its first 48 h."""
-    dataset = tr.dataset_from_scenario(
-        run_scenario(replace(scenario_preset("s1-advection"), t_hours=48), seed=0))
-    train_ids, _ = tr.holdout_split(dataset.n, 0.3, 0)
-    return dataset.subset(train_ids)
-
-
-def _graph_outcome(build):
-    try:
-        return build()
-    except GraphBuildError as exc:
-        return str(exc)
-
-
-def test_subset_graph_is_the_graph_built_on_the_subset_bitwise(s1_training_view):
-    view = s1_training_view
-    graph = tr.Graph.build(view.nodes, 16.0)
-    assert graph.subset(np.arange(view.n)) is graph
+def test_graph_with_no_pair_has_empty_operators_and_no_proxy_term():
+    # every node is isolated: nothing passes between them, and the proxy
+    # loss has no edge to compare
     rng = np.random.default_rng(12)
-    built = 0
-    for _ in range(60):
-        keep = np.sort(rng.permutation(view.n)[:int(rng.integers(2, view.n))])
-        wind = view.wind[10:34][:, keep]
-        sub = _graph_outcome(lambda: graph.subset(keep))
-        direct = _graph_outcome(lambda: tr.Graph.build(NodeSet(view.nodes.positions[keep]), 16.0))
-        if isinstance(direct, str):
-            assert sub == direct
-            continue
-        built += 1
-        assert sub.nodes.positions.tobytes() == direct.nodes.positions.tobytes()
-        assert sub.threshold_km == direct.threshold_km
-        for a, b in zip(sub.pairs, direct.pairs):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        assert sub.sigma_sq == direct.sigma_sq
-        assert _csr_bytes(sub.diffusion.weights) == _csr_bytes(direct.diffusion.weights)
-        # the edges come from the diffusion pattern, which is the adjacency's
-        edges = edges_from_adjacency(build_geo_adjacency(direct.nodes, 16.0))
-        assert sub.edges.dtype == edges.dtype and sub.edges.tobytes() == edges.tobytes()
-        a, b = sub.advection(wind), direct.advection(wind)
-        assert len(a) == 24 and a.rates.tobytes() == b.rates.tobytes()
-        assert _csr_bytes(a.weights) == _csr_bytes(b.weights)
-    assert built >= 50
+    nodes = NodeSet(np.array([[0.0, 0.0], [20.0, 0.0], [0.0, 20.0], [20.0, 20.0]]))
+    graph = tr.Graph.build(nodes, 20.0)  # no distance is under the cutoff
+    assert graph.pairs.rows.size == 0 and graph.sigma_sq == 1.0
+    assert graph.diffusion.weights.shape == (4, 4) and graph.diffusion.weights.nnz == 0
+    assert graph.edges.shape == (0, 2)
+    advection = graph.advection(rng.normal(0.0, 3.0, size=(6, 4, 2)))
+    assert advection.rates.shape == (6, 0) and advection.weights.shape == (24, 24)
+    x = rng.normal(size=(24, 3))
+    for operator in (advection.weights, advection.weights.T):
+        assert np.array_equal(operator @ x, np.zeros((24, 3)))
+    x_hat = ad.Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+    proxy = aod_gradient_loss(x_hat, rng.normal(size=(4, 6)), np.ones((4, 6)), graph.edges)
+    assert float(proxy.data) == 0.0 and count_valid_edge_terms(np.ones((4, 6)), graph.edges) == 0
+
+
+def test_dropout_draw_with_no_pair_trains_without_transport(monkeypatch):
+    # s1-advection at seed 0, as `train --seed 0` runs it: the training
+    # stations have pairs under 6 km, and some dropout draws have none
+    pairs = []
+    build = tr.Graph.build
+
+    def counted(nodes, threshold_km):
+        graph = build(nodes, threshold_km)
+        pairs.append(graph.pairs.rows.size)
+        return graph
+
+    monkeypatch.setattr(tr.Graph, "build", counted)
+    dataset = tr.dataset_from_scenario(run_scenario(scenario_preset("s1-advection"), seed=0))
+    split = tr.SplitConfig(holdout_fraction=0.3, seed=0).spec(dataset.t_hours)
+    config = tr.TrainConfig(epochs=20, patience=20, batches_per_epoch=8, window=24,
+                            station_dropout=0.7, seed=0)
+    result = tr.train(dataset, ModelConfig(), config, split, threshold_km=6.0)
+    assert len(result.log) == 20 and all(math.isfinite(r.val_mae) for r in result.log)
+    assert len(pairs) == 1 + 160 and pairs[0] > 0 and 0 in pairs[1:]
+
+
+ISOLATED = "no node pair closer than threshold 1.0 km: graph is fully isolated"
+
+
+def test_fully_isolated_station_set_is_refused_where_it_enters():
+    # toy stations sit on distinct 2 km cells, so none is under 1 km of another
+    dataset, result = trained_toy(epochs=1)
+    with pytest.raises(GraphBuildError, match=ISOLATED):
+        tr.train(dataset, small_model_config(), fast_config(), tr.split_from_fractions(60),
+                 threshold_km=1.0)
+    with pytest.raises(GraphBuildError, match=ISOLATED):
+        tr.infer_stations(result.model, result.normalization, dataset, result.heldout_ids,
+                          threshold_km=1.0)
+    # the cells have pairs with the stations, but the station set has none
+    cells = dataset.nodes.positions[:3] + 0.25
+    with pytest.raises(GraphBuildError, match=ISOLATED):
+        tr.infer_grid(result.model, result.normalization, dataset, cells,
+                      dataset.wind[:, :3], dataset.emissions[:, :3], threshold_km=1.0)
 
 
 def test_inference_never_builds_proxy_loss_edges(monkeypatch):
