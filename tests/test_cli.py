@@ -986,7 +986,8 @@ def test_commands_do_not_mutate_inputs(pipeline, tmp_path):
 
 
 def _refused_replacing(capsys, argv, output, replaced, files) -> None:
-    """`argv` exits 2 naming `output` and the file it would replace, and leaves `files` as they were."""
+    """`argv` exits 2 naming `output` and the file it would replace, and
+    leaves `files` as they were."""
     before = {f: f.read_bytes() if f.exists() else None for f in files}
     assert run_cli(*argv) == 2
     captured = capsys.readouterr()
