@@ -111,8 +111,11 @@ def _cmd_simulate(args) -> int:
     from .testbed import run_scenario
 
     spec = _load_scenario(args.scenario)
-    run = run_scenario(spec, seed=args.seed)
     out = _resolve_data_dir(args.out)
+    if args.scenario not in PRESET_NAMES and out.is_dir():
+        for name in (*_STATION_TABLES, *_GRID_TABLES, "aod.csv", "truth.csv", "station_truth.csv"):
+            _output_file(out / name, [args.scenario])
+    run = run_scenario(spec, seed=args.seed)
     out.mkdir(parents=True, exist_ok=True)
     cells = run.stations.cell_indices
     dataio.write_nodes(out / "nodes.csv", run.stations.nodes.positions)

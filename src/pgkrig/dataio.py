@@ -544,10 +544,33 @@ def _check_meta(meta) -> None:
             raise SchemaError(f"section 'meta': threshold_km must be positive, got {threshold!r}")
 
 
+def _check_arrays(entries, config) -> None:
+    """Refuse header arrays other than the config's parameters, norm:mean and
+    norm:std, each once with a shape of JSON integers; the parameter table is
+    drawn one entry past the header's count at most, so a huge one costs nothing."""
+    from .network import N_CHANNELS
+
+    listed = {}
+    for name, shape in entries:
+        if name in listed:
+            raise ValueError(f"{name} is listed twice")
+        listed[name] = shape
+    table = [("param:" + name, list(shape))
+             for name, shape in islice(config.param_shapes(), len(entries) + 1)]
+    for name, shape in [*table, ("norm:mean", [N_CHANNELS]), ("norm:std", [N_CHANNELS])]:
+        if name not in listed:
+            raise ValueError(f"{name} is not listed")
+        got = listed.pop(name)
+        if got != shape or not all(type(size) is int for size in got):
+            raise ValueError(f"{name} has shape {json.dumps(got)}, expected {shape}")
+    if listed:
+        raise ValueError(f"{next(iter(listed))} is not in the config")
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; value-exact inverse of save_checkpoint."""
     from . import autodiff as ad
-    from .network import N_CHANNELS, KrigingModel, ModelConfig
+    from .network import KrigingModel, ModelConfig
 
     try:
         raw = Path(path).read_bytes()
@@ -564,49 +587,30 @@ def load_checkpoint(path) -> Checkpoint:
         entries = [(str(e["name"]), e["shape"]) for e in header["arrays"]]
         meta = header["meta"]
         _check_meta(meta)
+        _check_arrays(entries, config)
     except (KeyError, TypeError, ValueError) as exc:
         raise _err(path, None, f"malformed checkpoint header: {exc}") from exc
-    expected = config.n_param_arrays + 2  # the parameters, then norm:mean and norm:std
-    if len(entries) != expected:
-        raise _err(path, None, f"malformed checkpoint header: {len(entries)} arrays listed, "
-                               f"config implies {expected}")
     offset = end + 1
     buffers = {}
     for name, shape in entries:
-        if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
-            raise _err(path, None, f"malformed checkpoint header: shape of {name} must be "
-                                   f"a list of non-negative integers, got {shape!r}")
         count = math.prod(shape)
-        nbytes = count * 8
-        if offset + nbytes > len(raw):
+        if offset + count * 8 > len(raw):
             raise _err(path, None, f"truncated buffer for {name}")
-        try:  # a zero-size shape can still name a dimension numpy cannot hold
-            buffers[name] = np.frombuffer(raw, dtype="<f8", count=count,
-                                          offset=offset).reshape(shape).copy()
-        except ValueError as exc:
-            raise _err(path, None, f"malformed checkpoint header: shape of {name}: {exc}") from exc
-        offset += nbytes
+        buffers[name] = np.frombuffer(raw, dtype="<f8", count=count,
+                                      offset=offset).reshape(shape).copy()
+        offset += count * 8
     if offset != len(raw):
         raise _err(path, None, f"{len(raw) - offset} trailing bytes after buffers")
-    try:
-        params = {name[len("param:"):]: ad.Tensor(data, requires_grad=True)
-                  for name, data in buffers.items() if name.startswith("param:")}
-        model = KrigingModel(config, params=params)
-        norm_mean = buffers["norm:mean"]
-        norm_std = buffers["norm:std"]
-    except (KeyError, ValueError) as exc:
-        raise _err(path, None, f"invalid checkpoint contents: {exc}") from exc
-    for name, data in (("norm:mean", norm_mean), ("norm:std", norm_std)):
-        if data.shape != (N_CHANNELS,):
-            raise _err(path, None, f"invalid checkpoint contents: {name} has shape "
-                                   f"{data.shape}, expected ({N_CHANNELS},)")
     for name, data in buffers.items():
         if not np.all(np.isfinite(data)):
             raise _err(path, None, f"invalid checkpoint contents: {name} has non-finite values")
+    norm_mean, norm_std = buffers.pop("norm:mean"), buffers.pop("norm:std")
     if not np.all(norm_std > 0):
         k = int(np.argmin(norm_std > 0))
         raise _err(path, None, f"invalid checkpoint contents: norm:std[{k}] = "
                                f"{_fmt(norm_std[k])} is not positive")
+    model = KrigingModel(config, params={name[len("param:"):]: ad.Tensor(data, requires_grad=True)
+                                         for name, data in buffers.items()})
     return Checkpoint(model=model, norm_mean=norm_mean, norm_std=norm_std, meta=meta)
 
 

@@ -10,6 +10,7 @@ only on hour t.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,11 +121,24 @@ class ModelConfig:
     def receptive_field(self) -> int:
         return 1 + (self.tcn_kernel_size - 1) * sum(self.dilations)
 
-    @property
-    def n_param_arrays(self) -> int:
-        """How many named parameters the model has, counted without naming them."""
-        per_layer = 3 if self.two_weight_propagation else 2
-        return 2 * self.tcn_layers + per_layer * self.gnn_layers + 8
+    def param_shapes(self) -> Iterator[tuple[str, tuple[int, ...]]]:
+        """Each parameter's (name, shape) in initialisation order: the one place
+        the layout is written, which builds the model and checks a checkpoint."""
+        c_in = N_CHANNELS
+        for i in range(self.tcn_layers):
+            yield f"tcn.{i}.weight", (self.tcn_kernel_size, c_in, self.hidden_dim)
+            yield f"tcn.{i}.bias", (self.hidden_dim,)
+            c_in = self.hidden_dim
+        weights = ("weight_diff", "weight_adv") if self.two_weight_propagation else ("weight",)
+        for i in range(self.gnn_layers):
+            for weight in weights:
+                yield f"prop.{i}.{weight}", (self.hidden_dim, self.hidden_dim)
+            yield f"prop.{i}.bias", (self.hidden_dim,)
+        for head in ("readout", "init_readout"):
+            yield f"{head}.0.weight", (self.hidden_dim, self.readout_hidden)
+            yield f"{head}.0.bias", (self.readout_hidden,)
+            yield f"{head}.1.weight", (self.readout_hidden, 1)
+            yield f"{head}.1.bias", (1,)
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...],
@@ -151,11 +165,11 @@ class KrigingModel:
                  params: dict[str, ad.Tensor] | None = None):
         self.config = config
         if params is not None:
-            expected = set(self._param_shapes())
-            if set(params) != expected:
-                missing = expected.symmetric_difference(params)
+            shapes = dict(config.param_shapes())
+            if set(params) != set(shapes):
+                missing = set(shapes).symmetric_difference(params)
                 raise ModelError(f"parameter names do not match config: {sorted(missing)}")
-            for name, shape in self._param_shapes().items():
+            for name, shape in shapes.items():
                 if tuple(params[name].shape) != shape:
                     raise ModelError(
                         f"parameter '{name}' has shape {params[name].shape}, expected {shape}")
@@ -165,31 +179,9 @@ class KrigingModel:
 
     # -- parameters ------------------------------------------------------
 
-    def _param_shapes(self) -> dict[str, tuple[int, ...]]:
-        cfg = self.config
-        shapes: dict[str, tuple[int, ...]] = {}
-        c_in = N_CHANNELS
-        for i in range(cfg.tcn_layers):
-            shapes[f"tcn.{i}.weight"] = (cfg.tcn_kernel_size, c_in, cfg.hidden_dim)
-            shapes[f"tcn.{i}.bias"] = (cfg.hidden_dim,)
-            c_in = cfg.hidden_dim
-        for i in range(cfg.gnn_layers):
-            if cfg.two_weight_propagation:
-                shapes[f"prop.{i}.weight_diff"] = (cfg.hidden_dim, cfg.hidden_dim)
-                shapes[f"prop.{i}.weight_adv"] = (cfg.hidden_dim, cfg.hidden_dim)
-            else:
-                shapes[f"prop.{i}.weight"] = (cfg.hidden_dim, cfg.hidden_dim)
-            shapes[f"prop.{i}.bias"] = (cfg.hidden_dim,)
-        for head in ("readout", "init_readout"):
-            shapes[f"{head}.0.weight"] = (cfg.hidden_dim, cfg.readout_hidden)
-            shapes[f"{head}.0.bias"] = (cfg.readout_hidden,)
-            shapes[f"{head}.1.weight"] = (cfg.readout_hidden, 1)
-            shapes[f"{head}.1.bias"] = (1,)
-        return shapes
-
     def _init_params(self, rng: np.random.Generator) -> dict[str, ad.Tensor]:
         params: dict[str, ad.Tensor] = {}
-        for name, shape in self._param_shapes().items():
+        for name, shape in self.config.param_shapes():
             if name.endswith(".bias"):
                 data = np.zeros(shape)
             elif len(shape) == 3:  # conv kernel (K, C_in, C_out)

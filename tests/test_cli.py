@@ -457,7 +457,10 @@ def test_infer_with_checkpoint_config_carrying_final_softplus_is_data_error(
 @pytest.mark.parametrize("edit", [
     lambda header: header["arrays"][0].update(shape=[2 ** 70]),
     lambda header: header["config"].update(tcn_layers=400000),
-], ids=["huge_shape", "tcn_layers"])
+    lambda header: header["arrays"][0].update(shape=[True]),
+    lambda header: header["arrays"][0].update(shape=None),
+    lambda header: header["arrays"].append(dict(header["arrays"][0])),
+], ids=["huge_shape", "tcn_layers", "bool_shape", "null_shape", "listed_twice"])
 def test_infer_with_malformed_checkpoint_header_is_data_error(pipeline, tmp_path, capsys,
                                                               edit):
     _, _, _, data, ckpt = pipeline
@@ -1051,6 +1054,19 @@ def test_render_refuses_an_output_that_replaces_an_input(pipeline, tmp_path, cap
     field.write_bytes((data / "truth.csv").read_bytes())
     _refused_replacing(capsys, ("render", "--field", field, "--grid", data / "grid.csv",
                                 "--out", field), field, field, [field])
+
+
+def test_simulate_refuses_an_output_that_replaces_its_scenario_file(tmp_path, capsys):
+    out = tmp_path / "d"
+    out.mkdir()
+    scenario = out / "grid.csv"
+    scenario.write_text(SCENARIO_YAML, encoding="utf-8")
+    _refused_replacing(capsys, ("simulate", "--scenario", scenario, "--out", out),
+                       out / "grid.csv", scenario, [scenario])
+    alias = tmp_path / "d" / ".." / "d"
+    _refused_replacing(capsys, ("simulate", "--scenario", scenario, "--out", alias),
+                       alias / "grid.csv", scenario, [scenario])
+    assert list(out.iterdir()) == [scenario]
 
 
 ISOLATED = "no node pair closer than threshold 1.0 km: graph is fully isolated"

@@ -1,6 +1,7 @@
 """Network contracts: locality, causality, equivariance, inductivity."""
 
 import ast
+import re
 import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
@@ -451,14 +452,15 @@ class TestParamStore:
         good = nw.KrigingModel(cfg, seed=0).params
         bad = dict(good)
         bad.pop("readout.1.bias")
-        with pytest.raises(nw.ModelError):
+        with pytest.raises(nw.ModelError, match=re.escape("config: ['readout.1.bias']")):
             nw.KrigingModel(cfg, params=bad)
 
     def test_rejects_wrong_shape(self):
         cfg = small_config()
         params = nw.KrigingModel(cfg, seed=0).params
         params["readout.1.bias"] = ad.Tensor(np.zeros(2), requires_grad=True)
-        with pytest.raises(nw.ModelError):
+        with pytest.raises(nw.ModelError, match=re.escape(
+                "parameter 'readout.1.bias' has shape (2,), expected (1,)")):
             nw.KrigingModel(cfg, params=params)
 
     def test_seeded_init_reproducible(self):
