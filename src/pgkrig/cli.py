@@ -125,11 +125,8 @@ def _cmd_simulate(args) -> int:
     dataio.write_aod(out / "aod.csv", run.aod.values[:, cells],
                      run.aod.valid[:, cells])
     dataio.write_values(out / "truth.csv", run.truth.concentrations, "pm25")
-    station_truth = run.truth.concentrations[:, cells]
-    if station_truth.tobytes() == run.stations.pm25.tobytes():  # no observation noise
-        shutil.copyfile(out / "stations.csv", out / "station_truth.csv")
-    else:
-        dataio.write_values(out / "station_truth.csv", station_truth, "pm25")
+    # the stations read the truth exactly, so their truth table is the same file
+    shutil.copyfile(out / "stations.csv", out / "station_truth.csv")
     geometry = dataio.GridGeometry(nx=spec.nx, ny=spec.ny, cell_km=spec.cell_km)
     dataio.write_grid_nodes(out / "grid.csv", geometry)
     dataio.write_grid_inputs(out / "grid_inputs.csv", run.truth.wind,
@@ -468,7 +465,10 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        # Non-finite values are reported once, as a NumericFailure from the
+        # checks that find them, not also as numpy warnings along the way.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

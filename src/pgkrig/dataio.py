@@ -12,7 +12,6 @@ import json
 import math
 import re
 import sys
-import types
 import warnings
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from itertools import chain, islice
@@ -638,10 +637,10 @@ def from_mapping(cls, data, section: str):
 
     A `data` that is not a mapping, an unknown key, or a missing key that
     has no default is a SchemaError naming `section`. Each value must have
-    its field's annotated type under the `config_value` rule; `X | None`
-    also takes None, a dataclass field takes a mapping (checked as section
-    `section.key`), and `tuple[X, ...]` takes a list whose items are each
-    checked as `key[i]` (a dataclass item as section `section.key[i]`).
+    its field's annotated type under the `config_value` rule; a dataclass
+    field takes a mapping (checked as section `section.key`), and
+    `tuple[X, ...]` takes a list whose items are each checked as `key[i]`
+    (a dataclass item as section `section.key[i]`).
     Scalars pass through unconverted. Range checks stay in
     `cls.__post_init__`; a DataError they raise gets `section` put in front.
     """
@@ -664,11 +663,6 @@ def from_mapping(cls, data, section: str):
 def _field_value(section: str, key: str, value, kind):
     """One field's value checked against its annotation `kind`."""
     args = get_args(kind)
-    if get_origin(kind) is types.UnionType and type(None) in args:
-        if value is None:
-            return None
-        (kind,) = (arg for arg in args if arg is not type(None))
-        args = get_args(kind)
     if is_dataclass(kind):
         return from_mapping(kind, value, f"{section}.{key}")
     if get_origin(kind) is tuple and len(args) == 2 and args[1] is Ellipsis:

@@ -9,9 +9,9 @@ The scheme is flux-form upwind advection plus a mirrored-edge 5-point
 Laplacian.  Boundaries come in two modes: 'open' applies zero-gradient
 ghost cells, so wind carries mass out at outflow edges; 'closed' zeroes
 every boundary flux, so with zero decay total mass changes only by source
-injections.  Each recorded hour is integrated in substeps small enough
-for stability; explicitly configured substeps are validated against the
-CFL bounds before stepping.
+injections.  Each recorded hour is integrated in the fewest substeps that
+keep every cell's outflow below its budget, which also meets both CFL
+bounds.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ BOUNDARY_MODES = ("open", "closed")
 #   diffusion: kappa * dt / dx^2 <= CFL_DIFFUSION
 CFL_ADVECTION = 0.9
 CFL_DIFFUSION = 0.25
-# Stricter bound used when substeps are chosen automatically: the total
+# A stricter bound that the substep count must also meet: the total
 # outflow fraction of any cell per substep stays below 1, which keeps
 # concentrations non-negative without clamping.
 _POSITIVITY_BUDGET = 0.9
@@ -83,23 +83,20 @@ class EmissionSource:
 class AodSpec:
     """Corruption model for the column proxy.
 
-    The proxy is gain_a * concentration + offset_b + gaussian noise, then
-    cloud-masked at the requested coverage; invert flips high and low
-    values per timestep to manufacture conflicting spatial structure.
+    The proxy is gain_a * concentration + offset_b, then cloud-masked at
+    the requested coverage; invert flips high and low values per timestep
+    to manufacture conflicting spatial structure.
     """
 
     cloud_fraction: float = 0.2
     gain_a: float = 1.0
     offset_b: float = 0.0
-    noise_sigma: float = 0.0
     invert: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.cloud_fraction <= 1.0:
             raise ScenarioError(
                 f"cloud_fraction must be in [0, 1], got {self.cloud_fraction}")
-        if self.noise_sigma < 0:
-            raise ScenarioError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
 
 @dataclass(frozen=True)
@@ -124,8 +121,6 @@ class ScenarioSpec:
     station_count: int = 40
     layout_seed: int = 7
     aod: AodSpec = field(default_factory=AodSpec)
-    substeps_per_hour: int | None = None
-    observation_noise_sigma: float = 0.0
     initial_value: float = 0.0
     boundary: str = "open"
 
@@ -148,10 +143,6 @@ class ScenarioSpec:
         if not 1 <= self.station_count <= self.nx * self.ny:
             raise ScenarioError(
                 f"station_count must be in [1, {self.nx * self.ny}], got {self.station_count}")
-        substeps = self.substeps_per_hour
-        if substeps is not None and not 1 <= substeps <= MAX_SUBSTEPS:
-            raise ScenarioError(f"substeps_per_hour must be in [1, {MAX_SUBSTEPS}] when given, "
-                                f"got {substeps}")
         if self.boundary not in BOUNDARY_MODES:
             raise ScenarioError(
                 f"unknown boundary mode '{self.boundary}', expected one of {BOUNDARY_MODES}")
@@ -260,21 +251,6 @@ def _required_substeps(spec: ScenarioSpec) -> int:
     return count
 
 
-def _check_cfl(spec: ScenarioSpec, substeps: int) -> None:
-    dx = spec.cell_km
-    dt = 1.0 / substeps
-    wind = spec.wind_series() * _MS_TO_KMH
-    speed = float(np.max(np.linalg.norm(wind, axis=1))) if wind.size else 0.0
-    if speed * dt / dx > CFL_ADVECTION + 1e-12:
-        raise ScenarioError(
-            f"CFL violation: max wind {speed:.3f} km/h at dt={dt:.4f} h, dx={dx} km "
-            f"gives {speed * dt / dx:.3f} > {CFL_ADVECTION}")
-    if spec.kappa_km2_h * dt / (dx * dx) > CFL_DIFFUSION + 1e-12:
-        raise ScenarioError(
-            f"CFL violation: kappa {spec.kappa_km2_h} km^2/h at dt={dt:.4f} h, dx={dx} km "
-            f"gives {spec.kappa_km2_h * dt / (dx * dx):.3f} > {CFL_DIFFUSION}")
-
-
 def _substep(buf: np.ndarray, spec: ScenarioSpec, dt: float,
              u_kmh: float, v_kmh: float, emit: np.ndarray) -> None:
     """Advance the state, the interior of the (ny+2, nx+2) ``buf``, by dt hours.
@@ -314,13 +290,10 @@ def simulate(spec: ScenarioSpec) -> TruthField:
     """Integrate the scenario and record the state after each hour.
 
     Raises:
-        ScenarioError: explicitly configured substeps violate the CFL
-            bounds, or the rates need more than MAX_SUBSTEPS (both checked
+        ScenarioError: the rates need more than MAX_SUBSTEPS (checked
             before any stepping).
     """
-    substeps = spec.substeps_per_hour or _required_substeps(spec)
-    _check_cfl(spec, substeps)
-
+    substeps = _required_substeps(spec)
     dt = 1.0 / substeps
     wind_ms = spec.wind_series()
     raster = spec.emission_raster()
@@ -351,12 +324,10 @@ def simulate(spec: ScenarioSpec) -> TruthField:
 
 
 def sample_stations(truth: TruthField, count: int,
-                    seed: int | np.random.SeedSequence,
-                    noise_sigma: float = 0.0) -> StationSample:
+                    seed: int | np.random.SeedSequence) -> StationSample:
     """Place stations at distinct random cells and read their series.
 
-    With the default noise_sigma 0 the sampled pollution equals the truth
-    at those cells exactly.
+    The sampled pollution equals the truth at those cells exactly.
     """
     if count > truth.n_cells:
         raise ScenarioError(f"station count {count} exceeds {truth.n_cells} cells")
@@ -365,12 +336,10 @@ def sample_stations(truth: TruthField, count: int,
     rng = np.random.default_rng(seed)
     cells = np.sort(rng.choice(truth.n_cells, size=count, replace=False))
     positions = truth.cell_positions()[cells]
-    pm25 = truth.concentrations[:, cells].copy()
-    if noise_sigma > 0.0:
-        pm25 = pm25 + rng.normal(0.0, noise_sigma, size=pm25.shape)
     return StationSample(cell_indices=cells, nodes=NodeSet(positions),
                          wind=truth.wind[:, cells, :].copy(),
-                         emissions=truth.emissions[:, cells].copy(), pm25=pm25)
+                         emissions=truth.emissions[:, cells].copy(),
+                         pm25=truth.concentrations[:, cells].copy())
 
 
 # The cloud smoother: a Gaussian of sigma 2 cells truncated at 4 sigma, with
@@ -412,8 +381,6 @@ def make_aod(truth: TruthField, corruption: AodSpec,
     rng = np.random.default_rng(seed)
     t, n = truth.concentrations.shape
     values = corruption.gain_a * truth.concentrations + corruption.offset_b
-    if corruption.noise_sigma > 0.0:
-        values = values + rng.normal(0.0, corruption.noise_sigma, size=values.shape)
     if corruption.invert:
         per_t_max = values.max(axis=1, keepdims=True)
         per_t_min = values.min(axis=1, keepdims=True)
@@ -449,8 +416,7 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None) -> ScenarioRun:
     master = spec.layout_seed if seed is None else int(seed)
     station_seed, aod_seed = np.random.SeedSequence(master).spawn(2)
     truth = simulate(spec)
-    stations = sample_stations(truth, spec.station_count, seed=station_seed,
-                               noise_sigma=spec.observation_noise_sigma)
+    stations = sample_stations(truth, spec.station_count, seed=station_seed)
     aod = make_aod(truth, spec.aod, seed=aod_seed)
     return ScenarioRun(spec=spec, truth=truth, stations=stations, aod=aod)
 

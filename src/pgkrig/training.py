@@ -108,19 +108,13 @@ class SplitSpec:
             raise ConfigError(f"holdout_fraction {self.holdout_fraction} not in [0, 1)")
 
 
-def split_from_fractions(t_hours: int, train_fraction: float = 0.7,
-                         val_fraction: float = 0.15, holdout_fraction: float = 0.3,
+def split_from_fractions(t_hours: int, holdout_fraction: float = 0.3,
                          seed: int = 0) -> SplitSpec:
-    """Carve [0, T) chronologically into train/val/test by fractions."""
-    if t_hours < 3:
-        raise ConfigError(f"need at least 3 hours to split, got {t_hours}")
-    if not (train_fraction > 0 and val_fraction > 0 and train_fraction + val_fraction < 1):
-        raise ConfigError(
-            f"fractions ({train_fraction}, {val_fraction}) must be positive and sum < 1")
-    train_end = math.floor(t_hours * train_fraction)
-    val_end = train_end + max(1, math.floor(t_hours * val_fraction))
-    if train_end < 1 or val_end >= t_hours:
-        raise ConfigError(f"fractions leave an empty slice of {t_hours} hours")
+    """Carve [0, T) chronologically into 70% train, 15% val and 15% test."""
+    train_end = math.floor(t_hours * 0.7)
+    val_end = train_end + max(1, math.floor(t_hours * 0.15))
+    if val_end >= t_hours:
+        raise ConfigError(f"the 70/15/15 carve needs at least 4 hours, got {t_hours}")
     return SplitSpec(train_range=(0, train_end), val_range=(train_end, val_end),
                      test_range=(val_end, t_hours), holdout_fraction=holdout_fraction,
                      seed=seed)
@@ -321,40 +315,20 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class SplitConfig:
-    """The `split` section: the hold-out draw, plus fractions that carve the
-    series chronologically or all three [start, end) hour ranges instead."""
+    """The `split` section: the hold-out draw. The series is always carved
+    by `split_from_fractions`."""
 
     holdout_fraction: float = 0.3
     seed: int = 0
-    train_fraction: float | None = None
-    val_fraction: float | None = None
-    train_hours: tuple[int, ...] | None = None
-    val_hours: tuple[int, ...] | None = None
-    test_hours: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"seed {self.seed} is negative")
-        hours = {key: getattr(self, key) for key in ("train_hours", "val_hours", "test_hours")}
-        if set(hours.values()) == {None}:
-            return
-        if self.train_fraction is not None or self.val_fraction is not None:
-            raise ConfigError("explicit hour ranges exclude train_fraction and val_fraction")
-        for key, value in hours.items():
-            if value is None or len(value) != 2:
-                raise ConfigError("explicit split needs train_hours, val_hours and test_hours, "
-                                  f"each a [start, end] pair of integers: {key} is {value!r}")
 
     def spec(self, t_hours: int) -> SplitSpec:
         """The split of a `t_hours`-long series."""
-        if self.train_hours is None:
-            fractions = {key: getattr(self, key) for key in ("train_fraction", "val_fraction")
-                         if getattr(self, key) is not None}
-            return split_from_fractions(t_hours, **fractions,
-                                        holdout_fraction=self.holdout_fraction, seed=self.seed)
-        return SplitSpec(train_range=self.train_hours, val_range=self.val_hours,
-                         test_range=self.test_hours, holdout_fraction=self.holdout_fraction,
-                         seed=self.seed)
+        return split_from_fractions(t_hours, holdout_fraction=self.holdout_fraction,
+                                    seed=self.seed)
 
 
 @dataclass(frozen=True)
@@ -787,9 +761,10 @@ def infer_grid(model: KrigingModel, normalization: Normalization,
         raise ConfigError("grid meteorology or emissions contain non-finite values")
 
     model = model.detached()
-    station_lookup = {pos.tobytes(): k for k, pos in enumerate(dataset.nodes.positions)}
-    node_of_cell = np.array([station_lookup.get(pos.tobytes(), -1) for pos in grid_positions],
-                            dtype=np.int64)
+    # keyed by value: adding +0.0 turns -0.0 into +0.0, which compare equal
+    station_lookup = {(pos + 0.0).tobytes(): k for k, pos in enumerate(dataset.nodes.positions)}
+    node_of_cell = np.array([station_lookup.get((pos + 0.0).tobytes(), -1)
+                             for pos in grid_positions], dtype=np.int64)
     coincident = node_of_cell >= 0
     station_graph = Graph.build(dataset.nodes, threshold_km).refuse_isolated()
 

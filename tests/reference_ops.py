@@ -362,8 +362,6 @@ def per_hour_make_aod(truth, corruption, seed):
     rng = np.random.default_rng(seed)
     t, n = truth.concentrations.shape
     values = corruption.gain_a * truth.concentrations + corruption.offset_b
-    if corruption.noise_sigma > 0.0:
-        values = values + rng.normal(0.0, corruption.noise_sigma, size=values.shape)
     if corruption.invert:
         per_t_max = values.max(axis=1, keepdims=True)
         per_t_min = values.min(axis=1, keepdims=True)

@@ -126,16 +126,15 @@ def test_simulate_aod_missing_preset_all_masked(tmp_path):
     assert np.all(valid == 0.0)
 
 
-def test_simulate_station_truth_is_the_truth_at_the_stations(pipeline, tmp_path):
-    _, scen, _, data, _ = pipeline
-    station_truth = (data / "station_truth.csv").read_bytes()
-    assert station_truth == (data / "stations.csv").read_bytes()  # no observation noise
-    noisy = tmp_path / "noisy.yaml"
-    noisy.write_text(SCENARIO_YAML + "observation_noise_sigma: 0.5\n", encoding="utf-8")
-    out = tmp_path / "noisy"
-    assert run_cli("simulate", "--scenario", noisy, "--out", out, "--seed", 3) == 0
-    assert (out / "station_truth.csv").read_bytes() == station_truth
-    assert (out / "stations.csv").read_bytes() != station_truth
+def test_simulate_station_truth_is_the_truth_at_the_stations(pipeline):
+    _, _, _, data, _ = pipeline
+    ids, station_truth = dataio.read_values(data / "station_truth.csv", "pm25")
+    _, truth = dataio.read_values(data / "truth.csv", "pm25")
+    positions = dataio.read_nodes(data / "nodes.csv").positions
+    cells = dataio.read_grid_nodes(data / "grid.csv").positions()
+    at = [int(np.flatnonzero((cells == p).all(axis=1))[0]) for p in positions[ids]]
+    assert station_truth.tobytes() == truth[:, at].tobytes()
+    assert (data / "station_truth.csv").read_bytes() == (data / "stations.csv").read_bytes()
 
 
 def test_simulate_unknown_preset_is_data_error(tmp_path, capsys):
@@ -166,9 +165,9 @@ def test_scenario_file_with_mistyped_value(tmp_path, capsys, line, key):
 
 @pytest.mark.parametrize("key", [
     "cell_km", "wind_speed_ms", "wind_direction_deg", "kappa_km2_h", "decay_per_h",
-    "background_rate", "observation_noise_sigma", "initial_value",
+    "background_rate", "initial_value",
     "sources.x_km", "sources.y_km", "sources.rate_per_h",
-    "aod.cloud_fraction", "aod.gain_a", "aod.offset_b", "aod.noise_sigma",
+    "aod.cloud_fraction", "aod.gain_a", "aod.offset_b",
 ])
 def test_scenario_file_with_nonfinite_value(tmp_path, capsys, monkeypatch, key):
     def integrate(*args, **kwargs):
@@ -191,6 +190,23 @@ def test_scenario_file_with_nonfinite_value(tmp_path, capsys, monkeypatch, key):
         err = capsys.readouterr().err
         assert f"{name} must be finite" in err and "Traceback" not in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["substeps_per_hour", "observation_noise_sigma",
+                                 "aod.noise_sigma"])
+def test_scenario_file_with_a_removed_key_is_data_error(tmp_path, capsys, key):
+    """The substep count is derived from the rates, and neither the
+    stations nor the proxy are noisy: none of them can be set."""
+    section, _, name = key.rpartition(".")
+    line = f"  {name}: 0.5" if section else f"{name}: 1"  # the file ends in its aod mapping
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(f"{SCENARIO_YAML}{line}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--scenario", bad, "--out", out) == 2
+    err = capsys.readouterr().err
+    section = f"scenario.{section}" if section else "scenario"
+    assert err == f"error: section {section!r}: unknown keys [{name!r}]\n"
+    assert not out.exists()
 
 
 def test_scenario_file_with_negative_layout_seed(tmp_path, capsys):
@@ -528,6 +544,37 @@ def test_train_config_fault_names_its_section_before_reading_data(tmp_path, caps
     assert capsys.readouterr().err == f"error: section {message}\n"
 
 
+@pytest.mark.parametrize("key, value", [
+    ("train_fraction", "0.7"), ("val_fraction", "0.15"), ("train_hours", "[0, 168]"),
+    ("val_hours", "[168, 204]"), ("test_hours", "[204, 240]")])
+def test_train_config_with_a_removed_split_key_is_data_error(tmp_path, capsys, monkeypatch,
+                                                             key, value):
+    """The hours are always carved 70/15/15, so no split key can set them."""
+    def read(*args, **kwargs):
+        raise AssertionError("a faulty config reached the data directory")
+
+    monkeypatch.setattr(cli, "_read_stations", read)
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(f"split: {{holdout_fraction: 0.3, {key}: {value}}}\n", encoding="utf-8")
+    assert run_cli("train", "--config", cfg, "--data", tmp_path,
+                   "--out", tmp_path / "x.ckpt") == 2
+    assert capsys.readouterr().err == f"error: section 'config.split': unknown keys ['{key}']\n"
+
+
+def test_train_numeric_failure_is_one_line(pipeline, tmp_path, capsys):
+    """A learning rate that overflows the weights exits 3 with one message,
+    and no numpy warning comes before it."""
+    _, _, _, data, _ = pipeline
+    cfg = tmp_path / "huge_step.yaml"
+    cfg.write_text("train: {epochs: 1, batches_per_epoch: 2, window: 24, "
+                   "learning_rate: 1.0e300}\ngraph: {threshold_km: 8.0}\n", encoding="utf-8")
+    assert run_cli("train", "--config", cfg, "--data", data,
+                   "--out", tmp_path / "x.ckpt") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and len(err.splitlines()) == 1, err
+    assert not (tmp_path / "x.ckpt").exists()
+
+
 def test_train_model_too_large_for_memory_is_data_error(pipeline, tmp_path, capsys):
     # numpy refuses the first parameter's allocation at once
     _, _, _, data, _ = pipeline
@@ -713,6 +760,50 @@ def test_infer_grid_names_a_mismatched_grid_inputs_csv(pipeline, tmp_path, capsy
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "x.csv").exists()
+
+
+def _rewrite(path, edit) -> None:
+    """Replace the table at `path` by `edit` of its lines."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(edit(lines)), encoding="utf-8")
+
+
+def _header_only(lines):
+    return [line for line in lines if line.startswith("#")] + [
+        next(line for line in lines if not line.startswith("#"))]
+
+
+# (the file broken, how, the message)
+TABLE_REFUSALS = [
+    ("stations.csv", lambda lines: [lines[0], "\n", *lines[1:]], "blank line before header"),
+    ("nodes.csv", _header_only, "no node rows"),
+    ("stations.csv", _header_only, "no data rows"),
+    ("grid.csv", lambda lines: [line.replace("nx=8", "nx=0") for line in lines],
+     "degenerate grid"),
+    ("grid_inputs.csv", lambda lines: [line for line in lines if line.split(",")[1:2] != ["0"]],
+     "cell_ids must be dense 0..46"),
+    ("stations.csv", lambda lines: lines[:-STATIONS], "covers 59 hours but predictions cover 60"),
+]
+
+
+@pytest.mark.parametrize("name, edit, message", TABLE_REFUSALS,
+                         ids=["blank_before_header", "nodes_without_rows", "series_without_rows",
+                              "grid_nx_0", "grid_inputs_sparse_ids", "truth_short_of_pred"])
+def test_malformed_table_is_refused_in_one_line(pipeline, tmp_path, capsys, name, edit,
+                                                message):
+    _, _, _, data, ckpt = pipeline
+    broken = _copy_data(data, tmp_path)
+    _rewrite(broken / name, edit)
+    out = tmp_path / "x.csv"
+    if name == "stations.csv":
+        argv = ["eval", "--pred", data / "station_truth.csv", "--truth", broken / name]
+    else:
+        argv = ["infer", "--ckpt", ckpt, "--data", broken, "--out", out,
+                *(["--targets", "0"] if name == "nodes.csv" else ["--grid"])]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {broken / name}") and message in err, err
+    assert len(err.splitlines()) == 1 and not out.exists()
 
 
 @pytest.mark.parametrize("mode", [("--targets", "0"), ("--grid",)])
@@ -1195,8 +1286,8 @@ def test_each_command_imports_only_what_it_runs(pipeline, tmp_path):
 
 
 def test_simulate_copies_station_truth_when_it_equals_the_observations(tmp_path, monkeypatch):
-    """Without observation noise the two tables hold the same values, and
-    the second file is a copy of the first, not formatted again."""
+    """The stations read the truth exactly, so the two tables hold the same
+    values, and the second file is a copy of the first, not formatted again."""
     written = []
     write_values = dataio.write_values
 

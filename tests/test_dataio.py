@@ -675,23 +675,15 @@ def _formats_yaml(heading: str) -> str:
 
 
 def test_formats_md_config_matches_the_dataclasses(tmp_path):
-    """The documented run configuration loads, and lists every field; its
-    commented-out hour ranges load in place of the fractions."""
-    text = _formats_yaml("## Run configuration (YAML)")
-    explicit = re.sub(r"^  (?:train|val)_fraction:.*\n", "",
-                      re.sub(r"^  # (\w+_hours:)", r"  \1", text, flags=re.M), flags=re.M)
-    hours = {"train_hours", "val_hours", "test_hours"}
-    fractions = {"train_fraction", "val_fraction"}
-    for yaml_text, left_out in ((text, hours), (explicit, fractions)):
-        path = tmp_path / "run.yaml"
-        path.write_text(yaml_text, encoding="utf-8")
-        config = dataio.load_config(path)
-        dataio.from_mapping(RunConfig, config, "config").split.spec(240)
-        assert set(config) == _field_names(RunConfig)
-        for name, cls in (("model", ModelConfig), ("train", TrainConfig),
-                          ("split", SplitConfig), ("loss", LossWeights), ("graph", GraphConfig)):
-            assert set(config[name]) == _field_names(cls) - (left_out if name == "split"
-                                                             else set()), name
+    """The documented run configuration loads, and lists every field."""
+    path = tmp_path / "run.yaml"
+    path.write_text(_formats_yaml("## Run configuration (YAML)"), encoding="utf-8")
+    config = dataio.load_config(path)
+    dataio.from_mapping(RunConfig, config, "config").split.spec(240)
+    assert set(config) == _field_names(RunConfig)
+    for name, cls in (("model", ModelConfig), ("train", TrainConfig),
+                      ("split", SplitConfig), ("loss", LossWeights), ("graph", GraphConfig)):
+        assert set(config[name]) == _field_names(cls), name
 
 
 def test_formats_md_scenario_matches_the_dataclasses():
@@ -707,10 +699,9 @@ def test_formats_md_scenario_matches_the_dataclasses():
 
 @pytest.mark.parametrize("config", [
     ModelConfig(), TrainConfig(), LossWeights(),
-    RunConfig(split=SplitConfig(train_fraction=0.6, val_fraction=0.2)),
-    RunConfig(split=SplitConfig(train_hours=(0, 40), val_hours=(40, 50), test_hours=(50, 60))),
+    RunConfig(split=SplitConfig(holdout_fraction=0.5, seed=3)),
     *map(scenario_preset, PRESET_NAMES),
-], ids=["model", "train", "loss", "run", "run-hours", *PRESET_NAMES])
+], ids=["model", "train", "loss", "run", *PRESET_NAMES])
 def test_every_config_field_has_a_checked_type(config):
     """from_mapping rebuilds each config from its own fields; a field whose
     annotation it cannot check fails here."""

@@ -9,6 +9,7 @@ from reference_ops import padded_substep, per_hour_make_aod
 from scipy.ndimage import gaussian_filter
 
 from pgkrig import testbed as tb
+from pgkrig.dataio import SchemaError, from_mapping
 
 
 def quiet_spec(**overrides):
@@ -107,11 +108,13 @@ class TestSimulate:
             assert truth.concentrations.min() >= 0.0
             assert np.all(np.isfinite(truth.concentrations))
 
-    def test_explicit_substeps_cfl_violation_errors(self):
-        with pytest.raises(tb.ScenarioError, match="CFL"):
-            tb.simulate(quiet_spec(wind_speed_ms=10.0, substeps_per_hour=1))
-        with pytest.raises(tb.ScenarioError, match="CFL"):
-            tb.simulate(quiet_spec(kappa_km2_h=3.0, substeps_per_hour=1))
+    def test_needed_substeps_meet_both_cfl_bounds(self):
+        for spec in (quiet_spec(wind_speed_ms=10.0), quiet_spec(kappa_km2_h=3.0),
+                     tb.scenario_preset("s1-advection")):
+            dt, dx = 1.0 / tb._required_substeps(spec), spec.cell_km
+            speed = float(np.max(np.linalg.norm(spec.wind_series() * tb._MS_TO_KMH, axis=1)))
+            assert speed * dt / dx <= tb.CFL_ADVECTION
+            assert spec.kappa_km2_h * dt / (dx * dx) <= tb.CFL_DIFFUSION
 
     @pytest.mark.parametrize("key, value", [
         ("wind_speed_ms", 1.0e307), ("kappa_km2_h", 1.5e308), ("decay_per_h", 1.7e308)])
@@ -139,8 +142,10 @@ class TestSimulate:
                 tb.simulate(quiet_spec(**{key: value}))
 
     def test_substep_ceiling_bounds_explicit_and_needed_counts(self):
-        with pytest.raises(tb.ScenarioError, match="substeps_per_hour must be in"):
-            quiet_spec(substeps_per_hour=tb.MAX_SUBSTEPS + 1)
+        # an explicit count cannot be given at all
+        with pytest.raises(SchemaError, match=r"unknown keys \['substeps_per_hour'\]$"):
+            from_mapping(tb.ScenarioSpec, {"substeps_per_hour": tb.MAX_SUBSTEPS + 1},
+                         "scenario")
         # kappa at the positivity bound of exactly MAX_SUBSTEPS substeps runs
         kappa = tb.MAX_SUBSTEPS * tb._POSITIVITY_BUDGET * 4.0 / 4.0
         assert tb._required_substeps(quiet_spec(kappa_km2_h=kappa)) == tb.MAX_SUBSTEPS
@@ -197,10 +202,9 @@ class TestStations:
                                       truth.emissions[:, sample.cell_indices])
 
     def test_observation_noise_flag(self):
-        truth = tb.simulate(quiet_spec(initial_value=3.0))
-        noisy = tb.sample_stations(truth, count=6, seed=3, noise_sigma=0.5)
-        clean = tb.sample_stations(truth, count=6, seed=3)
-        assert not np.array_equal(noisy.pm25, clean.pm25)
+        # the stations read the truth exactly: no noise level can be set
+        with pytest.raises(SchemaError, match=r"unknown keys \['observation_noise_sigma'\]$"):
+            from_mapping(tb.ScenarioSpec, {"observation_noise_sigma": 0.5}, "scenario")
 
     def test_count_exceeding_cells_errors(self):
         truth = tb.simulate(quiet_spec(nx=3, ny=3, initial_value=1.0))
@@ -347,7 +351,7 @@ class TestReferenceParity:
     def test_make_aod_equals_per_hour_reference(self, preset, cloud_fraction):
         spec = replace(tb.scenario_preset(preset), t_hours=6)
         truth = tb.simulate(spec)
-        corruption = replace(spec.aod, cloud_fraction=cloud_fraction, noise_sigma=0.3)
+        corruption = replace(spec.aod, cloud_fraction=cloud_fraction)
         for seed in (0, 7):
             aod = tb.make_aod(truth, corruption, seed)
             expected = per_hour_make_aod(truth, corruption, seed)

@@ -1,6 +1,7 @@
 """Partitioning, splits, standardization, and training-loop contracts."""
 
 import math
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -290,6 +291,23 @@ def test_train_tracks_best_epoch():
     assert result.best_val_mae == min(maes)
     assert result.meta["aod_loss_active"] is True
     assert result.meta["epochs_run"] == len(result.log)
+
+
+def test_train_stops_early_and_returns_the_best_epochs_model():
+    dataset = tr.dataset_from_scenario(toy_run())
+    split = tr.split_from_fractions(60)
+    result = tr.train(dataset, small_model_config(), fast_config(epochs=8, patience=1),
+                      split, threshold_km=10.0)
+    maes = [rec.val_mae for rec in result.log]
+    assert result.meta["epochs_run"] == len(maes) < 8
+    assert result.best_epoch == int(np.argmin(maes))
+    # the same draws up to the best epoch, so the same parameters bit for bit
+    shorter = tr.train(dataset, small_model_config(),
+                       fast_config(epochs=result.best_epoch + 1, patience=1),
+                       split, threshold_km=10.0)
+    assert shorter.best_epoch == result.best_epoch
+    for name, tensor in result.model.params.items():
+        assert tensor.data.tobytes() == shorter.model.params[name].data.tobytes(), name
 
 
 def test_train_smoke_loss_halves_in_twenty_epochs():
@@ -638,6 +656,21 @@ def test_infer_grid_coincident_cell_reuses_station_node():
     _, x_hat = result.model.full_forward(series, diffusion, advection)
     expected = result.normalization.to_physical(x_hat).data[station, :]
     assert np.array_equal(field[:, 0], expected)
+
+
+def test_infer_grid_finds_a_coincident_cell_by_its_value():
+    """A station at x = -0.0 sits where a cell at x = +0.0 does."""
+    full, result = trained_toy()
+    cells = np.array([[0.0, 0.0], [2.5, 2.5]])
+    fields = []
+    for zero in (0.0, -0.0):
+        nodes = NodeSet(np.array([[zero, 0.0], [5.0, 0.0], [0.0, 5.0], [5.0, 5.0]]))
+        dataset = tr.StationDataset(nodes=nodes, wind=full.wind[:, :4],
+                                    emissions=full.emissions[:, :4], pm25=full.pm25[:, :4])
+        fields.append(tr.infer_grid(result.model, result.normalization, dataset, cells,
+                                    full.wind[:, :2], full.emissions[:, :2], threshold_km=10.0))
+    assert fields[0].shape == (60, 2)
+    assert fields[1].tobytes() == fields[0].tobytes()
 
 
 def test_infer_grid_covers_every_cell_finite():
@@ -1050,52 +1083,40 @@ _HOURS = {"train_hours": [0, 40], "val_hours": [40, 50], "test_hours": [50, 60]}
 
 
 def test_split_from_dict_fractions():
-    split = split_from_dict({"train_fraction": 0.5, "val_fraction": 0.25,
-                             "holdout_fraction": 0.2, "seed": 8}, t_hours=100)
-    assert split.train_range == (0, 50)
-    assert split.val_range == (50, 75)
-    assert split.test_range == (75, 100)
+    """The hours are carved 70/15/15 whatever the hold-out draw."""
+    split = split_from_dict({"holdout_fraction": 0.2, "seed": 8}, t_hours=100)
+    assert split.train_range == (0, 70)
+    assert split.val_range == (70, 85)
+    assert split.test_range == (85, 100)
     assert split.holdout_fraction == 0.2 and split.seed == 8
 
 
 def test_split_from_dict_default_fractions():
     assert split_from_dict({}, t_hours=100) == tr.split_from_fractions(100)
-    assert split_from_dict({"val_fraction": 0.25}, t_hours=100).val_range == (70, 95)
 
 
 @pytest.mark.parametrize("key", ["train_fraction", "val_fraction"])
 def test_split_from_dict_rejects_nan_fractions(key):
-    with pytest.raises(SchemaError, match=f"^section 'split': {key} must be finite, got nan$"):
+    """The carve's fractions are not settable, so the key is refused before its value."""
+    with pytest.raises(SchemaError, match=rf"^section 'split': unknown keys \['{key}'\]$"):
         split_from_dict({key: float("nan")}, t_hours=100)
-    with pytest.raises(tr.ConfigError, match="must be positive and sum < 1"):
-        tr.split_from_fractions(100, **{key: float("nan")})
 
 
 def test_split_from_dict_explicit_ranges():
-    split = split_from_dict(_HOURS, t_hours=60)
-    assert split.train_range == (0, 40)
+    """Hour ranges are not settable: every mapping that gave them, well
+    formed or not and with or without a fraction, is refused by its keys."""
+    cases = [_HOURS, {**_HOURS, "train_fraction": 0.5}, {**_HOURS, "val_fraction": 0.5}]
+    cases += [{**_HOURS, "train_hours": bad}
+              for bad in ([True, 40], [0, 40.0], [0, "40"], [0], [0, 40, 50], 40)]
+    for data in cases:
+        keys = re.escape(str(sorted(data)))
+        with pytest.raises(SchemaError, match=f"^section 'split': unknown keys {keys}$"):
+            split_from_dict(data, t_hours=60)
 
 
 def test_split_from_dict_partial_explicit_rejected():
-    with pytest.raises(tr.ConfigError, match="explicit split needs"):
+    with pytest.raises(SchemaError, match=r"^section 'split': unknown keys \['train_hours'\]$"):
         split_from_dict({"train_hours": [0, 40]}, t_hours=60)
-
-
-def test_split_from_dict_hours_exclude_fractions():
-    for key in ("train_fraction", "val_fraction"):
-        with pytest.raises(tr.ConfigError, match="exclude train_fraction and val_fraction"):
-            split_from_dict({**_HOURS, key: 0.5}, t_hours=60)
-
-
-def test_split_from_dict_explicit_hours_must_be_ints():
-    for bad in ([True, 40], [0, 40.0], [0, "40"]):
-        with pytest.raises(SchemaError, match=r"train_hours\[\d\] must be int"):
-            split_from_dict({**_HOURS, "train_hours": bad}, t_hours=60)
-    for bad in ([0], [0, 40, 50]):
-        with pytest.raises(tr.ConfigError, match=r"\[start, end\] pair of integers: train_hours"):
-            split_from_dict({**_HOURS, "train_hours": bad}, t_hours=60)
-    with pytest.raises(SchemaError, match="train_hours must be a list of int, got 40"):
-        split_from_dict({**_HOURS, "train_hours": 40}, t_hours=60)
 
 
 def test_split_from_dict_unknown_keys():
