@@ -110,7 +110,7 @@ class SplitSpec:
 
 def split_from_fractions(t_hours: int, holdout_fraction: float = 0.3,
                          seed: int = 0) -> SplitSpec:
-    """Carve [0, T) chronologically into 70% train, 15% val and 15% test."""
+    """Carve [0, T) chronologically: the first 70% train, the next 15% val, the rest test."""
     train_end = math.floor(t_hours * 0.7)
     val_end = train_end + max(1, math.floor(t_hours * 0.15))
     if val_end >= t_hours:
