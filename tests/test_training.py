@@ -1102,21 +1102,33 @@ def test_split_from_dict_rejects_nan_fractions(key):
         split_from_dict({key: float("nan")}, t_hours=100)
 
 
+def assert_split_keys_refused(data: dict):
+    """`data` is refused by its keys, all of them named, before any value is read."""
+    keys = re.escape(str(sorted(data)))
+    with pytest.raises(SchemaError, match=f"^section 'split': unknown keys {keys}$"):
+        split_from_dict(data, t_hours=60)
+
+
 def test_split_from_dict_explicit_ranges():
-    """Hour ranges are not settable: every mapping that gave them, well
-    formed or not and with or without a fraction, is refused by its keys."""
-    cases = [_HOURS, {**_HOURS, "train_fraction": 0.5}, {**_HOURS, "val_fraction": 0.5}]
-    cases += [{**_HOURS, "train_hours": bad}
-              for bad in ([True, 40], [0, 40.0], [0, "40"], [0], [0, 40, 50], 40)]
-    for data in cases:
-        keys = re.escape(str(sorted(data)))
-        with pytest.raises(SchemaError, match=f"^section 'split': unknown keys {keys}$"):
-            split_from_dict(data, t_hours=60)
+    """Hour ranges are not settable: a well-formed set of them is refused by its keys."""
+    assert_split_keys_refused(_HOURS)
 
 
 def test_split_from_dict_partial_explicit_rejected():
     with pytest.raises(SchemaError, match=r"^section 'split': unknown keys \['train_hours'\]$"):
         split_from_dict({"train_hours": [0, 40]}, t_hours=60)
+
+
+def test_split_from_dict_hours_exclude_fractions():
+    """Ranges given with a fraction are refused by the keys of both."""
+    for key in ("train_fraction", "val_fraction"):
+        assert_split_keys_refused({**_HOURS, key: 0.5})
+
+
+def test_split_from_dict_explicit_hours_must_be_ints():
+    """A malformed train_hours is refused by its key, whatever its value."""
+    for bad in ([True, 40], [0, 40.0], [0, "40"], [0], [0, 40, 50], 40):
+        assert_split_keys_refused({**_HOURS, "train_hours": bad})
 
 
 def test_split_from_dict_unknown_keys():
