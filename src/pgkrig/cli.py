@@ -232,6 +232,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .losses import LossError, LossWeights
     from .training import train
 
     try:
@@ -240,6 +241,11 @@ def _cmd_sweep(args) -> int:
         raise _UsageError(f"--values must be comma-separated numbers: {exc}")
     if not values:
         raise _UsageError("--values is empty")
+    for value in values:
+        try:
+            LossWeights(**{args.param: value})
+        except LossError as exc:
+            raise _UsageError(f"--values: {exc}")
     out = _output_file(args.out, _train_input_files(args)) if args.out else None
     dataset, model_cfg, train_cfg, split, weights, threshold = _train_inputs(args)
     results = [train(dataset, model_cfg, train_cfg, split,

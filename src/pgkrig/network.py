@@ -147,12 +147,6 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...],
     return rng.uniform(-bound, bound, size=shape)
 
 
-def _last_hours(h: ad.Tensor, hours: int) -> ad.Tensor:
-    """The last `hours` hours of an (N, T, C) state, or all T if T <= hours."""
-    t = h.shape[1]
-    return h[:, t - hours:] if t > hours else h
-
-
 class KrigingModel:
     """The network plus its named parameter store.
 
@@ -207,28 +201,21 @@ class KrigingModel:
 
     # -- forward pieces ----------------------------------------------------
 
-    def encode(self, series: NodeSeries, hours: int | None = None) -> ad.Tensor:
+    def encode(self, series: NodeSeries) -> ad.Tensor:
         """Per-node causal temporal encoding, (N, T, hidden).
 
         Nodes never mix here: the same convolution weights run on every
-        node's own channel history.  Given `hours`, only the last `hours`
-        hours are returned, and each layer runs over just the hours that
-        the layers after it read; those hours keep the bits of the whole
-        encoding.
+        node's own channel history, and hour t reads only hours up to t.
         """
         if series.values.shape[2] != N_CHANNELS:
             raise ModelError(
                 f"series has {series.values.shape[2]} channels, expected {N_CHANNELS}")
         h = ad.Tensor(series.values)
-        dilations = self.config.dilations
-        for i, dilation in enumerate(dilations):
-            if hours is not None:
-                reach = (self.config.tcn_kernel_size - 1) * sum(dilations[i:])
-                h = _last_hours(h, hours + reach)
+        for i, dilation in enumerate(self.config.dilations):
             h = ad.conv1d_causal_dilated(h, self.params[f"tcn.{i}.weight"],
                                          self.params[f"tcn.{i}.bias"], dilation=dilation)
             h = self._act(h)
-        return h if hours is None else _last_hours(h, hours)
+        return h
 
     def propagate(self, h: ad.Tensor, diffusion: DiffusionOperator,
                   advection: AdvectionOperator, layer: int) -> ad.Tensor:

@@ -388,8 +388,6 @@ def make_aod(truth: TruthField, corruption: AodSpec,
     cf = corruption.cloud_fraction
     if cf >= 1.0:
         valid = np.zeros((t, n))
-    elif cf == 0.0:
-        valid = np.ones((t, n))
     else:
         smooth = _smooth_clouds(rng.standard_normal((t, truth.ny, truth.nx))).reshape(t, n)
         cut = np.quantile(smooth, cf, axis=1)

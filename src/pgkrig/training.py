@@ -445,14 +445,16 @@ def predict(model: KrigingModel, normalization: Normalization, graph: Graph,
 
 def _encode(model: KrigingModel, normalization: Normalization, wind: np.ndarray,
             emissions: np.ndarray, pm25: np.ndarray, hidden: np.ndarray | list[int],
-            hours: int | None = None) -> np.ndarray:
-    """Per-node encodings (N, T, hidden) of raw inputs, `hidden` ids unobserved,
-    or of their last `hours` hours only (`KrigingModel.encode`).
+            hours: int) -> np.ndarray:
+    """Per-node encodings (N, hours, hidden) of the last `hours` hours of raw
+    time-major inputs, `hidden` ids unobserved; the hours before them are
+    context that the causal encoder reads.
 
     The encoder never mixes nodes, so the encodings of any node subset can
     be taken on their own and joined later.
     """
-    return model.encode(_series(normalization, wind, emissions, pm25, hidden), hours).data
+    h = model.encode(_series(normalization, wind, emissions, pm25, hidden)).data
+    return h[:, h.shape[1] - hours:]
 
 
 def _forward_only(model: KrigingModel, normalization: Normalization,
@@ -484,12 +486,9 @@ def _station_blocks(model: KrigingModel, normalization: Normalization,
     reads receptive_field hours up to and including the hour it encodes, so
     the encodings are taken from the inputs over [context, hi), with
     context receptive_field - 1 hours before lo (clipped at 0), and each
-    hour gets the bits of one encoding of the whole series.  Each encoder
-    layer runs only over the hours that the layers after it read, so a
-    12-hour block with its 14 hours of context runs the default encoder's
-    three layers over 26, 24 and 20 hours.  The block size trades that
-    re-encoded context for a smaller working set, and any size gives the
-    same bits.
+    hour gets the bits of one encoding of the whole series.  The block
+    size trades that re-encoded context for a smaller working set, and any
+    size gives the same bits.
     """
     history = model.config.receptive_field - 1
     for lo in range(0, dataset.t_hours, _BLOCK_HOURS):
@@ -501,22 +500,22 @@ def _station_blocks(model: KrigingModel, normalization: Normalization,
 
 
 def _evaluate(model: KrigingModel, normalization: Normalization,
-              view: StationDataset, graph: Graph, advection: AdvectionOperator,
-              targets: list[np.ndarray],
+              view: StationDataset, graph: Graph, targets: list[np.ndarray],
               time_range: tuple[int, int]) -> NodeScore:
-    """Pooled masked-reconstruction score over fixed target sets of a range,
-    whose advection operator is `advection`.
+    """Pooled masked-reconstruction score over fixed target sets of a range.
 
-    Each target set is one forward-only pass over the whole range, encoded
-    from the range's first hour on, as in training.
+    The range's advection rates are built once per call.  Each target set
+    is one forward-only pass over the whole range, encoded from the range's
+    first hour on, as in training.
     """
     model = model.detached()
     lo, hi = time_range
     inputs = (view.wind[lo:hi], view.emissions[lo:hi], view.pm25[lo:hi])
+    advection = graph.advection(view.wind[lo:hi])
     preds, truths = [], []
     for target in targets:
         x_hat = _forward_only(model, normalization, graph.diffusion, advection,
-                              [_encode(model, normalization, *inputs, target)])
+                              [_encode(model, normalization, *inputs, target, hi - lo)])
         preds.append(x_hat[target, :].ravel())
         truths.append(view.pm25[lo:hi].T[target, :].ravel())
     return score_pooled(np.concatenate(preds), np.concatenate(truths))
@@ -588,8 +587,6 @@ def train(dataset: StationDataset, model_config: ModelConfig, config: TrainConfi
             f"{view.n} stations; at least 2 are needed")
     val_targets = [sample_partition(station_ids, config.mask_ratio, rng)
                    for _ in range(config.val_partitions)]
-    val_lo, val_hi = split.val_range
-    val_advection = graph.advection(view.wind[val_lo:val_hi])
     optimizer = ad.Adam(model.params, lr=config.learning_rate)
 
     log: list[EpochRecord] = []
@@ -633,8 +630,7 @@ def train(dataset: StationDataset, model_config: ModelConfig, config: TrainConfi
                 raise TrainError(
                     f"non-finite value at epoch {epoch}, batch {batch}: {exc}") from exc
             batch_losses.append(float(loss.data))
-        val = _evaluate(model, normalization, view, graph, val_advection, val_targets,
-                        split.val_range)
+        val = _evaluate(model, normalization, view, graph, val_targets, split.val_range)
         log.append(EpochRecord(epoch=epoch, train_loss=float(np.mean(batch_losses)),
                                val_mae=val.mae, val_rmse=val.rmse, val_r2=val.r2))
         if val.mae < best_mae:
@@ -684,8 +680,6 @@ def infer_stations(model: KrigingModel, normalization: Normalization,
         (T, len(target_ids)) physical predictions, columns in target order.
     """
     target_ids = np.asarray(target_ids, dtype=np.int64)
-    if target_ids.size == 0:
-        return np.zeros((dataset.t_hours, 0))
     unknown = [int(i) for i in target_ids if i < 0 or i >= dataset.n]
     if unknown:
         raise ConfigError(f"unknown node ids {unknown}; dataset has 0..{dataset.n - 1}")

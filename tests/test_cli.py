@@ -409,7 +409,8 @@ def test_train_unknown_graph_key_is_data_error(pipeline, tmp_path, capsys):
 
 @pytest.mark.parametrize("section, key, value", [
     ("split", "seed", "abc"), ("split", "holdout_fraction", "abc"),
-    ("split", "train_fraction", "abc"), ("graph", "threshold_km", "abc"),
+    pytest.param("split", "holdout_fraction", [0.3], id="split-holdout_fraction-list"),
+    ("graph", "threshold_km", "abc"),
     ("model", "hidden_dim", 2.5), ("model", "tcn_layers", 2.0),
     ("train", "epochs", 1.5), ("train", "window", 24.5), ("train", "val_partitions", 1.5),
     ("train", "seed", 1.5), ("split", "seed", 1.5), ("train", "epochs", True),
@@ -1058,6 +1059,25 @@ def test_sweep_checks_values_and_output_before_reading(pipeline, tmp_path, capsy
     assert run_cli("sweep", "--config", cfg, "--data", no_data, "--values", "0,0.2",
                    "--out", out) == 2
     assert f"{out}: no such directory {out.parent}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("param, values", [("lambda2", "0,0.5,-1"), ("lambda1", "nan"),
+                                           ("lambda2", "0.1,inf")])
+def test_sweep_checks_every_weight_before_reading_or_training(pipeline, tmp_path, capsys,
+                                                              monkeypatch, param, values):
+    from pgkrig import training
+
+    _, _, cfg, data, _ = pipeline
+    calls = []
+    monkeypatch.setattr(training, "train", lambda *a, **k: calls.append(a))
+    out = tmp_path / "sweep.csv"
+    for data_dir in (data, tmp_path / "no-data"):
+        assert run_cli("sweep", "--config", cfg, "--data", data_dir, "--param", param,
+                       "--values", values, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "--values" in err and f"{param} must be finite and >= 0" in err
+        assert "nodes.csv" not in err
+    assert calls == [] and not out.exists()
 
 
 # -- shared contract ---------------------------------------------------

@@ -134,17 +134,6 @@ class TestEncode:
         bumped = model.encode(nw.NodeSeries(vals)).data
         np.testing.assert_array_equal(base[:, :7, :], bumped[:, :7, :])
 
-    @pytest.mark.parametrize("hours", [1, 2, 5, 13, 20, 24])
-    def test_last_hours_are_the_whole_encodings_bits(self, hours):
-        """Three layers (receptive field 15) over 20 hours: the trimmed
-        layers read from 0 to 14 hours of context, a 1-hour tap included."""
-        rng = np.random.default_rng(4)
-        series, _, _ = toy_inputs(rng, n=5, t=20)
-        model = nw.KrigingModel(small_config(tcn_layers=3), seed=0)
-        whole = model.encode(series).data
-        last = model.encode(series, hours).data
-        assert last.tobytes() == whole[:, max(0, 20 - hours):].tobytes()
-
 
 class TestPropagate:
     def _zero_ops(self, n, t=1):

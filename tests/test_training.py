@@ -614,23 +614,6 @@ def test_inference_never_builds_proxy_loss_edges(monkeypatch):
                   dataset.wind[:, cells], dataset.emissions[:, cells], threshold_km=10.0)
 
 
-def test_train_builds_the_validation_rates_once(monkeypatch):
-    hours = []
-    build = tr.advection_sequence
-
-    def counted(nodes, wind, *args):
-        hours.append(wind.shape[0])
-        return build(nodes, wind, *args)
-
-    monkeypatch.setattr(tr, "advection_sequence", counted)
-    split = tr.split_from_fractions(60)
-    result = tr.train(tr.dataset_from_scenario(toy_run()), small_model_config(),
-                      fast_config(), split, threshold_km=10.0)
-    assert len(result.log) == 3 and split.val_range == (42, 51)
-    # the 9 validation hours once, then one 12-hour window per batch
-    assert hours == [9] + [12] * 12
-
-
 def test_graph_of_coincident_nodes_is_refused():
     # advection over it has no direction, and every graph runs advection
     nodes = NodeSet(np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 0.0]]))
@@ -871,8 +854,7 @@ def _forward_only_passes(dataset, result):
                          dataset.emissions[:, cells], threshold_km=10.0)
     graph = tr.Graph.build(dataset.nodes, 10.0)
     targets = [tr.sample_partition(np.arange(dataset.n), 0.5, np.random.default_rng(1))]
-    scores = tr._evaluate(model, norm, dataset, graph, graph.advection(dataset.wind[40:60]),
-                          targets, (40, 60))
+    scores = tr._evaluate(model, norm, dataset, graph, targets, (40, 60))
     return stations, grid, scores
 
 
