@@ -72,10 +72,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() on non-scalar tensor of shape {self.shape}")
@@ -143,23 +139,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -443,11 +427,6 @@ def propagate(x, diffusion, advection, weights: tuple, bias, activation: str) ->
         x._accumulate(g_x.reshape(n, t, f))
 
     return _make(data, "propagate", (x, *weights, bias), backward)
-
-
-def linear(x, weight, bias) -> Tensor:
-    """x @ weight + bias for 2-D x."""
-    return add(matmul(x, weight), bias)
 
 
 def conv1d_causal_dilated(x, weight, bias, dilation: int = 1) -> Tensor:

@@ -260,25 +260,14 @@ def build_advection_operator(nodes: NodeSet, wind: np.ndarray,
     return advection_sequence(nodes, np.asarray(wind)[None], threshold_xi)
 
 
-def _upwind_term(component: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                 geom: np.ndarray) -> np.ndarray:
-    """(T, E) product of one wind component's edge midpoint and its geometry factor."""
-    component = np.ascontiguousarray(component)
-    term = np.take(component, rows, axis=1)
-    term += np.take(component, cols, axis=1)
-    term *= 0.5
-    term *= geom
-    return term
-
-
 def advection_sequence(nodes: NodeSet, wind_series: np.ndarray, threshold_xi: float,
                        pairs: NodePairs | None = None) -> AdvectionOperator:
     """The advection operator over every hour of a (T, N, 2) wind series.
 
-    The (T, E) rates take one pass per wind component over the geometry of
-    `pairs` (``node_pairs(nodes, threshold_xi)`` if not given), in CSR
-    order; rates the ReLU clips to 0 stay stored, so every hour has the
-    same sparsity pattern.  Each hour's rates depend only on its wind, so
+    The (T, E) rates are taken over the geometry of `pairs`
+    (``node_pairs(nodes, threshold_xi)`` if not given), in CSR order;
+    rates the ReLU clips to 0 stay stored, so every hour has the same
+    sparsity pattern.  Each hour's rates depend only on its wind, so
     the operator of any hours is those hours of the whole series', bitwise.
     """
     wind_series = np.asarray(wind_series, dtype=np.float64)
@@ -294,11 +283,9 @@ def advection_sequence(nodes: NodeSet, wind_series: np.ndarray, threshold_xi: fl
 
     pairs = node_pairs(nodes, threshold_xi) if pairs is None else pairs
     rows, cols, geom = pairs.rows, pairs.cols, pair_geometry(pairs)
-    # one wind component at a time: np.take keeps each (T, E) term in C
-    # order (a fancy index on axis 1 comes back in F order), so the rates
-    # are the data of ``weights`` without a copy
-    rates, v_term = (_upwind_term(wind_series[:, :, c], rows, cols, geom[:, c]) for c in (0, 1))
-    rates += v_term
-    np.maximum(rates, 0.0, out=rates)
-    rates *= _MS_PER_KM_TO_PER_HOUR
+    # the wind at each edge's midpoint times its geometry, per component;
+    # adding the two component views gives C-ordered (T, E) rates, the data
+    # of ``weights`` without a copy, at half the cost of .sum(axis=2)
+    term = 0.5 * (np.take(wind_series, rows, axis=1) + np.take(wind_series, cols, axis=1)) * geom
+    rates = np.maximum(term[..., 0] + term[..., 1], 0.0) * _MS_PER_KM_TO_PER_HOUR
     return AdvectionOperator(rates=rates, indices=cols, indptr=_indptr(rows, nodes.n))

@@ -64,9 +64,8 @@ def infer_loss(x_hat: ad.Tensor, x_true: np.ndarray,
 
 def init_loss(x_init: ad.Tensor, x_true: np.ndarray,
               target_indices: np.ndarray) -> ad.Tensor:
-    """Same structure as infer_loss, applied to the initial estimate."""
-    idx = _check_targets(x_init, x_true, target_indices)
-    return ad.l1_loss(x_init[idx], ad.Tensor(np.asarray(x_true, dtype=np.float64)[idx]))
+    """infer_loss applied to the initial estimate."""
+    return infer_loss(x_init, x_true, target_indices)
 
 
 _STD_GUARD = 1e-6

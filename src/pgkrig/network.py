@@ -237,10 +237,10 @@ class KrigingModel:
         """Node- and step-shared MLP from (N, T, hidden) to (N, T)."""
         n, t, f = h.shape
         flat = h.reshape(n * t, f)
-        hidden = self._act(ad.linear(flat, self.params[f"{head}.0.weight"],
-                                     self.params[f"{head}.0.bias"]))
-        return ad.linear(hidden, self.params[f"{head}.1.weight"],
-                         self.params[f"{head}.1.bias"]).reshape(n, t)
+        hidden = self._act(ad.add(ad.matmul(flat, self.params[f"{head}.0.weight"]),
+                                  self.params[f"{head}.0.bias"]))
+        return ad.add(ad.matmul(hidden, self.params[f"{head}.1.weight"]),
+                      self.params[f"{head}.1.bias"]).reshape(n, t)
 
     def readout(self, h_final: ad.Tensor) -> ad.Tensor:
         return self._mlp(h_final, "readout")

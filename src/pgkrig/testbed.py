@@ -189,10 +189,6 @@ class TruthField:
     cell_km: float
 
     @property
-    def t_hours(self) -> int:
-        return self.concentrations.shape[0]
-
-    @property
     def n_cells(self) -> int:
         return self.nx * self.ny
 

@@ -8,9 +8,7 @@ that only these references use, plus the pgkrig.autodiff ops.
 
 The graph builders take their operators straight from one CSR-ordered pair
 list; the dense builders here go through an N x N weight matrix and COO
-triples instead, and must give the same bytes.  The advection builder takes
-its rates one wind component at a time; the reference sums a (T, E, 2)
-array over its last axis.
+triples instead, and must give the same bytes.
 
 Forward-only passes encode each node once and refine the encodings in hour
 blocks; the grid reference runs one whole-window forward per chunk.
@@ -255,8 +253,9 @@ def coo_edges(geo):
 def pair_axis_rates(wind_series, rows, cols, geom):
     """(T, E) advection rates from one (T, E, 2) array summed over its last axis.
 
-    The builder takes one wind component at a time instead; both add the
-    u and v terms of each rate in the same order.
+    The array is fancy-indexed and scaled in place, where the builder
+    takes fresh arrays; both add the u and v terms of each rate in the
+    same order.
     """
     wind_mid = wind_series[:, rows]
     wind_mid += wind_series[:, cols]

@@ -221,6 +221,26 @@ def test_scenario_file_with_negative_layout_seed(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line, message", [
+    ("nx: 1", "grid must be at least 2x2, got 1x4"),
+    ("cell_km: 0", "cell_km must be positive, got 0"),
+    ("t_hours: 0", "t_hours must be >= 1, got 0"),
+    ("wind_regime: gusty", "unknown wind regime 'gusty', expected one of "
+                           "('constant', 'rotating', 'reversing')"),
+    ("kappa_km2_h: -1", "kappa, decay and background_rate must be >= 0"),
+    ("station_count: 0", "station_count must be in [1, 16], got 0"),
+    ("boundary: periodic", "unknown boundary mode 'periodic', expected one of ('open', 'closed')"),
+])
+def test_scenario_file_out_of_range_value_is_refused_in_one_line(tmp_path, capsys, line,
+                                                                 message):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(f"nx: 4\nny: 4\nt_hours: 4\nstation_count: 3\n{line}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--scenario", bad, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: section 'scenario': {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, message", [
     ("wind_speed_ms: 1.0e6", "need 2e+06 substeps per hour, more than the 1000 allowed"),
     ("decay_per_h: 1.0e308", "need 1.11e+308 substeps per hour, more than the 1000 allowed"),
     ("cell_km: 1.0e-200", "cell_km 1e-200 is too small: its square is 0"),
@@ -531,6 +551,13 @@ def test_negative_config_seed_is_data_error(pipeline, tmp_path, capsys, section)
     ("graph: {threshold_km: -5}", "'config.graph': threshold_km -5 must be positive"),
     ("graph: {threshold_km: 0}", "'config.graph': threshold_km 0 must be positive"),
     ("graph: {threshold_km: .nan}", "'config.graph': threshold_km must be finite, got nan"),
+    ("train: {mask_jitter: 0.7}", "'config.train': mask_jitter 0.7 not in [0, 0.5)"),
+    ("train: {epochs: -1}", "'config.train': epochs -1 is negative"),
+    ("train: {window: 0}", "'config.train': window 0 must be positive"),
+    ("train: {learning_rate: 0}", "'config.train': learning_rate 0 must be positive"),
+    ("train: {batches_per_epoch: 0}", "'config.train': batches_per_epoch 0 must be >= 1"),
+    ("train: {patience: 0}", "'config.train': patience 0 must be >= 1"),
+    ("train: {val_partitions: 0}", "'config.train': val_partitions 0 must be >= 1"),
 ])
 def test_train_config_fault_names_its_section_before_reading_data(tmp_path, capsys,
                                                                    monkeypatch, line, message):
@@ -1041,6 +1068,20 @@ def test_sweep_reports_one_row_per_value(pipeline, tmp_path):
     assert len(lines) == 4
     assert lines[2].startswith("0.0,")
     assert lines[3].startswith("0.2,")
+
+
+def test_sweep_without_out_prints_the_table(pipeline, tmp_path, capsys, monkeypatch):
+    _, _, cfg, data, _ = pipeline
+    monkeypatch.chdir(tmp_path)
+    before = dir_digest(data)
+    assert run_cli("sweep", "--config", cfg, "--data", data, "--values", "0.2", "--seed", 1) == 0
+    printed = capsys.readouterr().out
+    assert not any(tmp_path.iterdir()) and dir_digest(data) == before
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--config", cfg, "--data", data, "--values", "0.2", "--seed", 1,
+                   "--out", out) == 0
+    assert printed == out.read_text(encoding="utf-8")
+    assert printed.splitlines()[2].startswith("0.2,")
 
 
 def test_sweep_bad_values_are_usage_errors(pipeline):

@@ -385,8 +385,9 @@ def _edge_case_winds(rng, t, n):
 
 
 def test_rate_kernel_matches_the_pair_axis_expression():
-    # one wind component at a time gives the bytes of the (T, E, 2) sum in
-    # the reference, and C-ordered rates that `weights` reads without a copy
+    # the builder's two component views of its (T, E, 2) product, added,
+    # give the bytes of the reference's in-place sum over that axis, and
+    # C-ordered rates that `weights` reads without a copy
     rng = np.random.default_rng(25)
     for positions, xi in _parity_layouts():
         ns = g.NodeSet(positions)
